@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: test check check-diff check-stream check-fleet check-bound check-dirty bench-rollout bench-obs bench-batch bench-fast bench-load
+.PHONY: test check check-golden check-diff check-stream check-fleet check-bound check-dirty bench-rollout bench-obs bench-batch bench-fast bench-load
 
 test:
 	$(GO) test ./...
+
+# Golden fixtures: persisted-format bytes (StreamerState v2, spill
+# envelopes) round-trip byte-identically and every decision path
+# reproduces its pinned kept-index digest.
+check-golden:
+	$(GO) test -count=1 -run 'TestGolden' ./internal/core ./internal/server ./internal/check
 
 # Differential + metamorphic correctness harness (internal/check): tracker
 # vs recompute, streamer vs slice simplify, DP min-size vs brute force,

@@ -50,3 +50,35 @@ func BenchmarkRolloutEpisode(b *testing.B) {
 		_ = rl.Rollout(env, p, r, false)
 	}
 }
+
+// BenchmarkStreamerPush measures one Push into a warm streamer: past the
+// fill every push is a full online decision (tentative append, state
+// build, policy forward, drop and neighbour repair). Timestamps advance
+// by the trajectory's span on every lap so pushes never repeat one.
+func BenchmarkStreamerPush(b *testing.B) {
+	t := smallDataset(4, 1, 4096)[0]
+	opts := DefaultOptions(errm.SED, Online)
+	p, err := rl.NewPolicy(opts.StateSize(), opts.NumActions(), 20, rand.New(rand.NewSource(5)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewStreamer(p, 200, opts, false, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	span := t[len(t)-1].T + 1
+	push := func(i int) {
+		pt := t[i%len(t)]
+		pt.T += float64(i/len(t)) * span
+		s.Push(pt)
+	}
+	const warm = 400
+	for i := 0; i < warm; i++ {
+		push(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push(warm + i)
+	}
+}
