@@ -13,13 +13,17 @@ import (
 )
 
 // The push-based core.Streamer and the slice-based online core.Simplify
-// implement the same MDP over different plumbing (ring buffer + repair vs
-// scan env). With no skip actions every decision point, state vector and
-// action mask coincide, so feeding both the identical stream with the
-// identical policy must produce the identical simplification — exactly.
-// With skip actions the tail behaviour legitimately diverges (the scan env
-// masks skips that overshoot the known end; a streamer cannot know the
-// end), so the harness asserts structural invariants instead.
+// are two drivers of one MDP: both run the same per-point step code
+// (fill, tentative append, state build, drop with neighbour repair), and
+// differ only in the final-point index that masks skips — known for a
+// trajectory in memory, unbounded for a stream. With no skip actions
+// every decision point, state vector and action mask therefore coincide,
+// and feeding both the identical stream with the identical policy must
+// produce the identical simplification — exactly; this differential is
+// the regression net under that construction. With skip actions the tail
+// behaviour legitimately diverges (the scan env masks skips that
+// overshoot the known end; a streamer cannot know the end), so the
+// harness asserts structural invariants instead.
 
 func checkPolicy(t *testing.T, opts core.Options, seed int64) *rl.Policy {
 	t.Helper()

@@ -71,19 +71,16 @@ type BatchEngine struct {
 
 // NewBatchEngine validates the configuration and returns an engine
 // applying p under opts. sample selects stochastic action selection (the
-// paper's online-mode inference); greedy argmax otherwise. The
-// validation mirrors SimplifyCtx so a misconfigured engine fails at
-// construction, not per item.
+// paper's online-mode inference); greedy argmax otherwise. The options
+// and policy shape get SimplifyCtx's checks here, so a misconfigured
+// engine fails at construction, not per item; each item's budget,
+// length and rand source are checked when it runs.
 func NewBatchEngine(p *rl.Policy, opts Options, sample bool) (*BatchEngine, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	if p == nil {
 		return nil, fmt.Errorf("core: batch engine needs a policy")
 	}
-	if p.Spec.In != opts.StateSize() || p.Spec.Out != opts.NumActions() {
-		return nil, fmt.Errorf("core: policy shape (%d in, %d out) does not match options %s (k=%d, J=%d: want %d in, %d out)",
-			p.Spec.In, p.Spec.Out, opts.Name(), opts.K, opts.J, opts.StateSize(), opts.NumActions())
+	if err := checkRun(opts, p, unbounded, unbounded, false, nil); err != nil {
+		return nil, err
 	}
 	return &BatchEngine{p: p, opts: opts, sample: sample}, nil
 }
@@ -123,15 +120,8 @@ func (e *BatchEngine) RunCtx(ctx context.Context, items []BatchItem) []BatchResu
 	lanes := e.lanes[:0]
 	for i := range items {
 		it := &items[i]
-		switch {
-		case it.W < 2:
-			res[i].Err = fmt.Errorf("core: budget W must be >= 2, got %d", it.W)
-			continue
-		case len(it.T) < 2:
-			res[i].Err = traj.ErrTooShort
-			continue
-		case e.sample && it.R == nil:
-			res[i].Err = fmt.Errorf("core: sampling requested without a rand source")
+		if err := checkRun(e.opts, e.p, it.W, len(it.T), e.sample, it.R); err != nil {
+			res[i].Err = err
 			continue
 		}
 		env := newEnv(it.T, it.W, e.opts, false)

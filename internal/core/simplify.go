@@ -31,21 +31,8 @@ func Simplify(p *rl.Policy, t traj.Trajectory, w int, opts Options, sample bool,
 // (wrapped, so errors.Is(err, context.Canceled) and friends work). The
 // HTTP service uses it to make slow simplification requests cancellable.
 func SimplifyCtx(ctx context.Context, p *rl.Policy, t traj.Trajectory, w int, opts Options, sample bool, r *rand.Rand) ([]int, error) {
-	if err := opts.Validate(); err != nil {
+	if err := checkRun(opts, p, w, len(t), sample, r); err != nil {
 		return nil, err
-	}
-	if w < 2 {
-		return nil, fmt.Errorf("core: budget W must be >= 2, got %d", w)
-	}
-	if len(t) < 2 {
-		return nil, traj.ErrTooShort
-	}
-	if p.Spec.In != opts.StateSize() || p.Spec.Out != opts.NumActions() {
-		return nil, fmt.Errorf("core: policy shape (%d in, %d out) does not match options %s (k=%d, J=%d: want %d in, %d out)",
-			p.Spec.In, p.Spec.Out, opts.Name(), opts.K, opts.J, opts.StateSize(), opts.NumActions())
-	}
-	if sample && r == nil {
-		return nil, fmt.Errorf("core: sampling requested without a rand source")
 	}
 	env := newEnv(t, w, opts, false)
 	state, mask, done := env.Reset()
@@ -69,14 +56,8 @@ func SimplifyCtx(ctx context.Context, p *rl.Policy, t traj.Trajectory, w int, op
 // legal actions. It is the "random policy" arm of the paper's policy
 // ablation (§VI-B(4)), not a production simplifier.
 func SimplifyRandom(t traj.Trajectory, w int, opts Options, r *rand.Rand) ([]int, error) {
-	if err := opts.Validate(); err != nil {
+	if err := checkRun(opts, nil, w, len(t), true, r); err != nil {
 		return nil, err
-	}
-	if w < 2 {
-		return nil, fmt.Errorf("core: budget W must be >= 2, got %d", w)
-	}
-	if len(t) < 2 {
-		return nil, traj.ErrTooShort
 	}
 	env := newEnv(t, w, opts, false)
 	_, mask, done := env.Reset()
@@ -93,14 +74,8 @@ func SimplifyRandom(t traj.Trajectory, w int, opts Options, r *rand.Rand) ([]int
 // action 0 this is the "always drop the minimum-value point" hand-crafted
 // rule that the learned policy is measured against in the policy ablation.
 func SimplifyFixedAction(t traj.Trajectory, w int, opts Options, action int) ([]int, error) {
-	if err := opts.Validate(); err != nil {
+	if err := checkRun(opts, nil, w, len(t), false, nil); err != nil {
 		return nil, err
-	}
-	if w < 2 {
-		return nil, fmt.Errorf("core: budget W must be >= 2, got %d", w)
-	}
-	if len(t) < 2 {
-		return nil, traj.ErrTooShort
 	}
 	if action < 0 || action >= opts.NumActions() {
 		return nil, fmt.Errorf("core: fixed action %d out of range [0, %d)", action, opts.NumActions())
@@ -115,6 +90,32 @@ func SimplifyFixedAction(t traj.Trajectory, w int, opts Options, action int) ([]
 		_, mask, _, done = env.Step(a)
 	}
 	return env.Kept(), nil
+}
+
+// checkRun validates the preconditions every entry point into the
+// scanning MDP shares: the options, the budget w, the trajectory length
+// n, the policy's shape when a policy drives the run (p may be nil for
+// the random and fixed-action rules), and a rand source when the run
+// samples. A driver that learns w or n only later — a stream's length,
+// a batch engine's per-item budgets — passes unbounded for it.
+func checkRun(opts Options, p *rl.Policy, w, n int, sample bool, r *rand.Rand) error {
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if w < 2 {
+		return fmt.Errorf("core: budget W must be >= 2, got %d", w)
+	}
+	if n < 2 {
+		return traj.ErrTooShort
+	}
+	if p != nil && (p.Spec.In != opts.StateSize() || p.Spec.Out != opts.NumActions()) {
+		return fmt.Errorf("core: policy shape (%d in, %d out) does not match options %s (k=%d, J=%d: want %d in, %d out)",
+			p.Spec.In, p.Spec.Out, opts.Name(), opts.K, opts.J, opts.StateSize(), opts.NumActions())
+	}
+	if sample && r == nil {
+		return fmt.Errorf("core: sampling requested without a rand source")
+	}
+	return nil
 }
 
 func legal(mask []bool) []int {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"rlts/internal/buffer"
-	"rlts/internal/errm"
 	"rlts/internal/geo"
 	"rlts/internal/obs"
 	"rlts/internal/rl"
@@ -14,25 +13,28 @@ import (
 // Streamer is the push-based online interface of RLTS / RLTS-Skip: points
 // are fed one at a time, as a GPS sensor produces them, and the W-point
 // buffer always holds the current simplification of everything seen so
-// far. This is the deployment shape of the paper's online mode — the
-// slice-based Simplify is just this loop driven from an in-memory
-// trajectory.
+// far. This is the deployment shape of the paper's online mode: a
+// Streamer and the slice-based Simplify are two drivers of one scanning
+// MDP, running the same per-point step (scanner) — fill, tentative
+// append, state build, drop with neighbour repair — so on the same
+// points, policy and RNG stream they take the same decisions.
 //
 // Only the Online variant is streamable: the batch variants' states need
 // access to dropped points or the whole trajectory. Skip actions work on a
 // stream too: a skip of j discards the current and the next j-1 pushed
-// points unseen. Since a stream has no known end, a skip may swallow what
-// turns out to be the final point; Snapshot therefore appends the most
-// recent point when it is not buffered, preserving the invariant that a
-// simplification ends at the last observed point.
+// points unseen. Since a stream has no known end (its scanner's end is
+// unbounded), a skip may swallow what turns out to be the final point;
+// Snapshot therefore appends the most recent point when it is not
+// buffered, preserving the invariant that a simplification ends at the
+// last observed point.
 type Streamer struct {
-	opts   Options
+	scanner
+
 	w      int
 	p      *rl.Policy
 	sample bool
 	r      *rand.Rand
 
-	buf      *buffer.Buffer
 	n        int // points pushed so far
 	skip     int // pending pushes to drop silently
 	nskipped int // points ever swallowed by skip actions
@@ -66,29 +68,34 @@ type Streamer struct {
 // sample selects stochastic action selection (the paper's online-mode
 // default); r may be nil when sample is false.
 func NewStreamer(p *rl.Policy, w int, opts Options, sample bool, r *rand.Rand) (*Streamer, error) {
-	if err := opts.Validate(); err != nil {
+	s, err := newStreamer(p, w, opts, sample, r)
+	if err != nil {
+		return nil, err
+	}
+	s.buf = buffer.New(w + 1)
+	return s, nil
+}
+
+// newStreamer validates a streamer configuration and returns a streamer
+// without a buffer; NewStreamer gives it an empty one, ResumeStreamer a
+// restored one.
+func newStreamer(p *rl.Policy, w int, opts Options, sample bool, r *rand.Rand) (*Streamer, error) {
+	if p == nil {
+		return nil, fmt.Errorf("core: streamer needs a policy")
+	}
+	if err := checkRun(opts, p, w, unbounded, sample, r); err != nil {
 		return nil, err
 	}
 	if opts.Variant != Online {
 		return nil, fmt.Errorf("core: only the Online variant can stream, got %s", opts.Name())
 	}
-	if w < 2 {
-		return nil, fmt.Errorf("core: budget W must be >= 2, got %d", w)
-	}
-	if p.Spec.In != opts.StateSize() || p.Spec.Out != opts.NumActions() {
-		return nil, fmt.Errorf("core: policy shape does not match options")
-	}
-	if sample && r == nil {
-		return nil, fmt.Errorf("core: sampling requested without a rand source")
-	}
 	return &Streamer{
-		opts:   opts,
-		w:      w,
-		p:      p,
-		sample: sample,
-		r:      r,
-		buf:    buffer.New(w + 1),
-		met:    coreMetrics(),
+		scanner: newScanner(opts, nil, unbounded),
+		w:       w,
+		p:       p,
+		sample:  sample,
+		r:       r,
+		met:     coreMetrics(),
 	}, nil
 }
 
@@ -113,7 +120,8 @@ func (s *Streamer) Push(pt geo.Point) {
 	}
 	s.last, s.hasLast = pt, true
 	s.unflushedPushed++
-	defer func() { s.n++ }()
+	i := s.n
+	s.n++
 	if s.skip > 0 {
 		s.skip--
 		s.nskipped++
@@ -124,30 +132,18 @@ func (s *Streamer) Push(pt geo.Point) {
 	// is the criterion: after SetBudget grows W the buffer refills to the
 	// new cap (for a fixed-budget streamer the two are equivalent — size
 	// equals pushes during fill and equals W after).
-	if s.buf.Size() < s.w {
-		s.buf.Append(s.n, pt)
-		// Value the point that just became interior.
-		if s.buf.Size() >= 3 {
-			in := s.buf.Tail().Prev()
-			s.buf.SetValue(in, s.value(in))
-		}
+	filling := s.buf.Size() < s.w
+	s.push(i, pt)
+	if filling {
 		return
 	}
-	old := s.buf.Tail()
-	s.buf.Append(s.n, pt)
-	s.buf.SetValue(old, s.value(old))
 	state, mask := s.buildState()
 	a := s.p.Act(state, mask, s.sample, s.r)
 	if s.sample {
 		s.draws++ // Act consumes exactly one Float64 per sampled decision
 	}
 	if a < s.opts.K {
-		d := s.cand(a)
-		if v := d.Value(); v > s.errEst {
-			s.errEst = v
-		}
-		prev, next := s.buf.Drop(d)
-		s.repairOnline(prev, next, d)
+		s.evict(s.cand[a])
 		return
 	}
 	// Skip action: drop the point just pushed and the next (a-K) points.
@@ -155,55 +151,12 @@ func (s *Streamer) Push(pt geo.Point) {
 	s.skip = a - s.opts.K
 }
 
-// cand returns the a-th lowest-valued droppable entry of the current
-// state (recomputed; K is tiny).
-func (s *Streamer) cand(a int) *buffer.Entry {
-	return s.buf.KLowest(s.opts.K)[a]
-}
-
-func (s *Streamer) value(e *buffer.Entry) float64 {
-	return errm.OnlineValue(s.opts.Measure, e.Prev().P, e.P, e.Next().P)
-}
-
-func (s *Streamer) buildState() ([]float64, []bool) {
-	k, j := s.opts.K, s.opts.J
-	cands := s.buf.KLowest(k)
-	state := make([]float64, s.opts.StateSize())
-	mask := make([]bool, s.opts.NumActions())
-	var pad float64
-	if len(cands) > 0 {
-		pad = cands[len(cands)-1].Value()
+// evict drops d with neighbour repair and folds its value into errEst.
+func (s *Streamer) evict(d *buffer.Entry) {
+	if v := d.Value(); v > s.errEst {
+		s.errEst = v
 	}
-	for a := 0; a < k; a++ {
-		if a < len(cands) {
-			state[a] = cands[a].Value()
-			mask[a] = true
-		} else {
-			state[a] = pad
-		}
-	}
-	for sk := 1; sk <= j; sk++ {
-		mask[k+sk-1] = true // stream end unknown; see Snapshot
-	}
-	return state, mask
-}
-
-func (s *Streamer) repairOnline(prev, next, dropped *buffer.Entry) {
-	m := s.opts.Measure
-	if prev.Prev() != nil {
-		v := errm.OnlineValue(m, prev.Prev().P, prev.P, next.P)
-		if dv := errm.OnlineValue(m, prev.Prev().P, dropped.P, next.P); dv > v {
-			v = dv
-		}
-		s.buf.SetValue(prev, v)
-	}
-	if next.Next() != nil {
-		v := errm.OnlineValue(m, prev.P, next.P, next.Next().P)
-		if dv := errm.OnlineValue(m, prev.P, dropped.P, next.Next().P); dv > v {
-			v = dv
-		}
-		s.buf.SetValue(next, v)
-	}
+	s.drop(d)
 }
 
 // SetBudget changes the streamer's storage budget W. Growing is free:
@@ -220,16 +173,22 @@ func (s *Streamer) SetBudget(w int) error {
 	}
 	s.w = w
 	for s.buf.Size() > w {
-		e := s.buf.Min()
+		// The lowest-valued interior point. Right after a skip the tail
+		// still sits in the heap with a stale value (the next push
+		// refreshes it; see buffer.RemoveTail), but an endpoint is never
+		// droppable, so it is passed over.
+		var e *buffer.Entry
+		for _, c := range s.buf.KLowest(2) {
+			if c.Next() != nil {
+				e = c
+				break
+			}
+		}
 		if e == nil {
 			// Only endpoints remain; size is <= 2 <= w, unreachable.
 			break
 		}
-		if v := e.Value(); v > s.errEst {
-			s.errEst = v
-		}
-		prev, next := s.buf.Drop(e)
-		s.repairOnline(prev, next, e)
+		s.evict(e)
 	}
 	return nil
 }

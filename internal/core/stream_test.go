@@ -348,6 +348,42 @@ func TestStreamerSetBudget(t *testing.T) {
 	}
 }
 
+// TestStreamerSetBudgetAfterSkip: a skip un-appends the pushed point and
+// leaves the buffered tail in the value heap with a stale value until
+// the next push. A shrink in that window (a fleet rebalance between two
+// pushes) must pass over the tail, an endpoint, instead of dropping it
+// (buffer.Drop panics on an endpoint).
+func TestStreamerSetBudgetAfterSkip(t *testing.T) {
+	opts := Options{Measure: errm.SED, Variant: Online, K: 3, J: 2}
+	for seed := int64(0); seed < 20; seed++ {
+		s, err := NewStreamer(streamPolicy(t, opts), 10, opts, true, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := testTraj(seed, 200)
+		i := 0
+		for ; i < len(tr) && (i < 20 || s.skip == 0); i++ {
+			s.Push(tr[i])
+		}
+		if s.skip == 0 {
+			t.Fatalf("seed %d: no skip decision in %d pushes", seed, i)
+		}
+		tail := s.buf.Tail().Index
+		if err := s.SetBudget(3); err != nil {
+			t.Fatal(err)
+		}
+		if s.BufferSize() != 3 || s.buf.Head().Index != 0 || s.buf.Tail().Index != tail {
+			t.Fatalf("seed %d: shrink kept %v, want 3 points from 0 to %d", seed, s.buf.Indices(), tail)
+		}
+		for ; i < len(tr); i++ {
+			s.Push(tr[i])
+		}
+		if err := traj.Trajectory(s.Snapshot()).Validate(); err != nil {
+			t.Fatalf("seed %d: snapshot after shrink invalid: %v", seed, err)
+		}
+	}
+}
+
 // TestStreamerSetBudgetResumeBitIdentical: a streamer whose budget was
 // resized mid-stream spills and rehydrates bit-identically — the fleet
 // rebalance / durable-store interaction.
@@ -449,5 +485,36 @@ func TestStreamerPolicyPressure(t *testing.T) {
 	}
 	if !samePoints(run(true), run(false)) {
 		t.Fatal("PolicyPressure perturbed a sampled stream")
+	}
+}
+
+// TestStreamerPushAllocs holds a warm streamer's decision-phase Push to
+// one allocation per point: the buffer entry, which Simplify allocates
+// per point too. The state, mask and candidate list are scanner scratch.
+func TestStreamerPushAllocs(t *testing.T) {
+	tr := testTraj(4, 2000)
+	for _, j := range []int{0, 2} {
+		for _, sample := range []bool{false, true} {
+			opts := Options{Measure: errm.SED, Variant: Online, K: 3, J: j}
+			var r *rand.Rand
+			if sample {
+				r = rand.New(rand.NewSource(1))
+			}
+			s, err := NewStreamer(streamPolicy(t, opts), 50, opts, sample, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			for ; i < 100; i++ {
+				s.Push(tr[i])
+			}
+			allocs := testing.AllocsPerRun(1000, func() {
+				s.Push(tr[i])
+				i++
+			})
+			if allocs > 1 {
+				t.Errorf("J=%d sample=%v: %.2f allocs per Push, want <= 1", j, sample, allocs)
+			}
+		}
 	}
 }

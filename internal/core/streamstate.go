@@ -33,7 +33,18 @@ import (
 // incompatible changes. Version 2 added ErrEst (the online error
 // estimate the fleet allocator reads) and relaxed the buffer-size
 // invariants for budgets resized by SetBudget.
+//
+// Version-1 states still decode, so sessions spilled before the upgrade
+// rehydrate instead of being quarantined. They decode with ErrEst 0: the
+// drop values seen before the upgrade were never recorded, so the
+// estimate restarts there and folds in every drop after resume, like a
+// fresh streamer's. Everything the decisions depend on is in v1, so the
+// resumed stream simplifies exactly as the uninterrupted one would.
 const StreamerStateVersion = 2
+
+// streamerStateMinVersion is the oldest wire version DecodeStreamerState
+// accepts.
+const streamerStateMinVersion = 1
 
 // StreamerState is the complete resumable state of a Streamer. The
 // policy and Options are not part of it: they are process-level
@@ -80,23 +91,14 @@ func (s *Streamer) ExportState() *StreamerState {
 // is built, so a corrupted state yields an error, never a streamer that
 // panics later.
 func ResumeStreamer(p *rl.Policy, opts Options, st *StreamerState, r *rand.Rand) (*Streamer, error) {
-	if err := opts.Validate(); err != nil {
+	s, err := newStreamer(p, st.W, opts, st.Sample, r)
+	if err != nil {
 		return nil, err
-	}
-	if opts.Variant != Online {
-		return nil, fmt.Errorf("core: only the Online variant can stream, got %s", opts.Name())
-	}
-	if p.Spec.In != opts.StateSize() || p.Spec.Out != opts.NumActions() {
-		return nil, fmt.Errorf("core: policy shape does not match options")
-	}
-	if st.Sample && r == nil {
-		return nil, fmt.Errorf("core: resuming a sampling streamer without a rand source")
 	}
 	if err := st.validate(opts); err != nil {
 		return nil, err
 	}
-	buf, err := buffer.Restore(st.Entries, st.W+1)
-	if err != nil {
+	if s.buf, err = buffer.Restore(st.Entries, st.W+1); err != nil {
 		return nil, fmt.Errorf("core: resume streamer: %w", err)
 	}
 	if st.Sample {
@@ -104,22 +106,10 @@ func ResumeStreamer(p *rl.Policy, opts Options, st *StreamerState, r *rand.Rand)
 			r.Float64()
 		}
 	}
-	return &Streamer{
-		opts:     opts,
-		w:        st.W,
-		p:        p,
-		sample:   st.Sample,
-		r:        r,
-		buf:      buf,
-		n:        st.Seen,
-		skip:     st.Skip,
-		nskipped: st.Skipped,
-		last:     st.Last,
-		hasLast:  st.HasLast,
-		draws:    st.Draws,
-		errEst:   st.ErrEst,
-		met:      coreMetrics(),
-	}, nil
+	s.n, s.skip, s.nskipped = st.Seen, st.Skip, st.Skipped
+	s.last, s.hasLast = st.Last, st.HasLast
+	s.draws, s.errEst = st.Draws, st.ErrEst
+	return s, nil
 }
 
 // validate checks the state's internal consistency against the streamer
@@ -201,7 +191,7 @@ func (st *StreamerState) validate(opts Options) error {
 //	u8   flags (bit 0 sample, bit 1 hasLast)
 //	u32  w
 //	u64  seen, skip, skipped, draws
-//	f64  errEst
+//	f64  errEst (absent in version 1)
 //	f64  last.X, last.Y, last.T
 //	u32  entry count
 //	per entry: u64 index, f64 x, f64 y, f64 t, f64 value, i64 heapPos
@@ -247,8 +237,9 @@ func (st *StreamerState) AppendBinary(b []byte) []byte {
 func DecodeStreamerState(data []byte) (*StreamerState, error) {
 	d := byteReader{buf: data}
 	ver := d.u32()
-	if d.err == nil && ver != StreamerStateVersion {
-		return nil, fmt.Errorf("core: streamer state version %d, want %d", ver, StreamerStateVersion)
+	if d.err == nil && (ver < streamerStateMinVersion || ver > StreamerStateVersion) {
+		return nil, fmt.Errorf("core: streamer state version %d, want %d..%d",
+			ver, streamerStateMinVersion, StreamerStateVersion)
 	}
 	flags := d.u8()
 	st := &StreamerState{
@@ -260,7 +251,9 @@ func DecodeStreamerState(data []byte) (*StreamerState, error) {
 	st.Skip = d.count()
 	st.Skipped = d.count()
 	st.Draws = d.u64()
-	st.ErrEst = d.f64()
+	if ver >= 2 {
+		st.ErrEst = d.f64()
+	}
 	st.Last.X = d.f64()
 	st.Last.Y = d.f64()
 	st.Last.T = d.f64()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"rlts/internal/rl"
 	"rlts/internal/traj"
 )
@@ -33,18 +31,8 @@ type DecisionTrace struct {
 // sequential loop already computes. Intended for differential testing and
 // debugging, not hot paths: every state and mask is copied.
 func TraceGreedy(p *rl.Policy, t traj.Trajectory, w int, opts Options) (*DecisionTrace, error) {
-	if err := opts.Validate(); err != nil {
+	if err := checkRun(opts, p, w, len(t), false, nil); err != nil {
 		return nil, err
-	}
-	if w < 2 {
-		return nil, fmt.Errorf("core: budget W must be >= 2, got %d", w)
-	}
-	if len(t) < 2 {
-		return nil, traj.ErrTooShort
-	}
-	if p.Spec.In != opts.StateSize() || p.Spec.Out != opts.NumActions() {
-		return nil, fmt.Errorf("core: policy shape (%d in, %d out) does not match options %s (k=%d, J=%d: want %d in, %d out)",
-			p.Spec.In, p.Spec.Out, opts.Name(), opts.K, opts.J, opts.StateSize(), opts.NumActions())
 	}
 	tr := &DecisionTrace{StateSize: opts.StateSize(), NumActions: opts.NumActions()}
 	env := newEnv(t, w, opts, false)

@@ -150,33 +150,6 @@ func (b *batchRunner) release(p *core.Trained, e *core.BatchEngine) {
 	pool.Put(e)
 }
 
-// itemBudget resolves one item's storage budget (item override first,
-// then the request default) without writing to the response, returning
-// an inline failure instead.
-func itemBudget(req *batchRequest, it *batchItemRequest, n int) (int, *itemFailure) {
-	w, ratio := req.W, req.Ratio
-	if it.W != 0 || it.Ratio != 0 {
-		w, ratio = it.W, it.Ratio
-	}
-	if w != 0 {
-		if w < 2 {
-			return 0, &itemFailure{Error: errFmt("w must be >= 2, got %d", w), Code: codeInvalidBudget}
-		}
-		return w, nil
-	}
-	if ratio == 0 {
-		ratio = 0.1
-	}
-	if ratio < 0 || ratio >= 1 {
-		return 0, &itemFailure{Error: errFmt("ratio must be in (0, 1), got %g", ratio), Code: codeInvalidBudget}
-	}
-	b := int(ratio * float64(n))
-	if b < 2 {
-		b = 2
-	}
-	return b, nil
-}
-
 func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
@@ -262,9 +235,14 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 			results[i].Failure = &itemFailure{Error: errFmt("invalid trajectory: %v", err), Code: code}
 			continue
 		}
-		b, fail := itemBudget(&req, it, len(t))
-		if fail != nil {
-			results[i].Failure = fail
+		// An item's own w/ratio, when set, replaces the request default.
+		bw, ratio := req.W, req.Ratio
+		if it.W != 0 || it.Ratio != 0 {
+			bw, ratio = it.W, it.Ratio
+		}
+		b, err := resolveBudget(bw, ratio, len(t))
+		if err != nil {
+			results[i].Failure = &itemFailure{Error: err.Error(), Code: codeInvalidBudget}
 			continue
 		}
 		jobs = append(jobs, job{item: i, t: t})

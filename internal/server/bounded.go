@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net/http"
 	"strings"
 
 	"rlts/internal/adaptive"
@@ -30,52 +29,20 @@ import (
 	"rlts/internal/core"
 	"rlts/internal/errm"
 	"rlts/internal/minsize"
-	"rlts/internal/obs"
 	"rlts/internal/traj"
 )
 
-// serveBounded answers a /v1/simplify request that carries "bound".
-// The trajectory and measure are already validated by the caller.
-func (s *Server) serveBounded(w http.ResponseWriter, r *http.Request, req *simplifyRequest, t traj.Trajectory, m errm.Measure) {
+// checkBound validates the budget fields of a request that carries
+// "bound": a finite, non-negative bound, and no w/ratio beside it.
+func checkBound(req *simplifyRequest) error {
 	bound := *req.Bound
 	if bound < 0 || math.IsNaN(bound) || math.IsInf(bound, 0) {
-		httpError(w, http.StatusBadRequest, codeInvalidBudget,
-			"bound must be finite and >= 0, got %v", bound)
-		return
+		return fmt.Errorf("bound must be finite and >= 0, got %v", bound)
 	}
 	if req.W != 0 || req.Ratio != 0 {
-		httpError(w, http.StatusBadRequest, codeInvalidBudget,
-			"bound is mutually exclusive with w/ratio: a request fixes either the error or the budget")
-		return
+		return fmt.Errorf("bound is mutually exclusive with w/ratio: a request fixes either the error or the budget")
 	}
-	name, kept, err := s.runBounded(r.Context(), strings.ToLower(req.Algorithm), t, bound, m)
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	e := errm.Error(m, t, kept)
-	met := e <= bound
-	s.cfg.Metrics.Counter("rlts_bound_requests_total",
-		"Error-bounded simplify requests served, by backend algorithm",
-		obs.L("algorithm", name)).Inc()
-	if !met {
-		s.boundUnmet.Inc()
-	}
-	resp := simplifyResponse{
-		Algorithm: name,
-		Mode:      modeExact,
-		Kept:      len(kept),
-		Of:        len(t),
-		Error:     e,
-		Bound:     req.Bound,
-		BoundMet:  &met,
-	}
-	core.ObserveErrorIn(s.cfg.Metrics, m, e)
-	for _, ix := range kept {
-		p := t[ix]
-		resp.Points = append(resp.Points, [3]float64{p.X, p.Y, p.T})
-	}
-	writeJSON(w, &resp)
+	return nil
 }
 
 // runBounded routes an error-bounded request to its backend.

@@ -187,4 +187,30 @@ func TestBudgetConflictRejected(t *testing.T) {
 			t.Errorf("lone budget rejected: %d %s", resp.StatusCode, raw)
 		}
 	}
+	// The batch route resolves budgets by the same rule: a conflicting
+	// pair, whether an item inherits it from the request or sets it
+	// itself, is an inline invalid_budget failure, not a silent w.
+	item := func(extra map[string]interface{}) []interface{} {
+		it := map[string]interface{}{"points": pts}
+		for k, v := range extra {
+			it[k] = v
+		}
+		return []interface{}{it}
+	}
+	for name, body := range map[string]map[string]interface{}{
+		"request": {"algorithm": "rlts+", "w": 10, "ratio": 0.5, "items": item(nil)},
+		"item":    {"algorithm": "rlts+", "items": item(map[string]interface{}{"w": 10, "ratio": 0.5})},
+	} {
+		resp, raw := post(t, srv.URL+"/v1/simplify/batch", body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("batch %s-level conflict: status %d: %s", name, resp.StatusCode, raw)
+		}
+		var out batchResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Failed != 1 || out.Items[0].Failure == nil || out.Items[0].Failure.Code != codeInvalidBudget {
+			t.Errorf("batch %s-level conflict: %s, want an invalid_budget item failure", name, raw)
+		}
+	}
 }

@@ -98,6 +98,33 @@ func TestSimplifyRepairEveryFamily(t *testing.T) {
 
 // TestSimplifyRepairCleanIdentity: clean input with repair enabled is
 // untouched — same simplification as without repair, zero defects.
+// TestSimplifyRepairBoundedReport: an error-bounded answer over repaired
+// input carries the repair report like a budgeted one.
+func TestSimplifyRepairBoundedReport(t *testing.T) {
+	srv := testServer(t)
+	for _, fam := range gen.DirtyFamilies() {
+		pts := dirtyPoints(t, fam, 300)
+		for _, m := range []string{"SED", "PED"} {
+			resp, raw := post(t, srv.URL+"/v1/simplify", map[string]interface{}{
+				"measure": m, "bound": 5.0, "points": pts, "repair": repairOpts,
+			})
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s %s: status %d: %s", fam.Name, m, resp.StatusCode, raw)
+			}
+			var out simplifyResponse
+			if err := json.Unmarshal(raw, &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.BoundMet == nil {
+				t.Fatalf("%s %s: not a bounded answer: %s", fam.Name, m, raw)
+			}
+			if out.Repair == nil || out.Repair.Pushed != len(pts) || out.Repair.Emitted != out.Of {
+				t.Fatalf("%s %s: repair report missing or wrong: %+v (of %d)", fam.Name, m, out.Repair, out.Of)
+			}
+		}
+	}
+}
+
 func TestSimplifyRepairCleanIdentity(t *testing.T) {
 	srv := testServer(t)
 	pts := points(gen.New(gen.Geolife(), 9).Trajectory(200))

@@ -200,25 +200,25 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 // (Min-Size: fixed error, smallest output) may be set; see bounded.go
 // for the bound mode.
 type simplifyRequest struct {
-	Algorithm string       `json:"algorithm"`
-	Measure   string       `json:"measure"`
-	W         int          `json:"w"`
-	Ratio     float64      `json:"ratio"`
-	Bound     *float64     `json:"bound,omitempty"`
+	Algorithm string        `json:"algorithm"`
+	Measure   string        `json:"measure"`
+	W         int           `json:"w"`
+	Ratio     float64       `json:"ratio"`
+	Bound     *float64      `json:"bound,omitempty"`
 	Repair    *repairParams `json:"repair,omitempty"` // opt-in dirty-input repair (see repair.go)
-	Points    [][3]float64 `json:"points"`
+	Points    [][3]float64  `json:"points"`
 }
 
 type simplifyResponse struct {
-	Algorithm string       `json:"algorithm"`
-	Mode      string       `json:"mode"` // "exact" or "fast" — the kernels that ran
-	Kept      int          `json:"kept"`
-	Of        int          `json:"of"`
-	Error     float64      `json:"error"`
-	Bound     *float64     `json:"bound,omitempty"`     // echo of the requested bound
-	BoundMet  *bool        `json:"bound_met,omitempty"` // re-scored by the exact oracle
-	Repair    *repairReportJSON `json:"repair,omitempty"` // per-defect repair accounting
-	Points    [][3]float64 `json:"points"`
+	Algorithm string            `json:"algorithm"`
+	Mode      string            `json:"mode"` // "exact" or "fast" — the kernels that ran
+	Kept      int               `json:"kept"`
+	Of        int               `json:"of"`
+	Error     float64           `json:"error"`
+	Bound     *float64          `json:"bound,omitempty"`     // echo of the requested bound
+	BoundMet  *bool             `json:"bound_met,omitempty"` // re-scored by the exact oracle
+	Repair    *repairReportJSON `json:"repair,omitempty"`    // per-defect repair accounting
+	Points    [][3]float64      `json:"points"`
 }
 
 // decodeBody decodes a JSON request body under the size limit, reporting
@@ -271,39 +271,37 @@ func (s *Server) ingestTrajectory(w http.ResponseWriter, points [][3]float64, pa
 	return s.repairTrajectory(w, points, params)
 }
 
-// budget resolves the storage budget from the request's w/ratio pair,
-// reporting invalid combinations itself. Returns (0, false) when the
-// request is already answered.
-func budget(w http.ResponseWriter, req *simplifyRequest, n int) (int, bool) {
-	if req.W != 0 {
-		if req.Ratio != 0 {
-			// A conflicting pair used to be resolved silently in w's favor;
-			// the caller meant something, and guessing which half hides bugs.
-			httpError(w, http.StatusBadRequest, codeInvalidBudget,
-				"w (%d) and ratio (%g) are mutually exclusive; send one", req.W, req.Ratio)
-			return 0, false
+// resolveBudget turns a w/ratio pair into the storage budget for an
+// n-point trajectory. It is the one budget rule of every Min-Error
+// route: w and ratio are mutually exclusive (a conflicting pair used to
+// be resolved silently in w's favor; the caller meant something, and
+// guessing which half hides bugs), w must be >= 2, ratio defaults to
+// 0.1 and must lie in (0, 1), and a ratio budget never falls below 2.
+// Each caller maps the error to its own shape: a typed 400 on
+// /v1/simplify, an inline item failure on the batch route.
+func resolveBudget(w int, ratio float64, n int) (int, error) {
+	if w != 0 {
+		if ratio != 0 {
+			return 0, fmt.Errorf("w (%d) and ratio (%g) are mutually exclusive; send one", w, ratio)
 		}
-		if req.W < 2 {
-			httpError(w, http.StatusBadRequest, codeInvalidBudget, "w must be >= 2, got %d", req.W)
-			return 0, false
+		if w < 2 {
+			return 0, fmt.Errorf("w must be >= 2, got %d", w)
 		}
-		return req.W, true
+		return w, nil
 	}
-	ratio := req.Ratio
 	if ratio == 0 {
 		ratio = 0.1 // default budget: keep 10%
 	}
 	if ratio < 0 || ratio >= 1 {
-		httpError(w, http.StatusBadRequest, codeInvalidBudget, "ratio must be in (0, 1), got %g", ratio)
-		return 0, false
+		return 0, fmt.Errorf("ratio must be in (0, 1), got %g", ratio)
 	}
-	b := int(ratio * float64(n))
-	if b < 2 {
-		b = 2
-	}
-	return b, true
+	return max(int(ratio*float64(n)), 2), nil
 }
 
+// handleSimplify answers POST /v1/simplify in both modes, Min-Error
+// (w/ratio) and Min-Size (bound, see bounded.go), and builds the
+// response for both in one place, so every answer carries the repair
+// report and the exact re-scored error alike.
 func (s *Server) handleSimplify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
@@ -326,28 +324,42 @@ func (s *Server) handleSimplify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	algo := strings.ToLower(req.Algorithm)
+	resp := simplifyResponse{Mode: modeExact, Of: len(t), Bound: req.Bound, Repair: repairRep}
+	var kept []int
+	var err error
 	if req.Bound != nil {
-		s.serveBounded(w, r, &req, t, m)
-		return
+		if berr := checkBound(&req); berr != nil {
+			httpError(w, http.StatusBadRequest, codeInvalidBudget, "%v", berr)
+			return
+		}
+		resp.Algorithm, kept, err = s.runBounded(r.Context(), algo, t, *req.Bound, m)
+	} else {
+		b, berr := resolveBudget(req.W, req.Ratio, len(t))
+		if berr != nil {
+			httpError(w, http.StatusBadRequest, codeInvalidBudget, "%v", berr)
+			return
+		}
+		resp.Algorithm, kept, resp.Mode, err = s.run(r.Context(), algo, t, b, m, fastRequested(r))
 	}
-	b, ok := budget(w, &req, len(t))
-	if !ok {
-		return
-	}
-	name, kept, mode, err := s.run(r.Context(), strings.ToLower(req.Algorithm), t, b, m, fastRequested(r))
 	if err != nil {
 		writeRunError(w, err)
 		return
 	}
-	resp := simplifyResponse{
-		Algorithm: name,
-		Mode:      mode,
-		Kept:      len(kept),
-		Of:        len(t),
-		Error:     errm.Error(m, t, kept),
-		Repair:    repairRep,
-	}
+	resp.Kept = len(kept)
+	resp.Error = errm.Error(m, t, kept)
 	core.ObserveErrorIn(s.cfg.Metrics, m, resp.Error)
+	if req.Bound != nil {
+		met := resp.Error <= *req.Bound
+		resp.BoundMet = &met
+		s.cfg.Metrics.Counter("rlts_bound_requests_total",
+			"Error-bounded simplify requests served, by backend algorithm",
+			obs.L("algorithm", resp.Algorithm)).Inc()
+		if !met {
+			s.boundUnmet.Inc()
+		}
+	}
+	resp.Points = make([][3]float64, 0, len(kept))
 	for _, ix := range kept {
 		p := t[ix]
 		resp.Points = append(resp.Points, [3]float64{p.X, p.Y, p.T})

@@ -14,12 +14,14 @@ import (
 	"testing"
 	"time"
 
+	"rlts"
 	"rlts/internal/core"
 	"rlts/internal/errm"
 	"rlts/internal/faultinject"
 	"rlts/internal/gen"
 	"rlts/internal/obs"
 	"rlts/internal/rl"
+	"rlts/pretrained"
 )
 
 // onlineTrainedJ is onlineTrained with skip actions enabled (J > 0), so
@@ -458,4 +460,63 @@ func FuzzSessionDecode(f *testing.F) {
 			t.Fatal("envelope round trip changed the record")
 		}
 	})
+}
+
+// TestStreamSpillV1Rehydrates: a session spilled by the first durable
+// release (commit 0e77a84: envelope v1 around StreamerState v1, which
+// predates ErrEst) must rehydrate after an upgrade instead of being
+// quarantined, and continue bit-identically. The fixture was written by
+// that release's own server: a sampled session (seed 42, W=12) over the
+// embedded online SED policy, fed the first 60 points of
+// gen.Geolife seed 7 (120 points), then drained to disk.
+func TestStreamSpillV1Rehydrates(t *testing.T) {
+	const id = "cb3f14f7c63fe529"
+	blob, err := os.ReadFile(filepath.Join("testdata", "spill_v1.sess"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, id+spillExt), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pp, err := pretrained.Load(rlts.SED, rlts.Online)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := pp.Internal()
+	reg := obs.NewRegistry()
+	// The file's last-active time is when it was written; with the TTL
+	// on, it would be reaped as idle instead of rehydrated.
+	sv := NewWith([]*core.Trained{tr}, Config{Metrics: reg, SpillDir: dir, StreamTTL: -1})
+	t.Cleanup(sv.Close)
+	ts := httptest.NewServer(sv.Handler())
+	t.Cleanup(ts.Close)
+
+	feed := gen.New(gen.Geolife(), 7).Trajectory(120)
+	pushPoints(t, ts.URL, id, points(feed[60:]))
+	if got := reg.Counter("rlts_stream_rehydrations_total", "").Value(); got != 1 {
+		t.Errorf("rehydrations = %d, want 1", got)
+	}
+	resp, got := getSnapshot(t, ts.URL, id)
+	if resp.StatusCode != 200 {
+		t.Fatalf("snapshot after upgrade: status %d", resp.StatusCode)
+	}
+
+	ctl, err := core.NewStreamer(tr.Policy, 12, tr.Opts, true, rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range feed {
+		ctl.Push(p)
+	}
+	want := ctl.Snapshot()
+	if got.Seen != ctl.Seen() || len(got.Points) != len(want) {
+		t.Fatalf("rehydrated v1 session diverged: seen %d/%d, kept %d/%d",
+			got.Seen, ctl.Seen(), len(got.Points), len(want))
+	}
+	for i, p := range want {
+		if got.Points[i] != [3]float64{p.X, p.Y, p.T} {
+			t.Fatalf("point %d differs: %v vs %v", i, got.Points[i], p)
+		}
+	}
 }
