@@ -6,10 +6,10 @@ test:
 	$(GO) test ./...
 
 # Golden fixtures: persisted-format bytes (StreamerState v2, spill
-# envelopes) round-trip byte-identically and every decision path
-# reproduces its pinned kept-index digest.
+# envelopes, RepairState, TRJ1, training checkpoint) round-trip
+# byte-identically and every decision path reproduces its pinned digest.
 check-golden:
-	$(GO) test -count=1 -run 'TestGolden' ./internal/core ./internal/server ./internal/check
+	$(GO) test -count=1 -run 'TestGolden' ./internal/core ./internal/server ./internal/check ./internal/traj ./internal/storage ./internal/rl
 
 # Differential + metamorphic correctness harness (internal/check): tracker
 # vs recompute, streamer vs slice simplify, DP min-size vs brute force,

@@ -14,15 +14,17 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-# Golden fixtures: the committed StreamerState and spill-envelope bytes
-# must decode and re-encode byte-identically (and the recipes that wrote
-# them must still reproduce them), and every decision path — Simplify,
-# Streamer, resumed Streamer; pretrained and seeded Skip policies; greedy
-# and sampled — must reproduce its pinned kept-index digest. A change
+# Golden fixtures: the committed StreamerState, spill-envelope,
+# RepairState, TRJ1 and training-checkpoint bytes must decode and
+# re-encode byte-identically (and the recipes that wrote them must still
+# reproduce them), and every decision path — Simplify, BatchEngine,
+# Streamer, resumed Streamer, the fast kernels; pretrained, seeded Skip
+# and seeded ++ policies; greedy and sampled — must reproduce its pinned
+# digest. A change
 # that alters a persisted format or forks one decision fails here by
 # name. Fixtures are never regenerated to make this stage pass.
 echo "== golden fixtures =="
-go test -count=1 -run 'TestGolden' ./internal/core ./internal/server ./internal/check
+go test -count=1 -run 'TestGolden' ./internal/core ./internal/server ./internal/check ./internal/traj ./internal/storage ./internal/rl
 
 # The differential/metamorphic harness runs in the suite above at scale 1;
 # the gate gives it a deeper, dedicated pass so oracle drift can't hide
