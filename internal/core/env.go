@@ -76,8 +76,14 @@ func (sc *scanner) valueOf(en *buffer.Entry) float64 {
 // rewritten each call, and rl.Rollout copies states into episode storage
 // before stepping.
 func (sc *scanner) buildState() ([]float64, []bool) {
+	return sc.stateOf(sc.buf.KLowest(sc.opts.K))
+}
+
+// stateOf is buildState over a given ascending candidate list of at most
+// k droppable entries, which becomes sc.cand.
+func (sc *scanner) stateOf(cand []*buffer.Entry) ([]float64, []bool) {
 	k, j := sc.opts.K, sc.opts.J
-	sc.cand = sc.buf.KLowest(k)
+	sc.cand = cand
 	state, mask := sc.state, sc.mask
 	var pad float64
 	if len(sc.cand) > 0 {

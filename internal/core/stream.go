@@ -214,16 +214,31 @@ func (s *Streamer) ErrEst() float64 { return s.errEst }
 // below budget (no decision is pending). Reading probabilities consumes
 // no RNG draws, so calling this never perturbs a sampled stream.
 func (s *Streamer) PolicyPressure() float64 {
-	if s.buf.Size() < s.w || s.buf.Droppable() == 0 {
+	if s.buf.Size() < s.w {
 		return 0
 	}
-	state, mask := s.buildState()
+	// The k lowest interior points. Right after a skip the tail still
+	// holds a stale heap slot until the next push (buffer.RemoveTail),
+	// but an endpoint is never droppable, so it is passed over as
+	// SetBudget does; KLowest's first k are the same with k+1 asked.
+	cand := s.buf.KLowest(s.opts.K + 1)
+	for i, c := range cand {
+		if c.Next() == nil {
+			cand = append(cand[:i], cand[i+1:]...)
+			break
+		}
+	}
+	if len(cand) > s.opts.K {
+		cand = cand[:s.opts.K]
+	}
+	if len(cand) == 0 {
+		return 0
+	}
+	state, mask := s.stateOf(cand)
 	probs := s.p.Probs(state, mask, false)
 	var v float64
-	for a := 0; a < s.opts.K && a < len(probs); a++ {
-		if mask[a] {
-			v += probs[a] * state[a]
-		}
+	for a := range cand {
+		v += probs[a] * state[a]
 	}
 	return v
 }

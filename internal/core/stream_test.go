@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"rlts/internal/errm"
@@ -486,6 +487,79 @@ func TestStreamerPolicyPressure(t *testing.T) {
 	if !samePoints(run(true), run(false)) {
 		t.Fatal("PolicyPressure perturbed a sampled stream")
 	}
+}
+
+// TestStreamerPolicyPressureSkipsTail: right after a skip the buffered
+// tail keeps its stale heap slot until the next push (buffer.RemoveTail),
+// but an endpoint is never a drop candidate, so the pressure must weigh
+// only interior points. At every post-skip state of a seeded J=2
+// streamer the pressure must equal the one built from the k lowest
+// interior values; the run must include states where the stale tail
+// ranks among the k lowest, or the check would be vacuous.
+func TestStreamerPolicyPressureSkipsTail(t *testing.T) {
+	const w = 30
+	stale := 0
+	for _, m := range errm.Measures {
+		opts := Options{Measure: m, Variant: Online, K: 3, J: 2}
+		p, err := rl.NewPolicy(opts.StateSize(), opts.NumActions(), 8, rand.New(rand.NewSource(17+int64(m))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewStreamer(p, w, opts, true, rand.New(rand.NewSource(23)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range testTraj(31+int64(m), 400) {
+			s.Push(pt)
+			if s.buf.Tail().Index == s.Seen()-1 {
+				continue // the point just pushed is buffered: no skip since
+			}
+			for _, c := range s.buf.KLowest(opts.K) {
+				if c == s.buf.Tail() {
+					stale++
+				}
+			}
+			if got, want := s.PolicyPressure(), interiorPressure(s); got != want {
+				t.Fatalf("%s point %d: pressure %g, want %g from interior points only", m, i, got, want)
+			}
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no post-skip state ranked the stale tail among the k lowest")
+	}
+	t.Logf("%d post-skip states ranked the stale tail among the k lowest", stale)
+}
+
+// interiorPressure recomputes PolicyPressure from first principles: the
+// policy's drop probabilities over the k lowest interior values.
+func interiorPressure(s *Streamer) float64 {
+	var vals []float64
+	for e := s.buf.Head().Next(); e != nil && e.Next() != nil; e = e.Next() {
+		vals = append(vals, e.Value())
+	}
+	if len(vals) == 0 {
+		return 0
+	}
+	sort.Float64s(vals)
+	k := s.opts.K
+	state := make([]float64, s.opts.StateSize())
+	mask := make([]bool, s.opts.NumActions())
+	n := min(len(vals), k)
+	for a := 0; a < k; a++ {
+		state[a], mask[a] = vals[n-1], a < n // padded like buildState
+		if a < n {
+			state[a] = vals[a]
+		}
+	}
+	for a := k; a < len(mask); a++ {
+		mask[a] = true // a stream's end is unbounded: every skip is legal
+	}
+	probs := s.p.Probs(state, mask, false)
+	var v float64
+	for a := 0; a < n; a++ {
+		v += probs[a] * state[a]
+	}
+	return v
 }
 
 // TestStreamerPushAllocs holds a warm streamer's decision-phase Push to
