@@ -77,17 +77,16 @@ bench-rollout:
 bench-obs:
 	$(GO) test ./internal/obs -run '^$$' -bench . -benchmem
 
-# Regenerate the batched-inference throughput baseline (BENCH_batch.json):
-# ForwardBatch vs per-state Forward, BatchEngine vs sequential Simplify,
-# the exact-vs-fast kernel comparison, per-core scaling and a short
-# sustained-load pair.
+# Regenerate the inference throughput baseline behind batch serving
+# (BENCH_batch.json): exact vs fast forward and Simplify, per-core
+# scaling of sharded Simplify workers and a short sustained-load pair.
 bench-batch:
 	sh scripts/bench_batch.sh
 
 # FastMath kernel micro benches: FastTanh vs math.Tanh and the fused
-# batch forward against the exact batched kernel.
+# vector forward against the exact one.
 bench-fast:
-	$(GO) test ./internal/nn -run '^$$' -bench 'FastTanh|MathTanh|ForwardBatch64' -benchmem
+	$(GO) test ./internal/nn -run '^$$' -bench 'FastTanh|MathTanh|ForwardSingle' -benchmem
 
 # Sustained-load serving benchmark (exact + fastmath), 10s per mode;
 # LOAD_DURATION overrides.

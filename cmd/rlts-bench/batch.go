@@ -1,12 +1,13 @@
 package main
 
-// The -batch sweep: measures batched policy inference against the
-// single-state path at both the kernel level (nn.Network.ForwardBatch vs
-// per-state Forward) and the engine level (core.BatchEngine vs
-// sequential core.Simplify), and writes the numbers as the
-// BENCH_batch.json baseline. Every batched configuration it times is
-// bit-identical to the single-state path by construction (DESIGN.md
-// §12), so the sweep is pure throughput: no accuracy column is needed.
+// The -batch sweep: the inference baseline behind batch serving. It times
+// the policy forward with the exact and the FastMath kernels, sequential
+// core.Simplify (the decision loop every route runs) with each kernel,
+// its per-core scaling when items are sharded over workers as the batch
+// route shards them, and two short sustained-load runs, and writes the
+// numbers as the BENCH_batch.json baseline. The exact paths are
+// bit-identical to each other by construction (DESIGN.md §12); the fast
+// ones hold the measured contract of DESIGN.md §13.
 
 import (
 	"bufio"
@@ -26,40 +27,14 @@ import (
 	"rlts/internal/rl"
 )
 
-// batchWidths is the kernel sweep; engineWidths the lockstep-engine one.
-var (
-	batchWidths  = []int{1, 2, 4, 8, 16, 32, 64}
-	engineWidths = []int{1, 4, 16, 64}
-)
-
-type batchPoint struct {
-	B          int     `json:"b"`
-	NsPerState float64 `json:"ns_per_state"`
-	Speedup    float64 `json:"speedup_vs_single"`
-}
-
-type enginePoint struct {
-	Width      int     `json:"width"`
-	NsPerPoint float64 `json:"ns_per_point"`
-	Speedup    float64 `json:"speedup_vs_sequential"`
-}
-
 // coreScalePoint is one row of the per-core scaling table: procs
-// goroutines hammering ForwardBatch concurrently (each on its own policy
-// clone), aggregate wall-clock throughput across all of them.
+// goroutines each simplifying the item set on its own policy clone,
+// aggregate wall-clock throughput across all of them.
 type coreScalePoint struct {
 	Procs      int     `json:"procs"`
-	NsPerState float64 `json:"aggregate_ns_per_state"`
+	NsPerPoint float64 `json:"aggregate_ns_per_point"`
 	Speedup    float64 `json:"speedup_vs_1"`
 	Efficiency float64 `json:"parallel_efficiency"`
-}
-
-// fastPoint is one width of the exact-vs-fast kernel comparison.
-type fastPoint struct {
-	B               int     `json:"b"`
-	ExactNsPerState float64 `json:"exact_ns_per_state"`
-	FastNsPerState  float64 `json:"fast_ns_per_state"`
-	Speedup         float64 `json:"speedup_fast_vs_exact"`
 }
 
 type batchBaseline struct {
@@ -71,37 +46,30 @@ type batchBaseline struct {
 		Note           string           `json:"note"`
 		PerCoreScaling []coreScalePoint `json:"per_core_scaling"`
 	} `json:"machine"`
-	ForwardKernel struct {
-		Spec             string       `json:"spec"`
-		SingleNsPerState float64      `json:"single_ns_per_state"`
-		Batch            []batchPoint `json:"batch"`
-	} `json:"forward_kernel"`
-	Engine struct {
-		Dataset              string        `json:"dataset"`
-		SequentialNsPerPoint float64       `json:"sequential_ns_per_point"`
-		Batch                []enginePoint `json:"batch"`
-	} `json:"engine"`
-	FastMath struct {
-		Contract struct {
-			TanhMaxAbsError  float64 `json:"tanh_max_abs_error"`
-			ProbsMaxAbsError float64 `json:"probs_max_abs_error"`
-			ProbsMaxRelError float64 `json:"probs_max_rel_error"`
-		} `json:"contract"`
-		Kernel []fastPoint `json:"kernel"`
-		Engine struct {
-			Width           int     `json:"width"`
-			ExactNsPerPoint float64 `json:"exact_ns_per_point"`
-			FastNsPerPoint  float64 `json:"fast_ns_per_point"`
-			Speedup         float64 `json:"speedup_fast_vs_exact"`
-		} `json:"engine"`
-	} `json:"fastmath"`
+	Forward struct {
+		Spec            string  `json:"spec"`
+		ExactNsPerState float64 `json:"exact_ns_per_state"`
+		FastNsPerState  float64 `json:"fast_ns_per_state"`
+		Speedup         float64 `json:"speedup_fast_vs_exact"`
+	} `json:"forward"`
+	Simplify struct {
+		Dataset         string  `json:"dataset"`
+		ExactNsPerPoint float64 `json:"exact_ns_per_point"`
+		FastNsPerPoint  float64 `json:"fast_ns_per_point"`
+		Speedup         float64 `json:"speedup_fast_vs_exact"`
+	} `json:"simplify"`
+	FastContract struct {
+		TanhMaxAbsError  float64 `json:"tanh_max_abs_error"`
+		ProbsMaxAbsError float64 `json:"probs_max_abs_error"`
+		ProbsMaxRelError float64 `json:"probs_max_rel_error"`
+	} `json:"fastmath_contract"`
 	SustainedLoad []loadSummary `json:"sustained_load,omitempty"`
 }
 
 // measure times fn (which must perform `units` units of work per call)
 // until at least minTime has elapsed and returns ns per unit.
 func measure(units int, fn func()) float64 {
-	const minTime = 100 * time.Millisecond
+	const minTime = 200 * time.Millisecond
 	fn() // warm scratch buffers so allocation noise stays out of the timing
 	total := time.Duration(0)
 	calls := 0
@@ -123,83 +91,57 @@ func runBatchSweep(out string, seed int64) error {
 	if err != nil {
 		return err
 	}
+	fp := p.Clone()
+	fp.SetKernel(nn.KernelFast)
 
 	var b batchBaseline
-	b.Description = "Baseline for batched policy inference: nn ForwardBatch vs per-state " +
-		"Forward, and the lockstep core.BatchEngine vs sequential core.Simplify. " +
-		"All batched paths are bit-identical to the single-state path (DESIGN.md §12); " +
-		"this file records throughput only. Regenerate with scripts/bench_batch.sh."
+	b.Description = "Baseline for policy inference behind batch serving: the exact vs " +
+		"FastMath vector forward, sequential core.Simplify with each kernel, its " +
+		"per-core scaling over sharded workers, and a short sustained-load pair. " +
+		"Regenerate with scripts/bench_batch.sh."
 	b.Machine.CPU = cpuModel()
 	b.Machine.NumCPU = runtime.NumCPU()
 	b.Machine.GoMaxProcs = runtime.GOMAXPROCS(0)
-	b.Machine.Note = "Single-thread sweep. The exact kernel speedup ceiling is set by " +
-		"math.Tanh, which the bit-identity contract forbids replacing with a vectorised " +
-		"approximation and which accounts for roughly half the forward cost at the " +
-		"paper's 20-unit policy; the gain that remains comes from amortised layer " +
-		"dispatch and cache-resident weights. The fastmath section lifts that ceiling: " +
-		"FastTanh plus the folded-weight fused matmul (DESIGN.md §13) is where the " +
-		"kernel-level speedup comes from. Engine-level numbers fold in env stepping, " +
-		"state gathering and lane bookkeeping, which dominate at this policy size, so " +
-		"they compress toward 1.0x. The batch serving path earns its keep from request " +
-		"amortisation and shard-level parallelism across workers (see BatchWorkers)."
+	b.Machine.Note = "Forward and simplify rows are single-thread. Batch serving runs " +
+		"each trajectory through the same sequential decision loop as core.Simplify and " +
+		"gets its throughput from sharding items over workers, each on its own policy " +
+		"clone; per_core_scaling measures that. The fast forward replaces math.Tanh " +
+		"with FastTanh and runs one matmul over weights with the batch-norm affine " +
+		"folded in once per policy clone (DESIGN.md §13). At the paper's policy size " +
+		"env stepping dominates a decision, so the simplify-level gain is smaller " +
+		"than the forward-level one."
+	b.FastContract.TanhMaxAbsError = nn.FastTanhMaxAbsError
+	b.FastContract.ProbsMaxAbsError = nn.FastProbsMaxAbsError
+	b.FastContract.ProbsMaxRelError = nn.FastProbsMaxRelError
 
-	// Kernel sweep: one spec, the serving-default policy shape.
-	in, outN := opts.StateSize(), opts.NumActions()
-	b.ForwardKernel.Spec = fmt.Sprintf("in=%d hidden=[%d] out=%d batchnorm+tanh", in, hidden, outN)
-	maxB := batchWidths[len(batchWidths)-1]
-	states := make([]float64, maxB*in)
+	// Forward: one spec, the serving-default policy shape; same weights
+	// and states, the only delta is the kernel selection on the clone.
+	const nStates = 64
+	in := opts.StateSize()
+	b.Forward.Spec = fmt.Sprintf("in=%d hidden=[%d] out=%d batchnorm+tanh", in, hidden, opts.NumActions())
+	states := make([]float64, nStates*in)
 	for i := range states {
 		states[i] = r.NormFloat64()
 	}
-	single := measure(maxB, func() {
-		for s := 0; s < maxB; s++ {
-			p.Net.Forward(states[s*in:(s+1)*in], false)
-		}
-	})
-	b.ForwardKernel.SingleNsPerState = round2(single)
-	for _, width := range batchWidths {
-		ns := measure(width, func() {
-			p.Net.ForwardBatch(states[:width*in], width)
-		})
-		b.ForwardKernel.Batch = append(b.ForwardKernel.Batch, batchPoint{
-			B: width, NsPerState: round2(ns), Speedup: round2(single / ns),
+	forward := func(p *rl.Policy) float64 {
+		return measure(nStates, func() {
+			for s := 0; s < nStates; s++ {
+				p.Net.Forward(states[s*in:(s+1)*in], false)
+			}
 		})
 	}
+	exactNs, fastNs := forward(p), forward(fp)
+	b.Forward.ExactNsPerState = round2(exactNs)
+	b.Forward.FastNsPerState = round2(fastNs)
+	b.Forward.Speedup = round2(exactNs / fastNs)
 
-	// Exact-vs-fast kernel comparison: same weights, same states, the
-	// only delta is the kernel selection on the clone.
-	fp := p.Clone()
-	fp.SetKernel(nn.KernelFast)
-	b.FastMath.Contract.TanhMaxAbsError = nn.FastTanhMaxAbsError
-	b.FastMath.Contract.ProbsMaxAbsError = nn.FastProbsMaxAbsError
-	b.FastMath.Contract.ProbsMaxRelError = nn.FastProbsMaxRelError
-	for i, width := range batchWidths {
-		exactNs := b.ForwardKernel.Batch[i].NsPerState
-		fastNs := measure(width, func() {
-			fp.Net.ForwardBatch(states[:width*in], width)
-		})
-		b.FastMath.Kernel = append(b.FastMath.Kernel, fastPoint{
-			B:               width,
-			ExactNsPerState: exactNs,
-			FastNsPerState:  round2(fastNs),
-			Speedup:         round2(exactNs / fastNs),
-		})
-	}
-
-	// Per-core scaling: the same widest-batch forward, run from 1 to
-	// NumCPU concurrent workers (each on its own clone). Honest
-	// provenance for the multi-core headline numbers — on a single-core
-	// machine this table has exactly one row and says so.
-	b.Machine.PerCoreScaling = perCoreScaling(p, in, maxB, states)
-
-	// Engine sweep: a fixed evaluation set stepped to completion, widest
-	// shard first so every width sees warm caches.
+	// Simplify: a fixed evaluation set run to completion, greedy.
 	const (
 		nTraj = 64
 		nLen  = 200
 	)
 	data := gen.New(gen.Geolife(), seed).Dataset(nTraj, nLen)
-	b.Engine.Dataset = fmt.Sprintf("geolife %dx%d points, w=0.1, greedy inference", nTraj, nLen)
+	b.Simplify.Dataset = fmt.Sprintf("geolife %dx%d points, w=0.1, greedy inference", nTraj, nLen)
 	items := make([]core.BatchItem, len(data))
 	points := 0
 	for i, t := range data {
@@ -210,75 +152,28 @@ func runBatchSweep(out string, seed int64) error {
 		items[i] = core.BatchItem{T: t, W: w}
 		points += len(t)
 	}
-	seq := measure(points, func() {
-		for _, it := range items {
-			if _, err := core.Simplify(p, it.T, it.W, opts, false, nil); err != nil {
-				panic(err)
-			}
-		}
-	})
-	b.Engine.SequentialNsPerPoint = round2(seq)
-	for _, width := range engineWidths {
-		eng, err := core.NewBatchEngine(p.Clone(), opts, false)
-		if err != nil {
-			return err
-		}
-		ns := measure(points, func() {
-			for lo := 0; lo < len(items); lo += width {
-				hi := lo + width
-				if hi > len(items) {
-					hi = len(items)
-				}
-				for _, res := range eng.Run(items[lo:hi]) {
-					if res.Err != nil {
-						panic(res.Err)
-					}
+	simplify := func(p *rl.Policy) float64 {
+		return measure(points, func() {
+			for _, it := range items {
+				if _, err := core.Simplify(p, it.T, it.W, opts, false, nil); err != nil {
+					panic(err)
 				}
 			}
-		})
-		b.Engine.Batch = append(b.Engine.Batch, enginePoint{
-			Width: width, NsPerPoint: round2(ns), Speedup: round2(seq / ns),
 		})
 	}
+	exactNs, fastNs = simplify(p), simplify(fp)
+	b.Simplify.ExactNsPerPoint = round2(exactNs)
+	b.Simplify.FastNsPerPoint = round2(fastNs)
+	b.Simplify.Speedup = round2(exactNs / fastNs)
 
-	// Engine-level exact vs fast at the widest shard: the same lockstep
-	// run with the engine's policy flipped to the FastMath kernels.
-	{
-		width := engineWidths[len(engineWidths)-1]
-		runAll := func(eng *core.BatchEngine) float64 {
-			return measure(points, func() {
-				for lo := 0; lo < len(items); lo += width {
-					hi := lo + width
-					if hi > len(items) {
-						hi = len(items)
-					}
-					for _, res := range eng.Run(items[lo:hi]) {
-						if res.Err != nil {
-							panic(res.Err)
-						}
-					}
-				}
-			})
-		}
-		exactEng, err := core.NewBatchEngine(p.Clone(), opts, false)
-		if err != nil {
-			return err
-		}
-		fastEng, err := core.NewBatchEngine(p.Clone(), opts, false)
-		if err != nil {
-			return err
-		}
-		fastEng.SetKernel(nn.KernelFast)
-		exactNs := runAll(exactEng)
-		fastNs := runAll(fastEng)
-		b.FastMath.Engine.Width = width
-		b.FastMath.Engine.ExactNsPerPoint = round2(exactNs)
-		b.FastMath.Engine.FastNsPerPoint = round2(fastNs)
-		b.FastMath.Engine.Speedup = round2(exactNs / fastNs)
+	// Per-core scaling: honest provenance for the multi-core numbers — on
+	// a single-core machine this table has exactly one row and says so.
+	if b.Machine.PerCoreScaling, err = perCoreScaling(p, opts, items, points); err != nil {
+		return err
 	}
 
 	// Short sustained-load runs, exact then fast, so the serving numbers
-	// live next to the kernel numbers they are built from. The standalone
+	// live next to the numbers they are built from. The standalone
 	// `rlts-bench -load` runs longer and with custom shapes.
 	for _, fast := range []bool{false, true} {
 		sum, err := runLoad(loadConfig{
@@ -302,9 +197,8 @@ func runBatchSweep(out string, seed int64) error {
 	if err := os.WriteFile(out, enc, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("batch sweep written to %s (single %.0f ns/state, b=%d %.0f ns/state)\n",
-		out, b.ForwardKernel.SingleNsPerState, maxB,
-		b.ForwardKernel.Batch[len(b.ForwardKernel.Batch)-1].NsPerState)
+	fmt.Printf("batch sweep written to %s (forward exact %.0f / fast %.0f ns/state, simplify exact %.0f / fast %.0f ns/point)\n",
+		out, b.Forward.ExactNsPerState, b.Forward.FastNsPerState, b.Simplify.ExactNsPerPoint, b.Simplify.FastNsPerPoint)
 	return nil
 }
 
@@ -338,19 +232,21 @@ func coreScaleProcs() []int {
 	return procs
 }
 
-// perCoreScaling measures aggregate ForwardBatch throughput at growing
-// worker counts. Each worker owns a policy clone (exclusive scratch, the
-// serving pattern), so the table captures memory-bandwidth and scheduler
-// effects, not lock contention.
-func perCoreScaling(p *rl.Policy, in, maxB int, states []float64) []coreScalePoint {
-	const window = 150 * time.Millisecond
+// perCoreScaling measures aggregate sequential Simplify throughput at
+// growing worker counts, each worker on its own policy clone and walking
+// the whole item set — the batch route's sharding. The table captures
+// memory-bandwidth and scheduler effects, not lock contention.
+func perCoreScaling(p *rl.Policy, opts core.Options, items []core.BatchItem, points int) ([]coreScalePoint, error) {
+	const window = 300 * time.Millisecond
 	var rows []coreScalePoint
 	var base float64
 	for _, procs := range coreScaleProcs() {
-		clones := make([]*rl.Policy, procs)
-		for i := range clones {
-			clones[i] = p.Clone()
-			clones[i].Net.ForwardBatch(states[:maxB*in], maxB) // warm scratch
+		engines := make([]*core.BatchEngine, procs)
+		for i := range engines {
+			var err error
+			if engines[i], err = core.NewBatchEngine(p.Clone(), opts, false); err != nil {
+				return nil, err
+			}
 		}
 		counts := make([]int64, procs)
 		start := time.Now()
@@ -362,8 +258,8 @@ func perCoreScaling(p *rl.Policy, in, maxB int, states []float64) []coreScalePoi
 				defer wg.Done()
 				var n int64
 				for time.Now().Before(deadline) {
-					clones[w].Net.ForwardBatch(states[:maxB*in], maxB)
-					n += int64(maxB)
+					engines[w].Run(items)
+					n += int64(points)
 				}
 				counts[w] = n
 			}(w)
@@ -381,12 +277,12 @@ func perCoreScaling(p *rl.Policy, in, maxB int, states []float64) []coreScalePoi
 		speedup := base / ns
 		rows = append(rows, coreScalePoint{
 			Procs:      procs,
-			NsPerState: round2(ns),
+			NsPerPoint: round2(ns),
 			Speedup:    round2(speedup),
 			Efficiency: round2(speedup / float64(procs)),
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 func round2(v float64) float64 {

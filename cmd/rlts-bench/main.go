@@ -32,9 +32,8 @@ func main() {
 		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
 		workers = flag.Int("workers", 0, "parallel workers for training and evaluation (0 = all CPUs, 1 = serial)")
 		logJSON = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		batch   = flag.Bool("batch", false, "run the batched-inference throughput sweep instead of an experiment")
+		batch   = flag.Bool("batch", false, "run the inference throughput sweep behind batch serving instead of an experiment")
 		batchTo = flag.String("batch-out", "", "write the -batch sweep as JSON to this file (default: stdout)")
-		batchW  = flag.Int("batch-width", 0, "evaluate trained policies through the lockstep batch engine in shards of this many trajectories (0 = per-trajectory; results identical either way)")
 		fastK   = flag.Bool("fast", false, "evaluate trained policies on the FastMath kernels (bounded approximation, see DESIGN.md §13)")
 		load    = flag.Bool("load", false, "run the sustained-load serving benchmark instead of an experiment")
 		loadDur = flag.Duration("load-duration", 10*time.Second, "sustained-load measurement window")
@@ -84,7 +83,6 @@ func main() {
 	}
 	ctx := eval.NewContext(s, *seed, logSink)
 	ctx.Workers = *workers
-	ctx.BatchWidth = *batchW
 	ctx.FastKernel = *fastK
 
 	exps := eval.Experiments()

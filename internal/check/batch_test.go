@@ -11,12 +11,13 @@ import (
 
 // The batch-engine differential: core.BatchEngine against per-trajectory
 // core.Simplify over the full adversarial generator set, random policy
-// weights, random batch widths and both inference modes. The engine's
-// contract is bitwise equality at any width (DESIGN.md §12); any drift —
-// a hoisted float64 expression, a mask mix-up across lanes, an RNG
-// stream consumed out of order — surfaces here as a kept-index mismatch
-// on geometry chosen to make rounding differences visible (extreme
-// magnitudes, ties from collinear and stationary families).
+// weights, random batch sizes and both inference modes. The engine runs
+// each item through Simplify's own decision loop, so its contract is
+// bitwise equality at any batch size (DESIGN.md §12); any drift — an
+// item run under another item's budget or RNG stream, a stream consumed
+// out of order — surfaces here as a kept-index mismatch on geometry
+// chosen to make rounding differences visible (extreme magnitudes, ties
+// from collinear and stationary families).
 
 func TestBatchEngineDifferential(t *testing.T) {
 	variants := []core.Variant{core.Online, core.Plus, core.PlusPlus}

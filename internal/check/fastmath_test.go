@@ -21,7 +21,7 @@ import (
 // is an explicit relaxation with a published contract (DESIGN.md §13,
 // nn/fastmath.go):
 //
-//  1. every ProbsBatch output is within nn.FastProbsMaxAbsError absolute
+//  1. every Probs output is within nn.FastProbsMaxAbsError absolute
 //     and nn.FastProbsMaxRelError relative error of the exact value
 //     (relative checked above nn.FastProbsRelFloor, where ULP distance
 //     is meaningful);
@@ -70,15 +70,11 @@ func TestFastMathTolerance(t *testing.T) {
 						fast.SetKernel(nn.KernelFast)
 
 						b := len(trace.Actions)
-						out := opts.NumActions()
-						// ProbsBatch returns network-owned scratch: copy the
-						// exact rows before the fast forward reuses buffers.
-						exact := append([]float64(nil), p.ProbsBatch(trace.States, b, trace.Masks)...)
-						approx := fast.ProbsBatch(trace.States, b, trace.Masks)
-
+						in := trace.StateSize
 						for row := 0; row < b; row++ {
-							er := exact[row*out : (row+1)*out]
-							fr := approx[row*out : (row+1)*out]
+							state := trace.States[row*in : (row+1)*in]
+							er := p.Probs(state, trace.Masks[row], false)
+							fr := fast.Probs(state, trace.Masks[row], false)
 							for i := range er {
 								abs := math.Abs(fr[i] - er[i])
 								if abs > maxAbs {

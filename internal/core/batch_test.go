@@ -23,9 +23,8 @@ func batchPolicy(t *testing.T, opts Options, seed int64) *rl.Policy {
 	return p
 }
 
-// batchItems builds b trajectories of staggered lengths (so environments
-// finish on different rounds, exercising the lane compaction) including,
-// when b is large enough, a degenerate one that fits the budget whole.
+// batchItems builds b trajectories of staggered lengths including, when
+// b is large enough, a degenerate one that fits the budget whole.
 func batchItems(b, w int) []BatchItem {
 	items := make([]BatchItem, b)
 	for i := range items {
@@ -143,29 +142,6 @@ func TestBatchEngineCtxCancel(t *testing.T) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("item %d: err = %v, want context.Canceled", i, r.Err)
 		}
-	}
-}
-
-// TestTrainedNewBatchEngine checks the Trained convenience constructor
-// picks the variant's inference mode and matches Trained.Simplify.
-func TestTrainedNewBatchEngine(t *testing.T) {
-	opts := Options{Measure: errm.SED, Variant: Plus, K: 3, J: 2}
-	tr := &Trained{Opts: opts, Policy: batchPolicy(t, opts, 21)}
-	eng, err := tr.NewBatchEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt := testTraj(3, 55)
-	res := eng.Run([]BatchItem{{T: tt, W: 10}})
-	if res[0].Err != nil {
-		t.Fatal(res[0].Err)
-	}
-	want, err := tr.Simplify(tt, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalInts(res[0].Kept, want) {
-		t.Fatalf("batch %v != Trained.Simplify %v", res[0].Kept, want)
 	}
 }
 

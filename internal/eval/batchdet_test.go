@@ -111,57 +111,3 @@ func TestRunSetRejectsMalformedKept(t *testing.T) {
 		}
 	}
 }
-
-// TestRunSetBatchedMatchesParallel pins the batched eval runner to the
-// per-trajectory path: identical MeanErr (bitwise) at every shard width
-// and worker count, for both a sampled online policy and an argmax
-// batch-variant policy.
-func TestRunSetBatchedMatchesParallel(t *testing.T) {
-	c := quickCtx()
-	for _, variant := range []core.Variant{core.Online, core.Plus} {
-		tr, err := c.Policy(core.DefaultOptions(errm.SED, variant))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := c.EvalData(gen.Geolife(), 9, 120)
-		want, err := RunSet(RLTSAlgorithmConcurrent(tr, c.Seed), data, 0.1, errm.SED)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, width := range []int{1, 3, 64} {
-			for _, workers := range []int{1, 4} {
-				got, err := RunSetBatched(tr, data, 0.1, errm.SED, c.Seed, width, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.MeanErr != want.MeanErr || got.Points != want.Points {
-					t.Errorf("variant %v width %d workers %d: batched %v/%d != per-trajectory %v/%d",
-						variant, width, workers, got.MeanErr, got.Points, want.MeanErr, want.Points)
-				}
-			}
-		}
-	}
-}
-
-// TestContextBatchWidthRouting checks the harness-level option: a
-// context with BatchWidth set reports the same numbers as one without.
-func TestContextBatchWidthRouting(t *testing.T) {
-	c := quickCtx()
-	tr, err := c.Policy(core.DefaultOptions(errm.SED, core.Online))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := c.EvalData(gen.Truck(), 6, 100)
-	plain, err := c.runSetPolicy(tr, data, 0.1, errm.SED)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.BatchWidth = 4
-	batched, err := c.runSetPolicy(tr, data, 0.1, errm.SED)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.MeanErr != batched.MeanErr {
-		t.Errorf("BatchWidth routing changes results: %v vs %v", plain.MeanErr, batched.MeanErr)
-	}
-}

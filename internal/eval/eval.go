@@ -128,12 +128,6 @@ type Context struct {
 	// training (0 = GOMAXPROCS, 1 = fully serial). Results are
 	// deterministic for any value.
 	Workers int
-	// BatchWidth, when positive, evaluates trained policies through the
-	// lockstep core.BatchEngine runner with shards of this many
-	// trajectories instead of one Simplify call per trajectory. Reported
-	// errors are identical at every width (see RunSetBatched); timing
-	// reflects the batched execution.
-	BatchWidth int
 	// FastKernel, when set, evaluates trained policies on their FastMath
 	// clones (core.Trained.FastClone): fused approximate kernels with the
 	// measured divergence bounds of DESIGN.md §13. Baselines are
@@ -231,6 +225,17 @@ func (c *Context) runSet(a Algorithm, data []traj.Trajectory, wRatio float64, m 
 // errors are identical at every -workers setting, serial included.
 func (c *Context) rlts(tr *core.Trained) Algorithm {
 	return RLTSAlgorithmConcurrent(tr, c.Seed)
+}
+
+// runSetPolicy evaluates a trained policy honouring the context's worker
+// budget and kernel selection.
+func (c *Context) runSetPolicy(tr *core.Trained, data []traj.Trajectory, wRatio float64, m errm.Measure) (MeasureResult, error) {
+	if c.FastKernel {
+		// Worker clones inherit the fast kernel from the clone's policy,
+		// so the whole evaluation below runs the FastMath path.
+		tr = tr.FastClone()
+	}
+	return c.runSet(c.rlts(tr), data, wRatio, m)
 }
 
 // RLTSAlgorithm wraps a trained policy as an Algorithm, using the paper's

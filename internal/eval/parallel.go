@@ -115,9 +115,7 @@ func RLTSAlgorithmConcurrent(tr *core.Trained, seed int64) Algorithm {
 // int64(x) conversion is implementation-defined once x leaves the int64
 // range, and the adversarial ±6e307 coordinates the differential harness
 // generates do exactly that — Float64bits is total, so the derived
-// stream is the same on every platform and for every value. The batched
-// eval runner shares this derivation, which is what makes its sampled
-// results bit-identical to the per-trajectory path.
+// stream is the same on every platform and for every value.
 func trajSeed(seed int64, t traj.Trajectory) int64 {
 	h := seed
 	if len(t) > 0 {

@@ -27,9 +27,6 @@ type BatchNorm struct {
 	lastNorm []float64 // cached normalized input for Backward
 	out      []float64 // reused across Forward calls
 	gin      []float64 // reused across Backward calls
-	den      []float64 // per-feature sqrt(Var+Eps) scratch for ForwardBatch
-	fscale   []float64 // folded affine scale scratch for the fused fast kernel
-	fshift   []float64 // folded affine shift scratch for the fused fast kernel
 	inited   bool
 }
 

@@ -14,11 +14,6 @@ type Dense struct {
 	lastIn []float64
 	out    []float64 // reused across Forward calls
 	gin    []float64 // reused across Backward calls
-
-	// Folded-weight scratch for the KernelFast fused kernel (fastmath.go):
-	// the batch-norm affine folded into a private copy of W and b, rebuilt
-	// per batch, never aliased by clones (CloneMLP builds fresh layers).
-	fw, fb []float64
 }
 
 // NewDense creates a Dense layer with Xavier/Glorot-uniform initialized

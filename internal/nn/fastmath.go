@@ -2,23 +2,22 @@ package nn
 
 import "math"
 
-// FastMath inference kernels. The exact inference paths (Forward,
-// ForwardBatch with KernelExact) are bit-identical to the single-sample
-// training forward, which caps their speed: math.Tanh alone is roughly
-// half the forward cost at the paper's 20-unit policy, and the
-// bit-identity contract (batch.go) forbids approximating it or fusing
-// the Dense/BatchNorm/activation row traversals. KernelFast is the
-// explicit, opt-in relaxation of that contract:
+// FastMath inference kernels. The exact inference forward (KernelExact)
+// is bit-identical to the single-sample training forward, which caps its
+// speed: math.Tanh alone is roughly half the forward cost at the paper's
+// 20-unit policy, and bit-identity forbids approximating it or fusing
+// the Dense/BatchNorm/activation traversals. KernelFast is the explicit,
+// opt-in relaxation of that contract:
 //
 //   - math.Tanh is replaced by FastTanh, a rational approximation with a
 //     published maximum absolute error (FastTanhMaxAbsError);
 //   - the frozen-BatchNorm normalization (x-mean)/sqrt(Var+Eps) followed
-//     by gamma*nv+beta is algebraically folded into a per-feature
-//     scale/shift pair and from there all the way into the Dense weights
-//     and bias, so the matmul pass carries no affine work at all; the
-//     activation then runs once over the cache-hot logits matrix. Two
-//     traversals where the exact path makes three (plus a divide per
-//     element), at the cost of reassociating the float64 operations.
+//     by gamma*nv+beta is algebraically folded all the way into the
+//     Dense weights and bias, once per network (fastPlan), so the matmul
+//     pass carries no affine work at all; the activation then runs once
+//     over the cache-hot logits. Two traversals where the exact path
+//     makes three (plus a divide per element), at the cost of
+//     reassociating the float64 operations.
 //
 // The divergence this buys is measured, not hoped: the tolerance pillar
 // in internal/check bounds the probability error of the fast path
@@ -37,8 +36,8 @@ import "math"
 type Kernel int
 
 const (
-	// KernelExact is the default: every inference forward (vector or
-	// batch) is bit-identical to the single-sample training forward.
+	// KernelExact is the default: every inference forward is
+	// bit-identical to the single-sample training forward.
 	KernelExact Kernel = iota
 	// KernelFast selects the fused approximate inference kernels: tanh
 	// via FastTanh, Dense+BatchNorm+activation fused into one traversal.
@@ -58,8 +57,13 @@ func (k Kernel) String() string {
 // SetKernel selects the inference kernel for this network. KernelExact
 // (the default) keeps every inference forward bit-identical to the
 // training forward; KernelFast enables the fused approximate kernels.
-// Training-mode forwards (train=true) always run exact.
-func (n *Network) SetKernel(k Kernel) { n.kernel = k }
+// Training-mode forwards (train=true) always run exact. It also drops
+// the fused kernel's folded weights, so the next fast forward refolds
+// them from the current weights and statistics.
+func (n *Network) SetKernel(k Kernel) {
+	n.kernel = k
+	n.fast = nil
+}
 
 // Kernel reports the selected inference kernel.
 func (n *Network) Kernel() Kernel { return n.kernel }
@@ -75,7 +79,7 @@ const (
 	// finite x.
 	FastTanhMaxAbsError = 1e-7
 	// FastProbsMaxAbsError bounds the absolute error of any probability
-	// produced by a KernelFast ProbsBatch/Probs against the exact path
+	// produced by a KernelFast Probs against the exact path
 	// on the same state, for the policy shapes this system trains
 	// (paper-scale MLPs; the bound scales with the L1 norm of the output
 	// layer rows, see DESIGN.md §13).
@@ -158,174 +162,147 @@ const (
 	actReLU
 )
 
-// forwardBatchFast is the KernelFast batch forward: it walks the layer
-// stack fusing every Dense [+ BatchNorm] [+ Tanh/ReLU] run into a single
-// traversal of the output matrix. Layers outside that pattern (none are
-// produced by NewMLP, but the Layer interface admits them) fall back to
-// their exact batched kernel, so fast mode is never slower than exact on
-// a foreign stack. Scratch discipline mirrors ForwardBatch: ping-pong
-// between the two network-owned buffers, zero allocations after warm-up.
-func (n *Network) forwardBatchFast(x []float64, b int) []float64 {
-	cur := x
-	which := 0
+// fastStage is one step of the KernelFast forward: either a Dense
+// [+ BatchNorm] [+ Tanh/ReLU] run fused into one matmul over folded
+// weights plus an activation pass, or (layer != nil) a layer outside
+// that pattern, which runs its exact Forward. None are produced by
+// NewMLP, but the Layer interface admits them.
+type fastStage struct {
+	layer Layer
+
+	in  int
+	w   []float64 // out x in, the batch-norm affine folded in (the live Dense weights when there is none)
+	b   []float64 // out, likewise
+	act fusedAct
+	y   []float64 // output scratch
+}
+
+// fastPlan returns the network's fused stages, building them on first
+// use after a drop. The batch-norm fold is taken here, once per network,
+// not once per forward: SetKernel, a training-mode Forward, UpdateStats,
+// SetParams and SyncFrom drop the plan, since each can move the weights
+// or the statistics it was folded from. A caller that writes Param
+// values or BatchNorm statistics directly calls SetKernel again before
+// the next fast forward.
+func (n *Network) fastPlan() []fastStage {
+	if n.fast != nil {
+		return n.fast
+	}
 	for i := 0; i < len(n.Layers); {
 		d, ok := n.Layers[i].(*Dense)
 		if !ok {
-			l := n.Layers[i]
-			dst := n.fastScratch(which, b*l.OutSize())
-			l.ForwardBatch(dst, cur, b)
-			cur = dst
-			which ^= 1
+			n.fast = append(n.fast, fastStage{layer: n.Layers[i]})
 			i++
 			continue
 		}
+		st := fastStage{in: d.In, w: d.W.Val, b: d.B.Val, y: make([]float64, d.Out)}
 		j := i + 1
-		var bn *BatchNorm
 		if j < len(n.Layers) {
-			if v, ok := n.Layers[j].(*BatchNorm); ok {
-				bn = v
+			if bn, ok := n.Layers[j].(*BatchNorm); ok {
+				checkLen("Dense fused batch-norm", bn.size, d.Out)
+				st.w, st.b = foldBatchNorm(d, bn)
 				j++
 			}
 		}
-		act := actNone
 		if j < len(n.Layers) {
 			switch n.Layers[j].(type) {
 			case *Tanh:
-				act = actTanh
+				st.act = actTanh
 				j++
 			case *ReLU:
-				act = actReLU
+				st.act = actReLU
 				j++
 			}
 		}
-		dst := n.fastScratch(which, b*d.Out)
-		d.forwardBatchFused(dst, cur, b, bn, act)
-		cur = dst
-		which ^= 1
+		n.fast = append(n.fast, st)
 		i = j
 	}
-	return cur
+	return n.fast
 }
 
-// fastScratch returns one of the two ping-pong scratch matrices resized
-// to need, growing its backing array on demand.
-func (n *Network) fastScratch(which, need int) []float64 {
-	buf := n.batchBuf[which]
-	if cap(buf) < need {
-		buf = make([]float64, need)
-		n.batchBuf[which] = buf
+// forwardFast is the KernelFast vector forward. It populates none of
+// the caches Backward needs, so the caller (Forward) marks the network
+// fast-dirty first. The result is the last stage's scratch, valid until
+// the next forward; after the first call it allocates nothing.
+func (n *Network) forwardFast(x []float64) []float64 {
+	for i := range n.fastPlan() {
+		x = n.fast[i].forward(x)
 	}
-	return buf[:need]
+	return x
 }
 
-// forwardBatchFused computes dst = act(scale*(x*W^T + bias) + shift) in
-// two passes instead of the exact path's three-plus (Dense write,
-// BatchNorm divide/read/write, activation read/write, with math.Tanh
-// calls): the batch-norm affine is folded all the way into a private
-// folded copy of the weights and bias (foldedWeights), so the matmul
-// pass carries literally zero extra work over a plain Dense matmul;
-// then the activation runs once over the whole still-cache-hot logits
-// matrix via the open-coded fastTanhVec. Both loops are kept free of
-// opaque function calls (a call in the inner loop forces the
-// accumulator and slice headers out of registers, measured at ~2x on
-// the dense part alone). The in==3 case — the paper's state size, every
-// serving hidden layer — is specialized: the three input features live
-// in registers across the whole row sweep and the weight matrix is
-// scanned linearly with no inner loop.
-func (d *Dense) forwardBatchFused(dst, x []float64, b int, bn *BatchNorm, act fusedAct) {
-	checkLen("Dense fused input", len(x), b*d.In)
-	checkLen("Dense fused dst", len(dst), b*d.Out)
-	w, bias := d.W.Val, d.B.Val
-	if bn != nil {
-		checkLen("Dense fused batch-norm", bn.size, d.Out)
-		scale, shift := bn.foldedAffine()
-		w, bias = d.foldedWeights(scale, shift)
+// forward computes y = act(W'x + b') in two passes instead of the exact
+// path's three-plus (Dense write, BatchNorm divide/read/write,
+// activation read/write with math.Tanh calls): the batch-norm affine
+// already sits in the folded weights, so the matmul carries no extra
+// work over a plain Dense, and the activation then runs once over the
+// cache-hot logits via the open-coded fastTanhVec. The inner loop is
+// kept free of calls so the accumulator and slice headers stay in
+// registers.
+func (st *fastStage) forward(x []float64) []float64 {
+	if st.layer != nil {
+		return st.layer.Forward(x, false)
 	}
-	in, out := d.In, d.Out
+	checkLen("Dense fused input", len(x), st.in)
+	in, w, b, y := st.in, st.w, st.b, st.y
 	if in == 3 {
-		for r := 0; r < b; r++ {
-			x0, x1, x2 := x[r*3], x[r*3+1], x[r*3+2]
-			yr := dst[r*out : (r+1)*out]
-			for o := range yr {
-				row := w[o*3 : o*3+3]
-				yr[o] = bias[o] + row[0]*x0 + row[1]*x1 + row[2]*x2
-			}
+		// The paper's state size, every serving hidden layer: the three
+		// inputs stay in registers and the weights are read linearly.
+		x0, x1, x2 := x[0], x[1], x[2]
+		w = w[:3*len(y)]
+		b = b[:len(y)]
+		for o := range y {
+			y[o] = b[o] + w[3*o]*x0 + w[3*o+1]*x1 + w[3*o+2]*x2
 		}
 	} else {
-		// Register-blocked over four outputs: the exact kernel's single
-		// accumulator is a loop-carried add chain (~4 cycles/element on
-		// scalar hardware); four independent chains sharing each x load
-		// keep the FP units busy and quarter the x reloads.
-		for r := 0; r < b; r++ {
-			xr := x[r*in : (r+1)*in]
-			yr := dst[r*out : (r+1)*out]
-			o := 0
-			for ; o+4 <= out; o += 4 {
-				r0 := w[(o+0)*in : (o+1)*in]
-				r1 := w[(o+1)*in : (o+2)*in]
-				r2 := w[(o+2)*in : (o+3)*in]
-				r3 := w[(o+3)*in : (o+4)*in]
-				s0, s1, s2, s3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
-				for i, xi := range xr {
-					s0 += r0[i] * xi
-					s1 += r1[i] * xi
-					s2 += r2[i] * xi
-					s3 += r3[i] * xi
-				}
-				yr[o], yr[o+1], yr[o+2], yr[o+3] = s0, s1, s2, s3
+		for o := range y {
+			row := w[o*in : (o+1)*in]
+			s := b[o]
+			for i, xi := range x {
+				s += row[i] * xi
 			}
-			for ; o < out; o++ {
-				row := w[o*in : (o+1)*in]
-				s := bias[o]
-				for i, xi := range xr {
-					s += row[i] * xi
-				}
-				yr[o] = s
-			}
+			y[o] = s
 		}
 	}
-	switch act {
+	switch st.act {
 	case actTanh:
-		fastTanhVec(dst)
+		fastTanhVec(y)
 	case actReLU:
-		for o, v := range dst {
+		for o, v := range y {
 			if !(v > 0) { // mirrors the exact kernel: -0 and NaN map to 0
-				dst[o] = 0
+				y[o] = 0
 			}
 		}
 	}
+	return y
 }
 
-// foldedWeights folds a batch-norm scale/shift pair all the way into the
-// weight matrix and bias:
+// foldBatchNorm folds a batch-norm layer's frozen normalization and
+// affine transform all the way into the preceding Dense layer:
 //
-//	scale*(W*x + b) + shift  ==  W'*x + b'
+//	gamma*(W*x + b - mean)/sqrt(Var+Eps) + beta  ==  W'*x + b'
+//	scale[o] = gamma[o]/sqrt(Var[o]+Eps),  shift[o] = beta[o] - mean[o]*scale[o]
 //	W'[o][i] = W[o][i]*scale[o],  b'[o] = b[o]*scale[o] + shift[o]
 //
-// so the fused matmul loop is a plain Dense matmul with no per-output
-// affine work. The fold costs out*(in+1) multiplies per batch — noise
-// next to the b*out*in matmul — and is recomputed every batch like
-// foldedAffine, so stale statistics are impossible. The scratch is
-// layer-private (clones build fresh layers) and reused: zero
-// allocations after warm-up. Folding reassociates the float64 ops (the
-// scale multiplies distribute into each product); the divergence is
-// covered by the same measured contract as the rest of the fast path.
-func (d *Dense) foldedWeights(scale, shift []float64) (w, b []float64) {
-	if d.fw == nil {
-		d.fw = make([]float64, len(d.W.Val))
-		d.fb = make([]float64, d.Out)
-	}
+// The division happens once per feature per fold instead of once per
+// element per forward. Folding reassociates the float64 ops (the scale
+// multiplies distribute into each product); the divergence is covered
+// by the same measured contract as the rest of the fast path.
+func foldBatchNorm(d *Dense, bn *BatchNorm) (w, b []float64) {
+	w = make([]float64, len(d.W.Val))
+	b = make([]float64, d.Out)
 	in := d.In
 	for o := 0; o < d.Out; o++ {
-		s := scale[o]
+		s := bn.Gamma.Val[o] / math.Sqrt(bn.Var[o]+bn.Eps)
+		shift := bn.Beta.Val[o] - bn.Mean[o]*s
 		row := d.W.Val[o*in : (o+1)*in]
-		frow := d.fw[o*in : (o+1)*in]
+		frow := w[o*in : (o+1)*in]
 		for i, v := range row {
 			frow[i] = v * s
 		}
-		d.fb[o] = d.B.Val[o]*s + shift[o]
+		b[o] = d.B.Val[o]*s + shift
 	}
-	return d.fw, d.fb
+	return w, b
 }
 
 // fastTanhVec applies FastTanh element-wise in place. The rational
@@ -355,34 +332,4 @@ func fastTanhVec(v []float64) {
 		q := tanhB0 + x2*(tanhB2+x2*(tanhB4+x2*tanhB6))
 		v[i] = p / q
 	}
-}
-
-// foldedAffine folds the frozen normalization and the affine transform
-// into one per-feature scale/shift pair:
-//
-//	gamma*(x-mean)/sqrt(Var+Eps) + beta  ==  x*scale + shift
-//	scale = gamma/sqrt(Var+Eps),  shift = beta - mean*scale
-//
-// Recomputed per batch like the exact path's den cache, so stale
-// statistics are impossible; the division happens once per feature per
-// batch instead of once per element.
-func (bn *BatchNorm) foldedAffine() (scale, shift []float64) {
-	if bn.fscale == nil {
-		bn.fscale = make([]float64, bn.size)
-		bn.fshift = make([]float64, bn.size)
-	}
-	for i := range bn.fscale {
-		s := bn.Gamma.Val[i] / math.Sqrt(bn.Var[i]+bn.Eps)
-		bn.fscale[i] = s
-		bn.fshift[i] = bn.Beta.Val[i] - bn.Mean[i]*s
-	}
-	return bn.fscale, bn.fshift
-}
-
-// forwardFast is the KernelFast vector forward: the b=1 case of
-// forwardBatchFast, reusing the same fused kernels and scratch. It
-// populates none of the caches Backward needs, so the caller (Forward)
-// marks the network fast-dirty first.
-func (n *Network) forwardFast(x []float64) []float64 {
-	return n.forwardBatchFast(x, 1)
 }

@@ -129,11 +129,12 @@ func fastNet(t *testing.T, spec MLPSpec, seed int64) (*Network, *Network) {
 	return net, fast
 }
 
-// TestForwardBatchFastTolerance bounds the fast batch kernel against the
-// exact one across architectures (with and without batch-norm, tanh and
-// relu, multi-hidden) and asserts the fused relu matches exactly —
-// fusion only reassociates the batch-norm affine, and relu stacks carry
-// no approximation at all unless batch-norm is present.
+// TestForwardBatchFastTolerance bounds the fast forward against the
+// exact one, row by row, across architectures (with and without
+// batch-norm, tanh and relu, multi-hidden), and asserts that stacks
+// without batch-norm or tanh match exactly — fusion only reassociates
+// the batch-norm affine, so relu and plain Dense stacks carry no
+// approximation at all unless batch-norm is present.
 func TestForwardBatchFastTolerance(t *testing.T) {
 	specs := []MLPSpec{
 		{In: 3, Hidden: []int{20}, Out: 3, BatchNorm: true, Activation: "tanh"},
@@ -146,51 +147,26 @@ func TestForwardBatchFastTolerance(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for _, spec := range specs {
 		net, fast := fastNet(t, spec, 21)
+		exactRelu := !spec.BatchNorm && spec.Activation != "tanh"
 		for _, b := range []int{1, 3, 16, 64} {
 			x := randStates(r, b, spec.In)
-			exact := append([]float64(nil), net.ForwardBatch(x, b)...)
-			// Copy: the fast vector Forward below shares the same
-			// network-owned scratch the batch forward returns.
-			got := append([]float64(nil), fast.ForwardBatch(x, b)...)
-			// Logit error compounds through at most two tanh layers and
-			// the output affine; 1e-4 is ~3 orders of magnitude of
-			// margin for these widths.
-			const tol = 1e-4
-			for i := range exact {
-				if math.Abs(got[i]-exact[i]) > tol {
-					t.Fatalf("%+v b=%d logit %d: fast %v vs exact %v", spec, b, i, got[i], exact[i])
-				}
-			}
-			// The fast vector forward must be bit-identical to the fast
-			// batch rows — it is the same fused kernel at b=1.
 			for row := 0; row < b; row++ {
-				want := got[row*spec.Out : (row+1)*spec.Out]
-				vec := fast.Forward(x[row*spec.In:(row+1)*spec.In], false)
-				for o := range want {
-					if vec[o] != want[o] {
-						t.Fatalf("%+v b=%d row %d: fast vector %v != fast batch %v", spec, b, row, vec[o], want[o])
+				xr := x[row*spec.In : (row+1)*spec.In]
+				exact := net.Forward(xr, false)
+				got := fast.Forward(xr, false)
+				// Logit error compounds through at most two tanh layers
+				// and the output affine; 1e-4 is ~3 orders of magnitude
+				// of margin for these widths.
+				const tol = 1e-4
+				for i := range exact {
+					if math.Abs(got[i]-exact[i]) > tol {
+						t.Fatalf("%+v b=%d row %d logit %d: fast %v vs exact %v", spec, b, row, i, got[i], exact[i])
+					}
+					if exactRelu && got[i] != exact[i] {
+						t.Fatalf("%+v row %d logit %d: fast %v != exact %v without batch-norm", spec, row, i, got[i], exact[i])
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestForwardBatchFastZeroAlloc pins the fused path's allocation
-// contract: after warm-up, nothing per call at any width.
-func TestForwardBatchFastZeroAlloc(t *testing.T) {
-	spec := MLPSpec{In: 5, Hidden: []int{20}, Out: 5, BatchNorm: true, Activation: "tanh"}
-	_, fast := fastNet(t, spec, 5)
-	r := rand.New(rand.NewSource(8))
-	x := randStates(r, 64, spec.In)
-	fast.ForwardBatch(x, 64)
-	for _, b := range []int{64, 16, 1, 64} {
-		b := b
-		allocs := testing.AllocsPerRun(10, func() {
-			fast.ForwardBatch(x[:b*spec.In], b)
-		})
-		if allocs != 0 {
-			t.Fatalf("fast ForwardBatch(b=%d) allocates %.1f per call, want 0", b, allocs)
 		}
 	}
 }
@@ -235,6 +211,7 @@ func TestKernelCloneAndGuards(t *testing.T) {
 		}
 	}
 	r := rand.New(rand.NewSource(3))
+	fast.Forward(randStates(r, 1, spec.In), false) // fold the current statistics
 	before := append([]float64(nil), bn.Mean...)
 	out := fast.Forward(randStates(r, 1, spec.In), true)
 	moved := false
@@ -247,6 +224,18 @@ func TestKernelCloneAndGuards(t *testing.T) {
 		t.Fatal("training-mode forward on a KernelFast network did not update statistics")
 	}
 	fast.Backward(make([]float64, len(out))) // must not panic after an exact pass
+
+	// The training-mode forward moved the statistics the fast kernel
+	// folds into its weights: the next fast forward must refold, and so
+	// equal a freshly built fast clone bit for bit.
+	x := randStates(r, 1, spec.In)
+	got := append([]float64(nil), fast.Forward(x, false)...)
+	want := CloneMLP(spec, fast).Forward(x, false)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fast forward after a statistics update: logit %d = %v, fresh fast clone %v", i, got[i], want[i])
+		}
+	}
 
 	// Inference forward flips to the fast kernel; Backward must refuse.
 	fast.Forward(randStates(r, 1, spec.In), false)
@@ -290,20 +279,46 @@ func BenchmarkMathTanh(b *testing.B) {
 	benchScalarSink = sink
 }
 
-func BenchmarkForwardBatch64Fast(b *testing.B) {
+// randStates fills a b x in matrix with a mix of magnitudes so the tanh
+// fast (polynomial) and slow (exp) paths, relu sign branches and softmax
+// ranges are all exercised.
+func randStates(r *rand.Rand, b, in int) []float64 {
+	x := make([]float64, b*in)
+	for i := range x {
+		switch i % 3 {
+		case 0:
+			x[i] = r.NormFloat64() * 0.1
+		case 1:
+			x[i] = r.NormFloat64()
+		default:
+			x[i] = r.NormFloat64() * 100
+		}
+	}
+	return x
+}
+
+// benchForwardSingle times the vector inference forward over 64 states
+// of a warmed-up serving-shape network under kernel k.
+func benchForwardSingle(b *testing.B, k Kernel) {
 	r := rand.New(rand.NewSource(1))
 	spec := MLPSpec{In: 5, Hidden: []int{20}, Out: 5, BatchNorm: true, Activation: "tanh"}
 	net, _ := NewMLP(spec, r)
 	for i := 0; i < 200; i++ {
 		net.Forward(randStates(r, 1, spec.In), true)
 	}
-	net.SetKernel(KernelFast)
+	net.SetKernel(k)
 	x := randStates(r, 64, spec.In)
-	net.ForwardBatch(x, 64)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		benchSink = net.ForwardBatch(x, 64)
+		for row := 0; row < 64; row++ {
+			benchSink = net.Forward(x[row*spec.In:(row+1)*spec.In], false)
+		}
 	}
 }
+
+func BenchmarkForwardSingle(b *testing.B)     { benchForwardSingle(b, KernelExact) }
+func BenchmarkForwardSingleFast(b *testing.B) { benchForwardSingle(b, KernelFast) }
+
+var benchSink []float64
 
 var benchScalarSink float64

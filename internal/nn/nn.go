@@ -39,34 +39,33 @@ type Layer interface {
 	// OutSize returns the length of the layer's output given its
 	// configured input size.
 	OutSize() int
-	// ForwardBatch is the inference-mode matrix forward: x holds b
-	// row-major input rows, dst b row-major output rows, and every row
-	// is bit-identical to Forward(row, false). It never updates running
-	// statistics and caches nothing for Backward; see batch.go.
-	ForwardBatch(dst, x []float64, b int)
 }
 
 // Network is a sequential stack of layers producing logits.
 type Network struct {
 	Layers []Layer
 
-	params    []*Param     // lazily built flat view of all layer parameters
-	normDepth int          // 1 + index of last BatchNorm layer; 0 = unknown, -1 = none
-	batchBuf  [2][]float64 // ping-pong scratch matrices for ForwardBatch
-	kernel    Kernel       // inference kernel selection; see fastmath.go
-	fastPass  bool         // last forward ran the fast kernel: Backward must refuse
+	params    []*Param    // lazily built flat view of all layer parameters
+	normDepth int         // 1 + index of last BatchNorm layer; 0 = unknown, -1 = none
+	kernel    Kernel      // inference kernel selection; see fastmath.go
+	fast      []fastStage // KernelFast plan with the folded weights; nil until built or after a drop
+	fastPass  bool        // last forward ran the fast kernel: Backward must refuse
 }
 
 // Forward runs x through all layers. train selects training-time behaviour
-// (e.g. batch-norm statistics updates). Inference forwards (train=false)
-// honor the selected kernel: with KernelFast they run the fused
-// approximate path (see fastmath.go) and leave no caches for Backward.
+// (e.g. batch-norm statistics updates, which also drop the fast kernel's
+// folded weights). Inference forwards (train=false) honor the selected
+// kernel: with KernelFast they run the fused approximate path (see
+// fastmath.go) and leave no caches for Backward.
 func (n *Network) Forward(x []float64, train bool) []float64 {
 	if !train && n.kernel == KernelFast {
 		n.fastPass = true
 		return n.forwardFast(x)
 	}
 	n.fastPass = false
+	if train {
+		n.fast = nil
+	}
 	for _, l := range n.Layers {
 		x = l.Forward(x, train)
 	}
@@ -93,6 +92,7 @@ func (n *Network) Backward(grad []float64) {
 // of states into the batch-norm statistics exactly once per update, after
 // all rollouts were generated against a frozen snapshot.
 func (n *Network) UpdateStats(x []float64) {
+	n.fast = nil
 	if n.normDepth == 0 {
 		n.normDepth = -1
 		for i, l := range n.Layers {
@@ -188,6 +188,7 @@ func (n *Network) FlattenParams(dst []float64) []float64 {
 // FlattenParams. The trainer's divergence guard uses it to roll back an
 // update that produced non-finite weights.
 func (n *Network) SetParams(src []float64) {
+	n.fast = nil
 	var off int
 	for _, p := range n.Params() {
 		copy(p.Val, src[off:off+len(p.Val)])
@@ -226,6 +227,7 @@ func (n *Network) GradsFinite() bool {
 // have been built from the same spec; the worker replicas of the parallel
 // trainer use this to refresh themselves from the master policy.
 func (n *Network) SyncFrom(src *Network) {
+	n.fast = nil
 	sp, dp := src.Params(), n.Params()
 	checkLen("SyncFrom params", len(dp), len(sp))
 	for i, p := range dp {

@@ -68,33 +68,6 @@ func (p *Policy) probsInto(state []float64, mask []bool, train bool) []float64 {
 	return nn.MaskedSoftmaxInto(p.probs, logits, mask)
 }
 
-// ProbsBatch computes pi(.|state) for b states at once: states holds b
-// row-major state rows, masks (when non-nil) one legal-action mask per
-// row (a nil entry means all actions legal). The returned slice holds b
-// row-major probability rows and is network-owned scratch, valid until
-// the next forward on this policy. Each row is bit-identical to the
-// inference-mode Probs on the same state — ForwardBatch matches
-// Forward(state, false) exactly and the per-row softmax is the very
-// same code both paths run (MaskedSoftmaxInto / SoftmaxInto permit dst
-// aliasing logits, which is what happens here).
-func (p *Policy) ProbsBatch(states []float64, b int, masks [][]bool) []float64 {
-	logits := p.Net.ForwardBatch(states, b)
-	out := p.Spec.Out
-	for r := 0; r < b; r++ {
-		row := logits[r*out : (r+1)*out]
-		var mask []bool
-		if masks != nil {
-			mask = masks[r]
-		}
-		if mask == nil {
-			nn.SoftmaxInto(row, row)
-		} else {
-			nn.MaskedSoftmaxInto(row, row, mask)
-		}
-	}
-	return logits
-}
-
 // Act selects an action for state: sampled from the distribution when
 // sample is true (the paper's online-mode inference), greedy argmax
 // otherwise (batch-mode inference).

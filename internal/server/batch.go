@@ -14,9 +14,10 @@ import (
 )
 
 // POST /v1/simplify/batch — bulk simplification. One request carries many
-// trajectories; the server simplifies them over core.BatchEngine shards
-// (one matrix forward per lockstep round instead of one vector forward
-// per point) spread across a bounded worker pool. Items fail
+// trajectories; the server splits them into shards of BatchWidth items
+// and runs up to BatchWorkers shards at once, each through a
+// core.BatchEngine over a policy clone checked out of the same pools
+// the single route uses. Items fail
 // independently: a malformed trajectory yields an inline per-item error
 // while its neighbours still simplify. Like POST /v1/simplify, policies
 // run greedy (argmax) inference, so results are deterministic and
@@ -107,49 +108,6 @@ func newBatchMetricsSet(reg *obs.Registry) *batchMetricsSet {
 	}
 }
 
-// batchRunner owns the per-policy BatchEngine pools and the batch
-// metrics. Engines hold policy clones and per-run scratch, so pooling
-// them keeps the steady-state request path allocation-light while every
-// concurrent worker still gets exclusive scratch.
-type batchRunner struct {
-	cfg Config
-	met *batchMetricsSet
-
-	mu    sync.Mutex
-	pools map[*core.Trained]*sync.Pool
-}
-
-func newBatchRunner(cfg Config) *batchRunner {
-	return &batchRunner{
-		cfg:   cfg,
-		met:   newBatchMetricsSet(cfg.Metrics),
-		pools: make(map[*core.Trained]*sync.Pool),
-	}
-}
-
-// engine checks an idle engine for p out of the pool, building one (over
-// its own policy clone, always greedy — the serving convention) on miss.
-func (b *batchRunner) engine(p *core.Trained) (*core.BatchEngine, error) {
-	b.mu.Lock()
-	pool, ok := b.pools[p]
-	if !ok {
-		pool = &sync.Pool{}
-		b.pools[p] = pool
-	}
-	b.mu.Unlock()
-	if e, ok := pool.Get().(*core.BatchEngine); ok {
-		return e, nil
-	}
-	return core.NewBatchEngine(p.Policy.Clone(), p.Opts, false)
-}
-
-func (b *batchRunner) release(p *core.Trained, e *core.BatchEngine) {
-	b.mu.Lock()
-	pool := b.pools[p]
-	b.mu.Unlock()
-	pool.Put(e)
-}
-
 func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
@@ -185,9 +143,9 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 			req.Algorithm, m)
 		return
 	}
-	// FastMath opt-in: swap in the fast registry entry. The engine pools
+	// FastMath opt-in: swap in the fast registry entry. The clone pools
 	// key on the *core.Trained pointer, so fast and exact requests draw
-	// from disjoint pools and an engine never changes kernels mid-life.
+	// from disjoint pools and a clone never changes kernels mid-life.
 	mode := modeExact
 	if fastRequested(r) {
 		if fp, ok := s.fast[key]; ok {
@@ -195,7 +153,7 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 			s.fastReq.Inc()
 		}
 	}
-	met := s.batch.met
+	met := s.batchMet
 	met.requests.Inc()
 	met.items.Add(uint64(len(req.Items)))
 	met.size.Observe(float64(len(req.Items)))
@@ -249,8 +207,9 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 		engineItems = append(engineItems, core.BatchItem{T: t, W: b})
 	}
 
-	// Shard the valid items over BatchEngine workers. Each shard writes a
-	// disjoint range of engineResults, so no locking is needed.
+	// Shard the valid items over workers, each on its own policy clone.
+	// Each shard writes a disjoint range of engineResults, so no locking
+	// is needed.
 	engineResults := make([]core.BatchResult, len(engineItems))
 	width := s.cfg.BatchWidth
 	if width <= 0 || width > len(engineItems) {
@@ -271,7 +230,9 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 				defer wg.Done()
 				defer func() { <-sem }()
 				met.shards.Inc()
-				eng, err := s.batch.engine(p)
+				c := s.simp.get(p)
+				defer s.simp.put(p, c)
+				eng, err := core.NewBatchEngine(c.Policy, c.Opts, false)
 				if err != nil {
 					for i := lo; i < hi; i++ {
 						engineResults[i] = core.BatchResult{Err: err}
@@ -279,7 +240,6 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				copy(engineResults[lo:hi], eng.RunCtx(ctx, engineItems[lo:hi]))
-				s.batch.release(p, eng)
 			}(lo, hi)
 		}
 		wg.Wait()

@@ -43,11 +43,12 @@ func fastPolicies(policies map[string]*core.Trained) map[string]*core.Trained {
 	return fast
 }
 
-// policyPools hands exclusive Trained clones to concurrent single-request
-// handlers. A policy reuses its forward scratch across calls and is not
-// safe for concurrent use, while the hardening middleware admits up to
-// MaxConcurrent requests at once — so the single-simplify path checks a
-// clone out per request instead of sharing the registered instance.
+// policyPools hands exclusive Trained clones to concurrent handlers. A
+// policy reuses its forward scratch across calls and is not safe for
+// concurrent use, while the hardening middleware admits up to
+// MaxConcurrent requests at once — so the single-simplify route checks a
+// clone out per request, and the batch route one per shard, instead of
+// sharing the registered instance.
 // Clones inherit the source's kernel selection (rl.Policy.Clone), so the
 // pool keyed by a fast registry entry stays fast.
 type policyPools struct {

@@ -100,10 +100,9 @@ type Config struct {
 	// split them, the same contract as MaxPoints). 0 means
 	// DefaultMaxBatchItems, negative disables the cap.
 	MaxBatchItems int
-	// BatchWidth caps how many trajectories one BatchEngine shard steps
-	// in lockstep; a batch request is split into ceil(items/BatchWidth)
-	// shards. Wider shards amortize the network forward further but
-	// round-robin more working sets through the cache. 0 means
+	// BatchWidth caps how many trajectories one shard of a batch request
+	// simplifies, one after another on one policy clone; a batch request
+	// is split into ceil(items/BatchWidth) shards. 0 means
 	// DefaultBatchWidth, negative means one unbounded shard per request.
 	BatchWidth int
 	// BatchWorkers caps how many shards of one batch request simplify

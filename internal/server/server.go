@@ -99,12 +99,12 @@ type Server struct {
 	policies   map[string]*core.Trained // lower-case name -> policy
 	fast       map[string]*core.Trained // FastClones under the same keys (see fast.go)
 	simp       *policyPools
+	batchMet   *batchMetricsSet
 	fastReq    *obs.Counter
 	boundUnmet *obs.Counter
 	repairMet  *repairMetrics
 	streams    *streamManager
 	fleets     *fleetManager
-	batch      *batchRunner
 }
 
 // New creates a server with the given trained policies registered under
@@ -136,7 +136,7 @@ func NewWith(policies []*core.Trained, cfg Config) *Server {
 	s.repairMet = newRepairMetrics(s.cfg.Metrics)
 	s.streams = newStreamManager(s.policies, s.cfg)
 	s.fleets = newFleetManager(s.cfg)
-	s.batch = newBatchRunner(s.cfg)
+	s.batchMet = newBatchMetricsSet(s.cfg.Metrics)
 	s.startFleetJanitor()
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.Handle("/metrics", s.cfg.Metrics.Handler())

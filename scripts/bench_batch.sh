@@ -1,12 +1,12 @@
 #!/bin/sh
-# Regenerates BENCH_batch.json: the batched-inference throughput baseline.
+# Regenerates BENCH_batch.json: the inference throughput baseline behind
+# batch serving.
 #
-# The sweep times nn.Network.ForwardBatch against the per-state Forward
-# path and the lockstep core.BatchEngine against sequential core.Simplify.
-# Every batched configuration is bit-identical to the single-state path
-# (the check harness and internal/core tests enforce this), so the file
-# records throughput only; the machine block carries the provenance a
-# reader needs to judge the numbers.
+# The sweep times the exact and the FastMath vector forward, sequential
+# core.Simplify with each kernel, the per-core scaling of Simplify
+# workers sharding one item set, and a short sustained-load pair. The
+# file records throughput only; the machine block carries the provenance
+# a reader needs to judge the numbers.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -22,5 +22,5 @@ if [ "$MAXPROCS" = 1 ]; then
 	echo '########################################################################' >&2
 fi
 go run ./cmd/rlts-bench -batch -batch-out BENCH_batch.json
-echo "== kernel micro benches (bit-identity + allocation + fastmath contract) =="
-go test ./internal/nn -run '^$' -bench 'ForwardSingle|ForwardBatch64|FastTanh' -benchmem
+echo "== kernel micro benches (exact vs fast forward, fastmath tanh) =="
+go test ./internal/nn -run '^$' -bench 'ForwardSingle|FastTanh' -benchmem

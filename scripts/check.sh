@@ -11,6 +11,12 @@ echo "== go vet =="
 go vet ./...
 echo "== go build =="
 go build ./...
+
+# perfbench is a nested module (replace rlts => ../) that the root
+# `go build ./...` skips, so an API change that breaks the benchmark
+# would otherwise pass this gate. It builds offline.
+echo "== perfbench builds =="
+(cd perfbench && go vet .)
 echo "== go test -race =="
 go test -race ./...
 
@@ -32,23 +38,27 @@ go test -count=1 -run 'TestGolden' ./internal/core ./internal/server ./internal/
 echo "== differential harness (internal/check, CHECK_SCALE=${CHECK_SCALE:-4}) =="
 CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 ./internal/check
 
-# Batch-engine differential: the lockstep BatchEngine must be bitwise
-# identical to sequential Simplify at every width, both inference modes,
-# over the adversarial generator set — plus the engine/eval equality
-# tests in their home packages. Scaled by the same CHECK_SCALE knob.
+# Batch-engine differential: BatchEngine, which runs its items through
+# Simplify's own decision loop, must be bitwise identical to per-item
+# Simplify at every batch size, both inference modes, over the
+# adversarial generator set — plus the engine tests in internal/core and
+# the batch route's sharding invariance in internal/server. Scaled by
+# the same CHECK_SCALE knob.
 echo "== batch-engine differential (CHECK_SCALE=${CHECK_SCALE:-4}) =="
 CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestBatchEngineDifferential' ./internal/check
-go test -race -count=1 -run 'TestBatchEngine|TestForwardBatch|TestRunSetBatched' ./internal/core ./internal/nn ./internal/eval
+go test -race -count=1 -run 'TestBatchEngine' ./internal/core
+go test -race -count=1 -run 'TestSimplifyBatch' ./internal/server
 
-# FastMath tolerance pillar: the fused approximate kernels against the
-# exact path on real decision states — abs/rel bounds on every ProbsBatch
+# FastMath tolerance pillar: the fused approximate kernel against the
+# exact path on real decision states — abs/rel bounds on every Probs
 # output, argmax stability on every adversarial family, end-to-end greedy
 # kept-index equality — plus the kernel-level contract tests (dense tanh
-# sweep, special values, fusion tolerance) in internal/nn. Same
-# CHECK_SCALE knob deepens the state coverage.
+# sweep, special values, fusion tolerance, the once-per-network fold and
+# its invalidation) in internal/nn. Same CHECK_SCALE knob deepens the
+# state coverage.
 echo "== fastmath tolerance pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
 CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestFastMathTolerance|TestFastCloneIsolation' ./internal/check
-go test -race -count=1 -run 'TestFastTanh|TestForwardBatchFast|TestForwardVectorZeroAlloc|TestKernelClone' ./internal/nn
+go test -race -count=1 -run 'TestFastTanh|TestForwardBatchFastTolerance|TestForwardVectorZeroAlloc|TestKernelClone' ./internal/nn
 
 # Durable session store: the spill/rehydrate differential (a streamer
 # serialized through the binary codec at adversarial cut points must
