@@ -5,9 +5,8 @@ package main
 // core.Simplify (the decision loop every route runs) with each kernel,
 // its per-core scaling when items are sharded over workers as the batch
 // route shards them, and two short sustained-load runs, and writes the
-// numbers as the BENCH_batch.json baseline. The exact paths are
-// bit-identical to each other by construction (DESIGN.md §12); the fast
-// ones hold the measured contract of DESIGN.md §13.
+// numbers as the BENCH_batch.json baseline. The fast numbers hold the
+// measured contract of DESIGN.md §13.
 
 import (
 	"bufio"

@@ -132,7 +132,7 @@ func TestFastMathTolerance(t *testing.T) {
 // TestFastCloneIsolation pins the opt-in shape of FastMath: FastClone
 // selects the fast kernel on an independent copy, the original stays
 // exact, and a clone of a fast policy inherits the fast kernel (the
-// property engine pools rely on).
+// property the serving clone pools rely on).
 func TestFastCloneIsolation(t *testing.T) {
 	opts := core.DefaultOptions(errm.SED, core.Plus)
 	p, err := rl.NewPolicy(opts.StateSize(), opts.NumActions(), 12,

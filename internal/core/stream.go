@@ -173,24 +173,34 @@ func (s *Streamer) SetBudget(w int) error {
 	}
 	s.w = w
 	for s.buf.Size() > w {
-		// The lowest-valued interior point. Right after a skip the tail
-		// still sits in the heap with a stale value (the next push
-		// refreshes it; see buffer.RemoveTail), but an endpoint is never
-		// droppable, so it is passed over.
-		var e *buffer.Entry
-		for _, c := range s.buf.KLowest(2) {
-			if c.Next() != nil {
-				e = c
-				break
-			}
-		}
-		if e == nil {
+		e := s.lowestInterior(1)
+		if len(e) == 0 {
 			// Only endpoints remain; size is <= 2 <= w, unreachable.
 			break
 		}
-		s.evict(e)
+		s.evict(e[0])
 	}
 	return nil
+}
+
+// lowestInterior returns the k lowest-valued droppable entries in
+// ascending order. Right after a skip the buffered tail still holds a
+// stale heap slot until the next push refreshes it (buffer.RemoveTail),
+// but an endpoint is never droppable, so it is passed over. The tail is
+// the only such entry, so KLowest(k+1), whose first k are KLowest(k)'s,
+// holds the answer.
+func (s *Streamer) lowestInterior(k int) []*buffer.Entry {
+	cand := s.buf.KLowest(k + 1)
+	for i, c := range cand {
+		if c.Next() == nil {
+			cand = append(cand[:i], cand[i+1:]...)
+			break
+		}
+	}
+	if len(cand) > k {
+		cand = cand[:k]
+	}
+	return cand
 }
 
 // Budget returns the current storage budget W.
@@ -217,20 +227,7 @@ func (s *Streamer) PolicyPressure() float64 {
 	if s.buf.Size() < s.w {
 		return 0
 	}
-	// The k lowest interior points. Right after a skip the tail still
-	// holds a stale heap slot until the next push (buffer.RemoveTail),
-	// but an endpoint is never droppable, so it is passed over as
-	// SetBudget does; KLowest's first k are the same with k+1 asked.
-	cand := s.buf.KLowest(s.opts.K + 1)
-	for i, c := range cand {
-		if c.Next() == nil {
-			cand = append(cand[:i], cand[i+1:]...)
-			break
-		}
-	}
-	if len(cand) > s.opts.K {
-		cand = cand[:s.opts.K]
-	}
+	cand := s.lowestInterior(s.opts.K)
 	if len(cand) == 0 {
 		return 0
 	}
