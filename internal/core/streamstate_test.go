@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 
 	"rlts/internal/errm"
 	"rlts/internal/geo"
+	"rlts/internal/rl"
 )
 
 // samePoints compares two snapshots bit for bit.
@@ -257,4 +260,48 @@ func TestStreamerStateRoundTrip(t *testing.T) {
 	if err != nil || len(got.Entries) != 0 {
 		t.Fatalf("empty state round-trip: %v", err)
 	}
+}
+
+// FuzzDecodeStreamerState feeds arbitrary bytes to the streamer-state
+// decoder, which a mutated spill envelope never reaches (its CRC fails
+// first): it must decode or error, never panic, and anything it accepts
+// must re-encode to bytes that decode and re-encode to themselves.
+func FuzzDecodeStreamerState(f *testing.F) {
+	opts := Options{Measure: errm.SED, Variant: Online, K: 3, J: 2}
+	p, err := rl.NewPolicy(opts.StateSize(), opts.NumActions(), 8, rand.New(rand.NewSource(3)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := NewStreamer(p, 6, opts, true, rand.New(rand.NewSource(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, pt := range testTraj(93, 40) {
+		s.Push(pt)
+	}
+	valid := s.ExportState().AppendBinary(nil)
+	// Version 1 is version 2 without the error estimate (bytes 41..48).
+	v1 := append(binary.LittleEndian.AppendUint32(nil, 1), valid[4:41]...)
+	v1 = append(v1, valid[49:]...)
+	if _, err := DecodeStreamerState(v1); err != nil {
+		f.Fatalf("version-1 seed rejected: %v", err)
+	}
+	f.Add(valid)
+	f.Add(v1)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeStreamerState(data)
+		if err != nil {
+			return
+		}
+		enc := st.AppendBinary(nil)
+		again, err := DecodeStreamerState(enc)
+		if err != nil {
+			t.Fatalf("re-encoded state rejected: %v", err)
+		}
+		if !bytes.Equal(again.AppendBinary(nil), enc) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
 }

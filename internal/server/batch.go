@@ -1,10 +1,7 @@
 package server
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 
 	"rlts/internal/core"
@@ -15,13 +12,14 @@ import (
 
 // POST /v1/simplify/batch — bulk simplification. One request carries many
 // trajectories; the server splits them into shards of BatchWidth items
-// and runs up to BatchWorkers shards at once, each through a
-// core.BatchEngine over a policy clone checked out of the same pools
-// the single route uses. Items fail
-// independently: a malformed trajectory yields an inline per-item error
-// while its neighbours still simplify. Like POST /v1/simplify, policies
-// run greedy (argmax) inference, so results are deterministic and
-// independent of sharding and worker scheduling.
+// and runs up to BatchWorkers shards at once. Each shard checks a policy
+// clone out of the same pools the single route uses and runs its items
+// one after another through SimplifyGreedyCtx, exactly as POST
+// /v1/simplify runs one. Items fail independently: a malformed
+// trajectory yields an inline per-item error, with the code and message
+// /v1/simplify would answer it with, while its neighbours still
+// simplify. Policies run greedy (argmax) inference, so results are
+// deterministic and independent of sharding and worker scheduling.
 //
 // Request:
 //
@@ -109,10 +107,6 @@ func newBatchMetricsSet(reg *obs.Registry) *batchMetricsSet {
 }
 
 func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-		return
-	}
 	var req batchRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -126,73 +120,41 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 			"batch has %d items, limit is %d (split the request)", len(req.Items), s.cfg.MaxBatchItems)
 		return
 	}
-	m := errm.SED
-	if req.Measure != "" {
-		var err error
-		m, err = errm.Parse(req.Measure)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, codeInvalidMeasure, "%v", err)
-			return
-		}
+	m, aerr := parseMeasure(req.Measure)
+	if aerr != nil {
+		aerr.write(w)
+		return
 	}
-	key := strings.ToLower(req.Algorithm + "/" + m.String())
-	p, ok := s.policies[key]
-	if !ok {
+	p, mode := s.policy(req.Algorithm, m, fastRequested(r))
+	if p == nil {
 		httpError(w, http.StatusBadRequest, codeUnknownAlgorithm,
 			"batch simplification serves trained policies only; no policy for algorithm %q with measure %s",
 			req.Algorithm, m)
 		return
-	}
-	// FastMath opt-in: swap in the fast registry entry. The clone pools
-	// key on the *core.Trained pointer, so fast and exact requests draw
-	// from disjoint pools and a clone never changes kernels mid-life.
-	mode := modeExact
-	if fastRequested(r) {
-		if fp, ok := s.fast[key]; ok {
-			p, mode = fp, modeFast
-			s.fastReq.Inc()
-		}
 	}
 	met := s.batchMet
 	met.requests.Inc()
 	met.items.Add(uint64(len(req.Items)))
 	met.size.Observe(float64(len(req.Items)))
 
-	// Validate every item up front; valid ones become engine jobs.
+	// Ingest every item up front; valid ones become jobs.
 	results := make([]batchItemResult, len(req.Items))
 	type job struct {
 		item int
 		t    traj.Trajectory
+		w    int
+		kept []int
+		err  error
 	}
 	jobs := make([]job, 0, len(req.Items))
-	engineItems := make([]core.BatchItem, 0, len(req.Items))
 	for i := range req.Items {
 		it := &req.Items[i]
-		if s.cfg.MaxPoints > 0 && len(it.Points) > s.cfg.MaxPoints {
-			results[i].Failure = &itemFailure{
-				Error: errFmt("trajectory has %d points, limit is %d", len(it.Points), s.cfg.MaxPoints),
-				Code:  codeTooManyPoints,
-			}
+		t, rep, aerr := s.ingest(it.Points, req.Repair)
+		if aerr != nil {
+			results[i].Failure = &itemFailure{aerr.msg, aerr.code}
 			continue
 		}
-		var t traj.Trajectory
-		var err error
-		if req.Repair != nil {
-			var rep traj.RepairReport
-			t, rep, err = traj.Repair(it.Points, req.Repair.config())
-			if err != nil {
-				s.repairMet.reject(codePointsTooShort)
-				results[i].Failure = &itemFailure{Error: errFmt("repair: %v", err), Code: codePointsTooShort}
-				continue
-			}
-			s.repairMet.observe(rep)
-			results[i].Repair = reportJSON(rep)
-		} else if t, err = traj.FromPoints(it.Points); err != nil {
-			code := pointsErrorCode(err)
-			s.repairMet.reject(code)
-			results[i].Failure = &itemFailure{Error: errFmt("invalid trajectory: %v", err), Code: code}
-			continue
-		}
+		results[i].Repair = rep
 		// An item's own w/ratio, when set, replaces the request default.
 		bw, ratio := req.W, req.Ratio
 		if it.W != 0 || it.Ratio != 0 {
@@ -200,81 +162,57 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		b, err := resolveBudget(bw, ratio, len(t))
 		if err != nil {
-			results[i].Failure = &itemFailure{Error: err.Error(), Code: codeInvalidBudget}
+			results[i].Failure = &itemFailure{err.Error(), codeInvalidBudget}
 			continue
 		}
-		jobs = append(jobs, job{item: i, t: t})
-		engineItems = append(engineItems, core.BatchItem{T: t, W: b})
+		jobs = append(jobs, job{item: i, t: t, w: b})
 	}
 
-	// Shard the valid items over workers, each on its own policy clone.
-	// Each shard writes a disjoint range of engineResults, so no locking
-	// is needed.
-	engineResults := make([]core.BatchResult, len(engineItems))
+	// Shard the jobs over workers, each on its own policy clone. Each
+	// shard writes a disjoint range of jobs, so no locking is needed.
 	width := s.cfg.BatchWidth
-	if width <= 0 || width > len(engineItems) {
-		width = len(engineItems)
+	if width <= 0 || width > len(jobs) {
+		width = len(jobs)
 	}
-	if width > 0 {
-		ctx := r.Context()
-		sem := make(chan struct{}, s.cfg.BatchWorkers)
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(engineItems); lo += width {
-			hi := lo + width
-			if hi > len(engineItems) {
-				hi = len(engineItems)
+	ctx := r.Context()
+	sem := make(chan struct{}, s.cfg.BatchWorkers)
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(jobs); lo += width {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(shard []job) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			met.shards.Inc()
+			c := s.simp.get(p)
+			defer s.simp.put(p, c)
+			for i := range shard {
+				shard[i].kept, shard[i].err = c.SimplifyGreedyCtx(ctx, shard[i].t, shard[i].w)
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(lo, hi int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				met.shards.Inc()
-				c := s.simp.get(p)
-				defer s.simp.put(p, c)
-				eng, err := core.NewBatchEngine(c.Policy, c.Opts, false)
-				if err != nil {
-					for i := lo; i < hi; i++ {
-						engineResults[i] = core.BatchResult{Err: err}
-					}
-					return
-				}
-				copy(engineResults[lo:hi], eng.RunCtx(ctx, engineItems[lo:hi]))
-			}(lo, hi)
-		}
-		wg.Wait()
-		// A request-level deadline or disconnect outranks per-item
-		// reporting: answer with the transport shape writeRunError uses.
-		if err := ctx.Err(); err != nil {
-			writeRunError(w, err)
-			return
-		}
+		}(jobs[lo:min(lo+width, len(jobs))])
+	}
+	wg.Wait()
+	// A request-level deadline or disconnect outranks per-item reporting:
+	// answer with the transport shape writeRunError uses.
+	if err := ctx.Err(); err != nil && len(jobs) > 0 {
+		writeRunError(w, err)
+		return
 	}
 
-	failed := 0
-	for ji, res := range engineResults {
-		i := jobs[ji].item
-		if res.Err != nil {
-			code := codeBadRequest
-			if errors.Is(res.Err, traj.ErrTooShort) {
-				code = codeInvalidPoints
-			}
-			results[i].Failure = &itemFailure{Error: res.Err.Error(), Code: code}
+	for _, j := range jobs {
+		res := &results[j.item]
+		if j.err != nil {
+			res.Failure = &itemFailure{j.err.Error(), codeBadRequest}
 			continue
 		}
-		t := jobs[ji].t
-		e := errm.Error(m, t, res.Kept)
+		e := errm.Error(m, j.t, j.kept)
 		core.ObserveErrorIn(s.cfg.Metrics, m, e)
-		results[i].Kept = len(res.Kept)
-		results[i].Of = len(t)
-		results[i].Error = &e
-		pts := make([][3]float64, 0, len(res.Kept))
-		for _, ix := range res.Kept {
-			pt := t[ix]
-			pts = append(pts, [3]float64{pt.X, pt.Y, pt.T})
-		}
-		results[i].Points = pts
+		res.Kept = len(j.kept)
+		res.Of = len(j.t)
+		res.Error = &e
+		res.Points = wirePoints(j.t, j.kept)
 	}
+	failed := 0
 	for i := range results {
 		if results[i].Failure != nil {
 			failed++
@@ -282,10 +220,4 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	met.failures.Add(uint64(failed))
 	writeJSON(w, &batchResponse{Algorithm: p.Opts.Name(), Mode: mode, Failed: failed, Items: results})
-}
-
-// errFmt is fmt.Sprintf under a name that keeps the failure-construction
-// call sites compact.
-func errFmt(format string, args ...interface{}) string {
-	return fmt.Sprintf(format, args...)
 }

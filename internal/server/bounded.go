@@ -75,7 +75,7 @@ func (s *Server) runBounded(ctx context.Context, algo string, t traj.Trajectory,
 	default:
 		// A registered policy name runs the Min-Size search over that
 		// policy; anything else is unknown.
-		if p, ok := s.policies[algo+"/"+strings.ToLower(m.String())]; ok {
+		if p, _ := s.policy(algo, m, false); p != nil {
 			return s.searchBudget(ctx, p, t, bound, m)
 		}
 		return "", nil, fmt.Errorf("server: unknown bounded algorithm %q (want cised, operb, minsize, auto or a policy name with a matching measure)", algo)
@@ -95,7 +95,7 @@ func (s *Server) runBounded(ctx context.Context, algo string, t traj.Trajectory,
 // policyForMeasure picks the registered policy for m, preferring the
 // lexicographically-smallest name for determinism; nil when none match.
 func (s *Server) policyForMeasure(m errm.Measure) *core.Trained {
-	suffix := "/" + strings.ToLower(m.String())
+	suffix := policyKey("", m)
 	var bestKey string
 	var best *core.Trained
 	for k, p := range s.policies {

@@ -32,11 +32,11 @@ package server
 
 import (
 	"encoding/json"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -139,24 +139,12 @@ func newFleetManager(cfg Config) *fleetManager {
 // records are quarantined like corrupt session spills: renamed aside for
 // the operator, never half-loaded.
 func (m *fleetManager) load() {
-	ents, err := os.ReadDir(m.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, fleetExt) {
-			continue
-		}
-		id := strings.TrimSuffix(name, fleetExt)
-		if !validSpillID(id) {
-			continue
-		}
-		path := filepath.Join(m.dir, name)
+	eachSpillFile(m.dir, fleetExt, func(id string, _ fs.DirEntry) {
+		path := filepath.Join(m.dir, id+fleetExt)
 		rec := m.decodeFleetFile(path, id)
 		if rec == nil {
 			os.Rename(path, path+corruptExt)
-			continue
+			return
 		}
 		m.fleets[id] = rec
 		for _, sid := range rec.Members {
@@ -165,7 +153,7 @@ func (m *fleetManager) load() {
 		m.active.Inc()
 		m.budget.Add(float64(rec.Budget))
 		m.members.Add(float64(len(rec.Members)))
-	}
+	})
 }
 
 func (m *fleetManager) decodeFleetFile(path, id string) *fleetRecord {
@@ -206,17 +194,6 @@ func (m *fleetManager) shutdown() {
 type fleetCreateRequest struct {
 	Budget   int    `json:"budget"`
 	Strategy string `json:"strategy"`
-}
-
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.handleFleetCreate(w, r)
-	case http.MethodGet:
-		s.handleFleetList(w, r)
-	default:
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET or POST only")
-	}
 }
 
 func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
@@ -274,17 +251,6 @@ func (s *Server) handleFleetList(w http.ResponseWriter, r *http.Request) {
 	}
 	fm.mu.Unlock()
 	writeJSON(w, map[string]interface{}{"fleets": list, "count": len(list)})
-}
-
-func (s *Server) handleFleetID(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.handleFleetGet(w, r)
-	case http.MethodDelete:
-		s.handleFleetDelete(w, r)
-	default:
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET or DELETE only")
-	}
 }
 
 // fleetMemberReport is one member's row in the GET /v1/fleet/{id}
@@ -377,10 +343,6 @@ type fleetMemberRequest struct {
 }
 
 func (s *Server) handleFleetAttach(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-		return
-	}
 	var req fleetMemberRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -390,7 +352,7 @@ func (s *Server) handleFleetAttach(w http.ResponseWriter, r *http.Request) {
 	// the fleet record, so a typo'd id can never be attached.
 	sess, aerr := s.acquireSession(req.Session)
 	if aerr != nil {
-		httpError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	sess.mu.Unlock()
@@ -427,10 +389,6 @@ func (s *Server) handleFleetAttach(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFleetDetach(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-		return
-	}
 	var req fleetMemberRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -478,13 +436,9 @@ func removeAssignment(list []fleet.Assignment, id string) []fleet.Assignment {
 }
 
 func (s *Server) handleFleetRebalance(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-		return
-	}
 	result, aerr := s.rebalanceFleet(r.PathValue("id"))
 	if aerr != nil {
-		httpError(w, aerr.status, aerr.code, "%s", aerr.msg)
+		aerr.write(w)
 		return
 	}
 	writeJSON(w, result)
@@ -578,7 +532,6 @@ func (s *Server) rebalanceFleet(id string) (map[string]interface{}, *apiError) {
 			continue
 		}
 		if err := sess.str.SetBudget(a.W); err == nil {
-			sess.w = a.W
 			if d := a.W - oldW[a.ID]; d > 0 {
 				moved += d
 			} else {

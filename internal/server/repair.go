@@ -16,7 +16,6 @@ package server
 
 import (
 	"errors"
-	"net/http"
 
 	"rlts/internal/obs"
 	"rlts/internal/traj"
@@ -155,27 +154,4 @@ func (m *repairMetrics) reject(code string) {
 	if c, ok := m.rejects[code]; ok {
 		c.Inc()
 	}
-}
-
-// rejectPoints is the strict paths' shared answer: classify, count,
-// write the typed 400.
-func (s *Server) rejectPoints(w http.ResponseWriter, err error) {
-	code := pointsErrorCode(err)
-	s.repairMet.reject(code)
-	httpError(w, http.StatusBadRequest, code, "invalid trajectory: %v", err)
-}
-
-// repairTrajectory runs the one-shot repair pipeline for a request that
-// opted in, reporting the failure itself (repair is total, so the only
-// failure is fewer than two surviving points). Returns nil when the
-// request is already answered.
-func (s *Server) repairTrajectory(w http.ResponseWriter, points [][3]float64, params *repairParams) (traj.Trajectory, *repairReportJSON) {
-	t, rep, err := traj.Repair(points, params.config())
-	if err != nil {
-		s.repairMet.reject(codePointsTooShort)
-		httpError(w, http.StatusBadRequest, codePointsTooShort, "repair: %v", err)
-		return nil, nil
-	}
-	s.repairMet.observe(rep)
-	return t, reportJSON(rep)
 }

@@ -45,8 +45,9 @@
 //
 // Failures come back as typed JSON errors — {"error": message, "code":
 // machine-readable-code} — with the conventional status: 400 for invalid
-// input (non-finite coordinates, unordered timestamps, bad budgets), 413
-// for oversized bodies or trajectories, 429 under load shedding, 504 when
+// input (non-finite coordinates, unordered timestamps, bad budgets), 405
+// with an Allow header for a method the path does not serve, 413 for
+// oversized bodies or trajectories, 429 under load shedding, 504 when
 // the per-request deadline expires, and 500 for recovered panics. The
 // Harden middleware (panic recovery, load shedding, deadlines) wraps every
 // handler; see middleware.go.
@@ -122,8 +123,7 @@ func NewWith(policies []*core.Trained, cfg Config) *Server {
 		policies: make(map[string]*core.Trained),
 	}
 	for _, p := range policies {
-		key := strings.ToLower(p.Opts.Name() + "/" + p.Opts.Measure.String())
-		s.policies[key] = p
+		s.policies[policyKey(p.Opts.Name(), p.Opts.Measure)] = p
 	}
 	if !s.cfg.DisableFast {
 		s.fast = fastPolicies(s.policies)
@@ -134,24 +134,28 @@ func NewWith(policies []*core.Trained, cfg Config) *Server {
 	s.boundUnmet = s.cfg.Metrics.Counter("rlts_bound_unmet_total",
 		"Error-bounded responses whose oracle-re-scored error exceeded the requested bound")
 	s.repairMet = newRepairMetrics(s.cfg.Metrics)
-	s.streams = newStreamManager(s.policies, s.cfg)
+	s.streams = newStreamManager(s.cfg)
 	s.fleets = newFleetManager(s.cfg)
 	s.batchMet = newBatchMetricsSet(s.cfg.Metrics)
 	s.startFleetJanitor()
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.Handle("/metrics", s.cfg.Metrics.Handler())
-	s.mux.HandleFunc("/v1/algorithms", s.handleAlgorithms)
-	s.mux.HandleFunc("/v1/simplify", s.handleSimplify)
-	s.mux.HandleFunc("/v1/simplify/batch", s.handleSimplifyBatch)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/stream", s.handleStream)
-	s.mux.HandleFunc("/v1/stream/{id}", s.handleStreamSession)
-	s.mux.HandleFunc("/v1/stream/{id}/points", s.handleStreamPush)
-	s.mux.HandleFunc("/v1/fleet", s.handleFleet)
-	s.mux.HandleFunc("/v1/fleet/{id}", s.handleFleetID)
-	s.mux.HandleFunc("/v1/fleet/{id}/attach", s.handleFleetAttach)
-	s.mux.HandleFunc("/v1/fleet/{id}/detach", s.handleFleetDetach)
-	s.mux.HandleFunc("/v1/fleet/{id}/rebalance", s.handleFleetRebalance)
+	for path, ms := range map[string]methods{
+		"/v1/algorithms":           {http.MethodGet: s.handleAlgorithms},
+		"/v1/simplify":             {http.MethodPost: s.handleSimplify},
+		"/v1/simplify/batch":       {http.MethodPost: s.handleSimplifyBatch},
+		"/v1/stats":                {http.MethodPost: s.handleStats},
+		"/v1/stream":               {http.MethodPost: s.handleStreamCreate, http.MethodGet: s.handleStreamList},
+		"/v1/stream/{id}":          {http.MethodGet: s.handleStreamSnapshot, http.MethodDelete: s.handleStreamClose},
+		"/v1/stream/{id}/points":   {http.MethodPost: s.handleStreamPush},
+		"/v1/fleet":                {http.MethodPost: s.handleFleetCreate, http.MethodGet: s.handleFleetList},
+		"/v1/fleet/{id}":           {http.MethodGet: s.handleFleetGet, http.MethodDelete: s.handleFleetDelete},
+		"/v1/fleet/{id}/attach":    {http.MethodPost: s.handleFleetAttach},
+		"/v1/fleet/{id}/detach":    {http.MethodPost: s.handleFleetDetach},
+		"/v1/fleet/{id}/rebalance": {http.MethodPost: s.handleFleetRebalance},
+	} {
+		s.mux.Handle(path, ms)
+	}
 	if s.cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -167,6 +171,26 @@ func NewWith(policies []*core.Trained, cfg Config) *Server {
 // recovery, load shedding, per-request deadlines).
 func (s *Server) Handler() http.Handler { return Harden(s.mux, s.cfg) }
 
+// methods routes one path by request method. Any method the path does
+// not serve gets the typed 405 with the Allow header RFC 9110 requires,
+// listing the methods it does.
+type methods map[string]http.HandlerFunc
+
+func (ms methods) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h, ok := ms[r.Method]; ok {
+		h(w, r)
+		return
+	}
+	allow := make([]string, 0, len(ms))
+	for m := range ms {
+		allow = append(allow, m)
+	}
+	sort.Strings(allow)
+	list := strings.Join(allow, ", ")
+	w.Header().Set("Allow", list)
+	httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method %s not allowed; use %s", r.Method, list)
+}
+
 // Close releases background resources (the streaming session janitor
 // and the fleet rebalancer). The HTTP side needs no teardown; Close
 // exists so long-lived embedders and tests do not leak the goroutines.
@@ -181,10 +205,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET only")
-		return
-	}
 	names := []string{
 		"sttrace", "squish", "squish-e", "top-down", "bottom-up", "bellman", "span-search", "uniform",
 	}
@@ -239,36 +259,77 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return true
 }
 
-// parseTrajectory validates raw points into a trajectory, reporting the
-// failure itself. Returns nil when the request is already answered.
-func (s *Server) parseTrajectory(w http.ResponseWriter, points [][3]float64) traj.Trajectory {
+// ingest turns a request's raw points into a trajectory: the MaxPoints
+// cap, then strict validation, or the repair pipeline when the request
+// opted in. It is the one ingest path of /v1/simplify, /v1/stats and
+// every batch item, so a defect gets the same code and message, and the
+// same rlts_ingest_rejects_total increment, on each. The repair report
+// is nil without repair.
+func (s *Server) ingest(points [][3]float64, repair *repairParams) (traj.Trajectory, *repairReportJSON, *apiError) {
 	if s.cfg.MaxPoints > 0 && len(points) > s.cfg.MaxPoints {
-		httpError(w, http.StatusRequestEntityTooLarge, codeTooManyPoints,
+		return nil, nil, apiErrorf(http.StatusRequestEntityTooLarge, codeTooManyPoints,
 			"trajectory has %d points, limit is %d", len(points), s.cfg.MaxPoints)
-		return nil
 	}
-	t, err := traj.FromPoints(points)
+	if repair == nil {
+		t, err := traj.FromPoints(points)
+		if err != nil {
+			code := pointsErrorCode(err)
+			s.repairMet.reject(code)
+			return nil, nil, apiErrorf(http.StatusBadRequest, code, "invalid trajectory: %v", err)
+		}
+		return t, nil, nil
+	}
+	// Repair is total: its only failure is fewer than two surviving points.
+	t, rep, err := traj.Repair(points, repair.config())
 	if err != nil {
-		s.rejectPoints(w, err)
-		return nil
+		s.repairMet.reject(codePointsTooShort)
+		return nil, nil, apiErrorf(http.StatusBadRequest, codePointsTooShort, "repair: %v", err)
 	}
-	return t
+	s.repairMet.observe(rep)
+	return t, reportJSON(rep), nil
 }
 
-// ingestTrajectory is parseTrajectory with the repair opt-in: when
-// params is non-nil the raw points go through the repair pipeline
-// instead of strict validation, and the per-defect accounting comes
-// back for the response. Returns nil when the request is answered.
-func (s *Server) ingestTrajectory(w http.ResponseWriter, points [][3]float64, params *repairParams) (traj.Trajectory, *repairReportJSON) {
-	if s.cfg.MaxPoints > 0 && len(points) > s.cfg.MaxPoints {
-		httpError(w, http.StatusRequestEntityTooLarge, codeTooManyPoints,
-			"trajectory has %d points, limit is %d", len(points), s.cfg.MaxPoints)
-		return nil, nil
+// parseMeasure reads a request's measure field; empty means SED.
+func parseMeasure(name string) (errm.Measure, *apiError) {
+	if name == "" {
+		return errm.SED, nil
 	}
-	if params == nil {
-		return s.parseTrajectory(w, points), nil
+	m, err := errm.Parse(name)
+	if err != nil {
+		return 0, apiErrorf(http.StatusBadRequest, codeInvalidMeasure, "%v", err)
 	}
-	return s.repairTrajectory(w, points, params)
+	return m, nil
+}
+
+// policyKey is a policy's registry key: "algorithm/measure", lower-case.
+func policyKey(algo string, m errm.Measure) string {
+	return strings.ToLower(algo + "/" + m.String())
+}
+
+// policy looks up the registered policy serving algo under m (nil when
+// none does). With fast set and FastMath enabled it returns the policy's
+// FastClone instead; mode reports which kernels will run. The clone pools
+// key on the returned pointer, so fast and exact runs draw from disjoint
+// pools and a clone never changes kernels mid-life.
+func (s *Server) policy(algo string, m errm.Measure, fast bool) (p *core.Trained, mode string) {
+	key := policyKey(algo, m)
+	if fast {
+		if fp, ok := s.fast[key]; ok {
+			s.fastReq.Inc()
+			return fp, modeFast
+		}
+	}
+	return s.policies[key], modeExact
+}
+
+// wirePoints renders t's kept points in the [x, y, t] wire form.
+func wirePoints(t traj.Trajectory, kept []int) [][3]float64 {
+	out := make([][3]float64, 0, len(kept))
+	for _, ix := range kept {
+		p := t[ix]
+		out = append(out, [3]float64{p.X, p.Y, p.T})
+	}
+	return out
 }
 
 // resolveBudget turns a w/ratio pair into the storage budget for an
@@ -303,26 +364,19 @@ func resolveBudget(w int, ratio float64, n int) (int, error) {
 // response for both in one place, so every answer carries the repair
 // report and the exact re-scored error alike.
 func (s *Server) handleSimplify(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-		return
-	}
 	var req simplifyRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	t, repairRep := s.ingestTrajectory(w, req.Points, req.Repair)
-	if t == nil {
+	t, repairRep, aerr := s.ingest(req.Points, req.Repair)
+	if aerr != nil {
+		aerr.write(w)
 		return
 	}
-	m := errm.SED
-	if req.Measure != "" {
-		var err error
-		m, err = errm.Parse(req.Measure)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, codeInvalidMeasure, "%v", err)
-			return
-		}
+	m, aerr := parseMeasure(req.Measure)
+	if aerr != nil {
+		aerr.write(w)
+		return
 	}
 	algo := strings.ToLower(req.Algorithm)
 	resp := simplifyResponse{Mode: modeExact, Of: len(t), Bound: req.Bound, Repair: repairRep}
@@ -359,11 +413,7 @@ func (s *Server) handleSimplify(w http.ResponseWriter, r *http.Request) {
 			s.boundUnmet.Inc()
 		}
 	}
-	resp.Points = make([][3]float64, 0, len(kept))
-	for _, ix := range kept {
-		p := t[ix]
-		resp.Points = append(resp.Points, [3]float64{p.X, p.Y, p.T})
-	}
+	resp.Points = wirePoints(t, kept)
 	writeJSON(w, &resp)
 }
 
@@ -390,15 +440,7 @@ func writeRunError(w http.ResponseWriter, err error) {
 // run to completion (they are bounded by MaxPoints, and bellman
 // additionally by its own size cap) and have no fast variant.
 func (s *Server) run(ctx context.Context, algo string, t traj.Trajectory, w int, m errm.Measure, fast bool) (string, []int, string, error) {
-	key := strings.ToLower(algo + "/" + m.String())
-	if p, ok := s.policies[key]; ok {
-		mode := modeExact
-		if fast {
-			if fp, ok := s.fast[key]; ok {
-				p, mode = fp, modeFast
-				s.fastReq.Inc()
-			}
-		}
+	if p, mode := s.policy(algo, m, fast); p != nil {
 		c := s.simp.get(p)
 		kept, err := c.SimplifyGreedyCtx(ctx, t, w)
 		s.simp.put(p, c)
@@ -445,18 +487,15 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-		return
-	}
 	var req struct {
 		Points [][3]float64 `json:"points"`
 	}
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	t := s.parseTrajectory(w, req.Points)
-	if t == nil {
+	t, _, aerr := s.ingest(req.Points, nil)
+	if aerr != nil {
+		aerr.write(w)
 		return
 	}
 	st := traj.Summarize([]traj.Trajectory{t})
@@ -480,10 +519,25 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 // httpError writes the typed JSON error shape: a human-readable message
 // plus a stable machine-readable code.
 func httpError(w http.ResponseWriter, status int, code, format string, args ...interface{}) {
+	apiErrorf(status, code, format, args...).write(w)
+}
+
+// apiError is a failure not yet written: the status, code and message of
+// a typed error, returned by helpers that have no ResponseWriter in hand
+// (ingest, acquireSession, the fleet rebalancer).
+type apiError struct {
+	status int
+	code   string
+	msg    string
+}
+
+func apiErrorf(status int, code, format string, args ...interface{}) *apiError {
+	return &apiError{status: status, code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+// write answers the request with the error.
+func (e *apiError) write(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{
-		"error": fmt.Sprintf(format, args...),
-		"code":  code,
-	})
+	w.WriteHeader(e.status)
+	json.NewEncoder(w).Encode(map[string]string{"error": e.msg, "code": e.code})
 }

@@ -99,6 +99,32 @@ func (m *streamManager) spillPath(id string) string {
 	return filepath.Join(m.spillDir, id+spillExt)
 }
 
+// eachSpillFile calls fn for every file in dir named <id><ext> with a
+// valid id: the store's own files, and the only ones it reads, counts or
+// removes there. An unreadable or unset dir lists nothing.
+func eachSpillFile(dir, ext string, fn func(id string, e fs.DirEntry)) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range ents {
+		if id, ok := strings.CutSuffix(e.Name(), ext); ok && !e.IsDir() && validSpillID(id) {
+			fn(id, e)
+		}
+	}
+}
+
+// coldKept is Streamer.Snapshot's length read off a spilled state: the
+// buffered entries, plus the last accepted point when it is not the
+// buffered tail.
+func coldKept(st *core.StreamerState) int {
+	kept := len(st.Entries)
+	if st.HasLast && (kept == 0 || st.Last.T > st.Entries[kept-1].P.T) {
+		kept++
+	}
+	return kept
+}
+
 // sessionRecord is the decoded form of one spill file.
 type sessionRecord struct {
 	ID         string
@@ -407,7 +433,6 @@ func (s *Server) rehydrateLocked(sh *streamShard, id string) (*streamSession, er
 		seed: rec.Seed,
 		str:  str,
 		rp:   rp,
-		w:    rec.State.W,
 	}
 	sess.touch()
 	// Ownership moves back to memory: from here the file is stale, and
@@ -444,14 +469,7 @@ func (s *Server) closeSpilledLocked(w http.ResponseWriter, sh *streamShard, id s
 			sm.active.Dec()
 			sm.total.Add(-1)
 		}
-		st := rec.State
-		kept := len(st.Entries)
-		// Mirror Streamer.Snapshot: the last accepted point is appended
-		// when it is not the buffered tail.
-		if st.HasLast && (kept == 0 || st.Last.T > st.Entries[kept-1].P.T) {
-			kept++
-		}
-		writeJSON(w, map[string]interface{}{"closed": true, "seen": st.Seen, "kept": kept})
+		writeJSON(w, map[string]interface{}{"closed": true, "seen": rec.State.Seen, "kept": coldKept(rec.State)})
 		return true
 	}
 	httpError(w, http.StatusNotFound, codeStreamCorrupt,
@@ -495,17 +513,8 @@ func (m *streamManager) recoveryScan() {
 	if err := os.MkdirAll(m.spillDir, 0o755); err != nil {
 		return
 	}
-	ents, err := os.ReadDir(m.spillDir)
-	if err != nil {
-		return
-	}
 	n := 0
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), spillExt) &&
-			validSpillID(strings.TrimSuffix(e.Name(), spillExt)) {
-			n++
-		}
-	}
+	eachSpillFile(m.spillDir, spillExt, func(string, fs.DirEntry) { n++ })
 	if n > 0 {
 		m.recovered.Add(uint64(n))
 		m.active.Add(float64(n))
@@ -531,24 +540,12 @@ func (m *streamManager) spillReaper() {
 }
 
 func (m *streamManager) reapSpilled(now time.Time) {
-	ents, err := os.ReadDir(m.spillDir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, spillExt) {
-			continue
-		}
-		id := strings.TrimSuffix(name, spillExt)
-		if !validSpillID(id) {
-			continue
-		}
+	eachSpillFile(m.spillDir, spillExt, func(id string, e fs.DirEntry) {
 		info, err := e.Info()
 		if err != nil || now.Sub(info.ModTime()) <= m.ttl {
-			continue
+			return
 		}
-		path := filepath.Join(m.spillDir, name)
+		path := m.spillPath(id)
 		sh := m.shardFor(id)
 		sh.mu.Lock()
 		// Under the shard lock the hot/cold ownership is stable: skip if
@@ -564,5 +561,5 @@ func (m *streamManager) reapSpilled(now time.Time) {
 			}
 		}
 		sh.mu.Unlock()
-	}
+	})
 }

@@ -30,12 +30,11 @@ package server
 // restart. See spill.go and DESIGN.md §14 for the durability model.
 
 import (
-	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -43,7 +42,6 @@ import (
 	"time"
 
 	"rlts/internal/core"
-	"rlts/internal/errm"
 	"rlts/internal/geo"
 	"rlts/internal/obs"
 	"rlts/internal/traj"
@@ -77,7 +75,6 @@ type streamSession struct {
 	// in flight until later fixes push them out (documented in DESIGN.md
 	// §17). Spills carry its state as a versioned envelope extension.
 	rp *traj.Repairer
-	w  int
 	// lastActive is the unix-nano time of the last client touch, atomic
 	// so the LRU spill scan and the TTL janitor read it without taking
 	// every session's lock.
@@ -108,11 +105,9 @@ type streamShard struct {
 // eviction, and — when a spill directory is configured — keeps the hot
 // set bounded by spilling cold sessions to disk.
 type streamManager struct {
-	policies map[string]*core.Trained
 	reg      *obs.Registry
 	ttl      time.Duration
 	max      int // cap on alive sessions (hot + spilled); <= 0 disables
-	maxPush  int // per-push point cap (Config.MaxPoints)
 	spillDir string
 	maxHot   int // per-shard hot budget; <= 0 disables LRU spill
 
@@ -141,14 +136,12 @@ type streamManager struct {
 	wg          sync.WaitGroup
 }
 
-func newStreamManager(policies map[string]*core.Trained, cfg Config) *streamManager {
+func newStreamManager(cfg Config) *streamManager {
 	reg := cfg.Metrics
 	m := &streamManager{
-		policies:   policies,
 		reg:        reg,
 		ttl:        cfg.StreamTTL,
 		max:        cfg.MaxStreams,
-		maxPush:    cfg.MaxPoints,
 		spillDir:   cfg.SpillDir,
 		spillWrite: cfg.SpillWrite,
 		shards:     make([]*streamShard, cfg.StreamShards),
@@ -288,40 +281,22 @@ type streamCreateRequest struct {
 	Repair *repairParams `json:"repair,omitempty"`
 }
 
-// handleStream dispatches the /v1/stream collection route: POST creates
-// a session, GET lists them.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.handleStreamCreate(w, r)
-	case http.MethodGet:
-		s.handleStreamList(w, r)
-	default:
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET or POST only")
-	}
-}
-
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	var req streamCreateRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	m := errm.SED
-	if req.Measure != "" {
-		var err error
-		m, err = errm.Parse(req.Measure)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, codeInvalidMeasure, "%v", err)
-			return
-		}
+	m, aerr := parseMeasure(req.Measure)
+	if aerr != nil {
+		aerr.write(w)
+		return
 	}
 	algo := strings.ToLower(req.Algorithm)
 	if algo == "" {
 		algo = "rlts"
 	}
-	key := strings.ToLower(algo + "/" + m.String())
-	p, ok := s.policies[key]
-	if !ok {
+	p, _ := s.policy(algo, m, false)
+	if p == nil {
 		httpError(w, http.StatusBadRequest, codeUnknownAlgorithm,
 			"no policy registered for %q with measure %s", algo, m)
 		return
@@ -357,11 +332,10 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	str.UseRegistry(s.cfg.Metrics)
 	sess := &streamSession{
 		id:   newRequestID(),
-		key:  key,
+		key:  policyKey(algo, m),
 		algo: p.Opts.Name(),
 		seed: req.Seed,
 		str:  str,
-		w:    req.W,
 	}
 	if req.Repair != nil {
 		sess.rp = traj.NewRepairer(req.Repair.config())
@@ -393,19 +367,6 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		"w":         req.W,
 		"repair":    sess.rp != nil,
 	})
-}
-
-// apiError is a deferred httpError: the status/code/message triple of a
-// failure, produced by internal helpers (acquireSession, the fleet
-// rebalancer) that have no ResponseWriter in hand.
-type apiError struct {
-	status int
-	code   string
-	msg    string
-}
-
-func apiErrorf(status int, code, format string, args ...interface{}) *apiError {
-	return &apiError{status: status, code: code, msg: fmt.Sprintf(format, args...)}
 }
 
 // acquireSession fetches the session by id with its mutex HELD and its
@@ -454,17 +415,12 @@ func (s *Server) acquireSession(id string) (*streamSession, *apiError) {
 func (s *Server) acquire(w http.ResponseWriter, id string) *streamSession {
 	sess, aerr := s.acquireSession(id)
 	if aerr != nil {
-		httpError(w, aerr.status, aerr.code, "%s", aerr.msg)
-		return nil
+		aerr.write(w)
 	}
 	return sess
 }
 
 func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-		return
-	}
 	var req struct {
 		Points [][3]float64 `json:"points"`
 	}
@@ -476,9 +432,9 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, codePointsTooShort, "no points in push")
 		return
 	}
-	if s.streams.maxPush > 0 && len(req.Points) > s.streams.maxPush {
+	if s.cfg.MaxPoints > 0 && len(req.Points) > s.cfg.MaxPoints {
 		httpError(w, http.StatusRequestEntityTooLarge, codeTooManyPoints,
-			"push has %d points, limit is %d", len(req.Points), s.streams.maxPush)
+			"push has %d points, limit is %d", len(req.Points), s.cfg.MaxPoints)
 		return
 	}
 	sess := s.acquire(w, r.PathValue("id"))
@@ -597,62 +553,35 @@ func (s *Server) listSessions() []streamListEntry {
 			sess.mu.Unlock()
 		}
 	}
-	if sm.spillDir != "" {
-		ents, err := os.ReadDir(sm.spillDir)
-		if err == nil {
-			for _, e := range ents {
-				name := e.Name()
-				if e.IsDir() || !strings.HasSuffix(name, spillExt) {
-					continue
-				}
-				id := strings.TrimSuffix(name, spillExt)
-				if !validSpillID(id) || seen[id] {
-					continue
-				}
-				data, err := os.ReadFile(filepath.Join(sm.spillDir, name))
-				if err != nil {
-					continue
-				}
-				rec, err := decodeSession(data)
-				if err != nil || rec.ID != id {
-					continue
-				}
-				algo := rec.Key
-				if p, ok := s.policies[rec.Key]; ok {
-					algo = p.Opts.Name()
-				}
-				st := rec.State
-				kept := len(st.Entries)
-				// Mirror Streamer.Snapshot: the last accepted point is
-				// appended when it is not the buffered tail.
-				if st.HasLast && (kept == 0 || st.Last.T > st.Entries[kept-1].P.T) {
-					kept++
-				}
-				out = append(out, streamListEntry{
-					ID:        id,
-					Tier:      "cold",
-					Algorithm: algo,
-					W:         st.W,
-					Seen:      st.Seen,
-					Kept:      kept,
-					Error:     st.ErrEst,
-				})
-			}
+	eachSpillFile(sm.spillDir, spillExt, func(id string, _ fs.DirEntry) {
+		if seen[id] {
+			return
 		}
-	}
+		data, err := os.ReadFile(sm.spillPath(id))
+		if err != nil {
+			return
+		}
+		rec, err := decodeSession(data)
+		if err != nil || rec.ID != id {
+			return
+		}
+		algo := rec.Key
+		if p, ok := s.policies[rec.Key]; ok {
+			algo = p.Opts.Name()
+		}
+		st := rec.State
+		out = append(out, streamListEntry{
+			ID:        id,
+			Tier:      "cold",
+			Algorithm: algo,
+			W:         st.W,
+			Seen:      st.Seen,
+			Kept:      coldKept(st),
+			Error:     st.ErrEst,
+		})
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-func (s *Server) handleStreamSession(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.handleStreamSnapshot(w, r)
-	case http.MethodDelete:
-		s.handleStreamClose(w, r)
-	default:
-		httpError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET or DELETE only")
-	}
 }
 
 func (s *Server) handleStreamSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -41,6 +41,9 @@ const RepairStateVersion = 1
 // reordering window.
 const maxRepairPending = 1 << 20
 
+// pendingFixBytes is one pending fix's encoded size: f64 x, y, t, u64 seq.
+const pendingFixBytes = 32
+
 // AppendBinary appends the state's binary encoding to b.
 func (st *RepairState) AppendBinary(b []byte) []byte {
 	le := binary.LittleEndian
@@ -92,6 +95,11 @@ func DecodeRepairState(data []byte) (*RepairState, error) {
 	n := int(d.u32())
 	if d.err == nil && n > maxRepairPending {
 		return nil, fmt.Errorf("traj: repair state declares %d pending fixes (max %d)", n, maxRepairPending)
+	}
+	// Check the declared fixes against the bytes left before allocating
+	// for them, so a short blob cannot drive a large allocation.
+	if rem := len(data) - d.off; d.err == nil && n*pendingFixBytes > rem {
+		return nil, fmt.Errorf("traj: repair state declares %d pending fixes, %d bytes remain", n, rem)
 	}
 	if d.err == nil && n > 0 {
 		st.Pending = make([]PendingFixState, n)

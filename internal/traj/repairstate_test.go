@@ -1,8 +1,11 @@
 package traj
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rlts/internal/geo"
@@ -68,4 +71,56 @@ func TestDecodeRepairStateTotal(t *testing.T) {
 	if _, err := DecodeRepairState(big); err == nil {
 		t.Fatal("hostile pending count accepted")
 	}
+}
+
+// TestDecodeRepairStateChecksLengthBeforeAlloc: a 46-byte header that
+// declares the maximum 1<<20 pending fixes must fail without allocating
+// for them (32 MiB), because the fixes it promises are not there.
+func TestDecodeRepairStateChecksLengthBeforeAlloc(t *testing.T) {
+	blob := NewRepairer(RepairConfig{}).ExportState().AppendBinary(nil)[:42]
+	blob = binary.LittleEndian.AppendUint32(blob, maxRepairPending)
+	if len(blob) != 46 {
+		t.Fatalf("header is %d bytes, want 46", len(blob))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeRepairState(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("pending count with no fixes behind it accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("decoding a 46-byte blob allocated %d bytes", d)
+	}
+}
+
+// FuzzDecodeRepairState feeds arbitrary bytes to the repair-state
+// decoder, which a mutated spill envelope never reaches (its CRC fails
+// first): it must decode or error, never panic, and anything it accepts
+// must re-encode to bytes that decode and re-encode to themselves.
+func FuzzDecodeRepairState(f *testing.F) {
+	rp := NewRepairer(RepairConfig{Window: 6, MaxSpeed: 3, AverageDups: true})
+	for i := 0; i < 40; i++ {
+		rp.Push(geo.Pt(float64(i%7), 0, float64(i/2)))
+	}
+	valid := rp.ExportState().AppendBinary(nil)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(NewRepairer(RepairConfig{}).ExportState().AppendBinary(nil))
+	f.Add([]byte{})
+	f.Add([]byte{RepairStateVersion})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeRepairState(data)
+		if err != nil {
+			return
+		}
+		enc := st.AppendBinary(nil)
+		again, err := DecodeRepairState(enc)
+		if err != nil {
+			t.Fatalf("re-encoded state rejected: %v", err)
+		}
+		if !bytes.Equal(again.AppendBinary(nil), enc) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
 }

@@ -203,6 +203,9 @@ go test ./internal/traj -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime "$FUZZTIME"
 go test ./internal/traj -run '^$' -fuzz '^FuzzReadPLT$' -fuzztime "$FUZZTIME"
 go test ./internal/traj -run '^$' -fuzz '^FuzzFromPoints$' -fuzztime "$FUZZTIME"
 go test ./internal/traj -run '^$' -fuzz '^FuzzRepair$' -fuzztime "$FUZZTIME"
+go test ./internal/traj -run '^$' -fuzz '^FuzzDecodeRepairState$' -fuzztime "$FUZZTIME"
+go test ./internal/core -run '^$' -fuzz '^FuzzDecodeStreamerState$' -fuzztime "$FUZZTIME"
+go test ./internal/storage -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzSimplifyHandler$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzStatsHandler$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzSessionDecode$' -fuzztime "$FUZZTIME"
