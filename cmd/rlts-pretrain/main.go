@@ -23,10 +23,10 @@ import (
 
 func main() {
 	var (
-		out    = flag.String("o", "pretrained/data", "output directory")
-		count  = flag.Int("count", 60, "training trajectories")
-		length = flag.Int("len", 1000, "points per training trajectory")
-		epochs = flag.Int("epochs", 5, "training epochs")
+		out     = flag.String("o", "pretrained/data", "output directory")
+		count   = flag.Int("count", 60, "training trajectories")
+		length  = flag.Int("len", 1000, "points per training trajectory")
+		epochs  = flag.Int("epochs", 5, "training epochs")
 		seed    = flag.Int64("seed", 1, "seed")
 		logJSON = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	)

@@ -189,10 +189,10 @@ func TestSearchBudgetRejectsMalformedSimplifier(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	tr := genRandomWalk(r, 30)
 	bad := []func(traj.Trajectory, int) ([]int, error){
-		func(t traj.Trajectory, w int) ([]int, error) { return []int{1, 2}, nil },            // missing endpoints
-		func(t traj.Trajectory, w int) ([]int, error) { return []int{0, 5, 5, 29}, nil },     // not increasing
-		func(t traj.Trajectory, w int) ([]int, error) { return []int{0, 99}, nil },           // out of range
-		func(t traj.Trajectory, w int) ([]int, error) { return nil, nil },                    // empty
+		func(t traj.Trajectory, w int) ([]int, error) { return []int{1, 2}, nil },        // missing endpoints
+		func(t traj.Trajectory, w int) ([]int, error) { return []int{0, 5, 5, 29}, nil }, // not increasing
+		func(t traj.Trajectory, w int) ([]int, error) { return []int{0, 99}, nil },       // out of range
+		func(t traj.Trajectory, w int) ([]int, error) { return nil, nil },                // empty
 	}
 	for i, f := range bad {
 		_, err := minsize.SearchBudget(tr, 1.0, errm.SED, f)

@@ -18,8 +18,8 @@ import (
 // and the check pillar's own adversarial geometry families.
 
 var repairCfgs = []traj.RepairConfig{
-	{},                          // defaults: window 16, no speed gate
-	{Window: 4, MaxSpeed: 60},   // shallow window + gate
+	{},                        // defaults: window 16, no speed gate
+	{Window: 4, MaxSpeed: 60}, // shallow window + gate
 	{Window: 64, MaxSpeed: 30, AverageDups: true},
 	{Window: -1, MaxSpeed: 100}, // reordering disabled, gate only
 }

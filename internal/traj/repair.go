@@ -166,11 +166,11 @@ type Repairer struct {
 	// The pending duplicate group: fixes released from the window whose
 	// timestamp equals heldT are merged here until a later timestamp
 	// arrives and flushes the group through the gate.
-	hasHeld    bool
-	heldFirst  geo.Point // first-arrived fix of the group (keep-first, DupRadius anchor)
-	heldSumX   float64   // position sums for AverageDups
-	heldSumY   float64
-	heldN      int
+	hasHeld   bool
+	heldFirst geo.Point // first-arrived fix of the group (keep-first, DupRadius anchor)
+	heldSumX  float64   // position sums for AverageDups
+	heldSumY  float64
+	heldN     int
 	// The gate anchor: the last point emitted downstream.
 	hasLast bool
 	last    geo.Point

@@ -9,6 +9,16 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet =="
 go vet ./...
+
+# Formatting: every tracked Go file must be gofmt-clean. .bench_build
+# holds perfbench's build caches and module downloads, not our sources.
+echo "== gofmt =="
+unformatted=$(git ls-files '*.go' | grep -v '^\.bench_build/' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:"
+    echo "$unformatted"
+    exit 1
+fi
 echo "== go build =="
 go build ./...
 
