@@ -76,17 +76,10 @@ func coreMetricsFor(reg *obs.Registry) *coreMetricsSet {
 
 func coreMetrics() *coreMetricsSet { return coreMetricsFor(obs.Default()) }
 
-// ObserveError records a computed simplification error into the
-// per-measure distribution of the process-wide registry. Callers that
-// already paid for errm.Error (the evaluation harness) feed it; the
-// simplify hot path itself never computes errors.
-func ObserveError(m errm.Measure, v float64) {
-	ObserveErrorIn(obs.Default(), m, v)
-}
-
-// ObserveErrorIn is ObserveError recording into an explicit registry —
-// the HTTP handlers use it so the distribution appears in the registry
-// their /metrics endpoint serves.
+// ObserveErrorIn records a computed simplification error into reg's
+// per-measure distribution. The HTTP handlers, which already paid for
+// errm.Error, feed it so the distribution appears in the registry their
+// /metrics endpoint serves; the simplify hot path never computes errors.
 func ObserveErrorIn(reg *obs.Registry, m errm.Measure, v float64) {
 	if h, ok := coreMetricsFor(reg).simplifyError[m]; ok {
 		h.Observe(v)

@@ -99,7 +99,7 @@ func newBatchMetricsSet(reg *obs.Registry) *batchMetricsSet {
 		failures: reg.Counter("rlts_batch_item_failures_total",
 			"Batch items that failed with an inline per-item error"),
 		shards: reg.Counter("rlts_batch_shards_total",
-			"BatchEngine shard runs executed for batch requests"),
+			"Shards run for batch requests"),
 		size: reg.Histogram("rlts_batch_request_items",
 			"Batch size distribution (items per request)",
 			obs.ExpBuckets(1, 2, 11)),

@@ -211,7 +211,6 @@ func Harden(h http.Handler, cfg Config) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rid := sanitizeRequestID(r.Header.Get("X-Request-ID"))
 		w.Header().Set("X-Request-ID", rid)
-		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, rid))
 
 		route := routeLabel(r.URL.Path)
 		sr := &statusRecorder{ResponseWriter: w}
