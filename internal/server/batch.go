@@ -45,6 +45,10 @@ type batchItemRequest struct {
 	Ratio  float64      `json:"ratio,omitempty"`
 }
 
+func (r *batchItemRequest) bodyFields() []bodyField {
+	return []bodyField{{"points", &r.Points}, {"w", &r.W}, {"ratio", &r.Ratio}}
+}
+
 // batchRequest is the wire format of POST /v1/simplify/batch.
 type batchRequest struct {
 	Algorithm string             `json:"algorithm"`
@@ -53,6 +57,13 @@ type batchRequest struct {
 	Ratio     float64            `json:"ratio"`
 	Repair    *repairParams      `json:"repair,omitempty"` // opt-in dirty-input repair, applied per item
 	Items     []batchItemRequest `json:"items"`
+}
+
+func (r *batchRequest) bodyFields() []bodyField {
+	return []bodyField{
+		{"algorithm", &r.Algorithm}, {"measure", &r.Measure}, {"w", &r.W}, {"ratio", &r.Ratio},
+		{"repair", &r.Repair}, {"items", &r.Items},
+	}
 }
 
 // itemFailure is the inline error shape of one failed batch item,

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"rlts/internal/core"
+	"rlts/internal/gen"
 	"rlts/internal/traj"
 )
 
@@ -369,5 +371,38 @@ func TestDecodeBodyLimit(t *testing.T) {
 				t.Errorf("%s: code %q, want %q", tc.name, code, tc.code)
 			}
 		}
+	}
+}
+
+// BenchmarkDecodeBody decodes one 10,000-point /v1/simplify body of
+// Truck coordinates, written as json.Marshal writes them, with the body
+// scanner and with encoding/json's Decoder, and reports ns per point.
+func BenchmarkDecodeBody(b *testing.B) {
+	tr := gen.New(gen.Truck(), 1).Trajectory(10000)
+	body, err := json.Marshal(simplifyRequest{Algorithm: "rlts+", Measure: "SED", Ratio: 0.1, Points: points(tr)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		decode func(v *simplifyRequest) error
+	}{
+		{"scanner", func(v *simplifyRequest) error {
+			return readJSON(bytes.NewReader(body), int64(len(body)), v)
+		}},
+		{"encoding_json", func(v *simplifyRequest) error {
+			return json.NewDecoder(bytes.NewReader(body)).Decode(v)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var req simplifyRequest
+				if err := bc.decode(&req); err != nil || len(req.Points) != tr.Len() {
+					b.Fatalf("decoded %d points: %v", len(req.Points), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/pt")
+		})
 	}
 }

@@ -2,8 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -51,28 +55,42 @@ func fuzzPost(t *testing.T, path, body string) {
 	}
 }
 
+// simplifySeeds and statsSeeds seed the handler fuzz targets and
+// FuzzDecodeBody.
+var simplifySeeds = []string{
+	`{}`,
+	`not json at all`,
+	`{"points":[[0,0,0],[1,1,1]]}`,
+	`{"algorithm":"uniform","w":2,"points":[[0,0,0],[1,1,1],[2,2,2]]}`,
+	`{"algorithm":"bottom-up","ratio":0.5,"points":[[0,0,0],[1,1,1],[2,2,2],[3,3,3]]}`,
+	`{"algorithm":"bellman","w":2,"points":[[0,0,0],[1,1,1],[2,2,2]]}`,
+	`{"algorithm":"uniform","w":1,"points":[[0,0,0],[1,1,1]]}`,
+	`{"algorithm":"uniform","ratio":-1,"points":[[0,0,0],[1,1,1]]}`,
+	`{"algorithm":"uniform","ratio":1,"points":[[0,0,0],[1,1,1]]}`,
+	`{"algorithm":"uniform","ratio":0.999999,"points":[[0,0,0],[1,1,1]]}`,
+	`{"algorithm":"uniform","w":2,"points":[[0,0,0],[NaN,1,1]]}`,
+	`{"algorithm":"uniform","w":2,"points":[[0,0,0],[1e999,1,1]]}`,
+	`{"algorithm":"uniform","w":2,"points":[[0,0,5],[1,1,1]]}`,
+	`{"algorithm":"uniform","w":2,"points":[[0,0,1],[1,1,1]]}`,
+	`{"algorithm":"uniform","w":2,"points":[[0,0,0]]}`,
+	`{"algorithm":"uniform","w":2,"measure":"DAD","points":[[0,0,0],[1,1,1]]}`,
+	`{"algorithm":"rlts","w":2,"measure":"SED","points":[[0,0,0],[1,1,1]]}`,
+	`{"w":-9223372036854775808,"points":[[0,0,0],[1,1,1]]}`,
+}
+
+var statsSeeds = []string{
+	`{}`,
+	`garbage`,
+	`{"points":[[0,0,0],[1,1,1]]}`,
+	`{"points":[[0,0,0]]}`,
+	`{"points":[[0,0,0],[NaN,0,1]]}`,
+	`{"points":[[0,0,0],[0,0,0]]}`,
+	`{"points":[[1e308,-1e308,0],[0,0,1]]}`,
+	`{"points":[]}`,
+}
+
 func FuzzSimplifyHandler(f *testing.F) {
-	seeds := []string{
-		`{}`,
-		`not json at all`,
-		`{"points":[[0,0,0],[1,1,1]]}`,
-		`{"algorithm":"uniform","w":2,"points":[[0,0,0],[1,1,1],[2,2,2]]}`,
-		`{"algorithm":"bottom-up","ratio":0.5,"points":[[0,0,0],[1,1,1],[2,2,2],[3,3,3]]}`,
-		`{"algorithm":"bellman","w":2,"points":[[0,0,0],[1,1,1],[2,2,2]]}`,
-		`{"algorithm":"uniform","w":1,"points":[[0,0,0],[1,1,1]]}`,
-		`{"algorithm":"uniform","ratio":-1,"points":[[0,0,0],[1,1,1]]}`,
-		`{"algorithm":"uniform","ratio":1,"points":[[0,0,0],[1,1,1]]}`,
-		`{"algorithm":"uniform","ratio":0.999999,"points":[[0,0,0],[1,1,1]]}`,
-		`{"algorithm":"uniform","w":2,"points":[[0,0,0],[NaN,1,1]]}`,
-		`{"algorithm":"uniform","w":2,"points":[[0,0,0],[1e999,1,1]]}`,
-		`{"algorithm":"uniform","w":2,"points":[[0,0,5],[1,1,1]]}`,
-		`{"algorithm":"uniform","w":2,"points":[[0,0,1],[1,1,1]]}`,
-		`{"algorithm":"uniform","w":2,"points":[[0,0,0]]}`,
-		`{"algorithm":"uniform","w":2,"measure":"DAD","points":[[0,0,0],[1,1,1]]}`,
-		`{"algorithm":"rlts","w":2,"measure":"SED","points":[[0,0,0],[1,1,1]]}`,
-		`{"w":-9223372036854775808,"points":[[0,0,0],[1,1,1]]}`,
-	}
-	for _, s := range seeds {
+	for _, s := range simplifySeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
@@ -81,20 +99,116 @@ func FuzzSimplifyHandler(f *testing.F) {
 }
 
 func FuzzStatsHandler(f *testing.F) {
-	seeds := []string{
-		`{}`,
-		`garbage`,
-		`{"points":[[0,0,0],[1,1,1]]}`,
-		`{"points":[[0,0,0]]}`,
-		`{"points":[[0,0,0],[NaN,0,1]]}`,
-		`{"points":[[0,0,0],[0,0,0]]}`,
-		`{"points":[[1e308,-1e308,0],[0,0,1]]}`,
-		`{"points":[]}`,
-	}
-	for _, s := range seeds {
+	for _, s := range statsSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
 		fuzzPost(t, "/v1/stats", body)
 	})
+}
+
+// FuzzDecodeBody holds the body scanner to encoding/json's
+// Decoder.Decode, read through the same http.MaxBytesReader, on every
+// request type the scanner decodes and on one it hands whole to
+// json.Unmarshal. limit, when it is 1 to len(body), stands in for
+// MaxBodyBytes so that the 413 rule is reachable. Both must accept or
+// both reject, with the same 413-or-400 answer, and when both accept
+// the decoded requests must be equal bit for bit.
+func FuzzDecodeBody(f *testing.F) {
+	for _, s := range append(append([]string{}, simplifySeeds...), statsSeeds...) {
+		f.Add(s, uint16(0))
+	}
+	for _, c := range decodeCases {
+		for _, rt := range decodeRoutes {
+			if body := c.requestBody(rt); len(body) <= 1<<12 {
+				f.Add(body, uint16(0))
+				f.Add(body, uint16(len(body)/2))
+			}
+		}
+	}
+	types := []func() any{
+		func() any { return new(simplifyRequest) },
+		func() any { return new(batchRequest) },
+		func() any { return new(pointsRequest) },
+		func() any { return new(streamCreateRequest) },
+	}
+	f.Fuzz(func(t *testing.T, body string, limit uint16) {
+		n := int64(len(body)) + 1
+		if limit > 0 && int(limit) <= len(body) {
+			n = int64(limit)
+		}
+		for _, typ := range types {
+			want, got := typ(), typ()
+			werr := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), n)).Decode(want)
+			gerr := readJSON(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), n), int64(len(body)), got)
+			if (werr == nil) != (gerr == nil) || tooLarge(werr) != tooLarge(gerr) {
+				t.Fatalf("%T, limit %d: encoding/json says %v, the scanner %v, on %q", want, n, werr, gerr, body)
+			}
+			if werr == nil && !sameBits(reflect.ValueOf(want), reflect.ValueOf(got)) {
+				t.Fatalf("%T: encoding/json decodes %+v, the scanner %+v, from %q", want, want, got, body)
+			}
+		}
+	})
+}
+
+func tooLarge(err error) bool {
+	var e *http.MaxBytesError
+	return errors.As(err, &e)
+}
+
+// sameBits is reflect.DeepEqual with floats compared by their bits, so
+// that -0 differs from 0.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Interface() == b.Interface()
+}
+
+// TestBodyFieldsMatchTags checks that each type the scanner decodes
+// member by member lists exactly its JSON-tagged fields, each pointing
+// at the field of that name.
+func TestBodyFieldsMatchTags(t *testing.T) {
+	for _, o := range []bodyObject{&simplifyRequest{}, &batchRequest{}, &batchItemRequest{}, &pointsRequest{}} {
+		v := reflect.ValueOf(o).Elem()
+		tags := map[string]any{}
+		for i := 0; i < v.NumField(); i++ {
+			name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+			tags[name] = v.Field(i).Addr().Interface()
+		}
+		fs := o.bodyFields()
+		if len(fs) != len(tags) {
+			t.Errorf("%T lists %d fields, has %d tagged", o, len(fs), len(tags))
+		}
+		for _, f := range fs {
+			if dst, ok := tags[f.name]; !ok || dst != f.dst {
+				t.Errorf("%T: field %q does not point at the field tagged %q", o, f.name, f.name)
+			}
+		}
+	}
 }

@@ -229,6 +229,23 @@ type simplifyRequest struct {
 	Points    [][3]float64  `json:"points"`
 }
 
+func (r *simplifyRequest) bodyFields() []bodyField {
+	return []bodyField{
+		{"algorithm", &r.Algorithm}, {"measure", &r.Measure}, {"w", &r.W}, {"ratio", &r.Ratio},
+		{"bound", &r.Bound}, {"repair", &r.Repair}, {"points", &r.Points},
+	}
+}
+
+// pointsRequest is the wire format of POST /v1/stats and of a stream
+// push.
+type pointsRequest struct {
+	Points [][3]float64 `json:"points"`
+}
+
+func (r *pointsRequest) bodyFields() []bodyField {
+	return []bodyField{{"points", &r.Points}}
+}
+
 type simplifyResponse struct {
 	Algorithm string            `json:"algorithm"`
 	Mode      string            `json:"mode"` // "exact" or "fast" — the kernels that ran
@@ -239,24 +256,6 @@ type simplifyResponse struct {
 	BoundMet  *bool             `json:"bound_met,omitempty"` // re-scored by the exact oracle
 	Repair    *repairReportJSON `json:"repair,omitempty"`    // per-defect repair accounting
 	Points    [][3]float64      `json:"points"`
-}
-
-// decodeBody decodes a JSON request body under the size limit, reporting
-// the failure itself (413 for an oversized body, 400 otherwise). Returns
-// false when the request is already answered.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
-		httpError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
 }
 
 // ingest turns a request's raw points into a trajectory: the MaxPoints
@@ -487,9 +486,7 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Points [][3]float64 `json:"points"`
-	}
+	var req pointsRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}

@@ -421,9 +421,7 @@ func (s *Server) acquire(w http.ResponseWriter, id string) *streamSession {
 }
 
 func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Points [][3]float64 `json:"points"`
-	}
+	var req pointsRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}

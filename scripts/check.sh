@@ -218,5 +218,6 @@ go test ./internal/core -run '^$' -fuzz '^FuzzDecodeStreamerState$' -fuzztime "$
 go test ./internal/storage -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzSimplifyHandler$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzStatsHandler$' -fuzztime "$FUZZTIME"
+go test ./internal/server -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzSessionDecode$' -fuzztime "$FUZZTIME"
 echo "check: OK"
