@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 )
 
 // Request bodies are read whole and decoded by one validating scanner
@@ -97,81 +98,75 @@ func readJSON(body io.Reader, contentLength int64, v any) error {
 // buf's end io.ErrUnexpectedEOF.
 func decodeJSON(buf []byte, more bool, v any) error {
 	d := bodyDecoder{buf: buf}
-	c, err := d.peek()
-	if err != nil {
+	c := d.peek()
+	if d.err != nil {
 		return io.EOF
 	}
 	if o, ok := v.(bodyObject); ok {
-		err = d.fields(o.bodyFields())
+		d.fields(o.bodyFields())
 	} else {
-		err = d.unmarshal(v)
+		d.unmarshal(v)
 	}
 	switch {
-	case err != nil:
-		return err
+	case d.err != nil:
+		return d.err
 	case more && d.pos == len(buf) && c != '{' && c != '[':
 		return io.ErrUnexpectedEOF
 	}
 	return d.typeErr
 }
 
-// bodyDecoder is the scanner's cursor over one body.
+// bodyDecoder is the scanner's cursor over one body. The first syntax
+// error, or the body ending inside the value, stops the scan: err keeps
+// it, peek returns 0 from then on, and every step after it does nothing.
 type bodyDecoder struct {
 	buf     []byte
 	pos     int
 	depth   int   // containers open at pos
+	err     error // what stopped the scan
 	typeErr error // the first value that did not fit its destination
 }
 
 // fields decodes the object at d.pos into the destinations fs names.
-// null leaves them as they are; any other value is a type error.
-func (d *bodyDecoder) fields(fs []bodyField) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
+func (d *bodyDecoder) fields(fs []bodyField) {
+	if d.nullOr('{', "an object") {
+		return
 	}
-	switch c {
-	case 'n':
-		return d.literal("null")
-	case '{':
-	default:
-		return d.mismatch("an object")
-	}
-	return d.object(func(key []byte) error {
+	d.object(func(key []byte) {
 		for _, f := range fs {
 			if bytes.EqualFold(key, []byte(f.name)) {
-				return d.field(f.dst)
+				d.field(f.dst)
+				return
 			}
 		}
-		return d.skip()
+		d.skip()
 	})
 }
 
 // field decodes the value at d.pos into dst.
-func (d *bodyDecoder) field(dst any) error {
+func (d *bodyDecoder) field(dst any) {
 	switch dst := dst.(type) {
 	case *[][3]float64:
-		return decodeSlice(d, dst, "points", d.point)
+		decodeSlice(d, dst, "points", d.point)
 	case *[]batchItemRequest:
-		return decodeSlice(d, dst, "items", func(it *batchItemRequest) error {
-			return d.fields(it.bodyFields())
-		})
+		decodeSlice(d, dst, "items", func(it *batchItemRequest) { d.fields(it.bodyFields()) })
+	default:
+		d.unmarshal(dst)
 	}
-	return d.unmarshal(dst)
 }
 
 // unmarshal hands the value at d.pos to json.Unmarshal, so that dst
 // decodes exactly as encoding/json decodes it.
-func (d *bodyDecoder) unmarshal(dst any) error {
-	d.ws()
+func (d *bodyDecoder) unmarshal(dst any) {
+	d.peek()
 	start := d.pos
-	if err := d.skip(); err != nil {
-		return err
+	d.skip()
+	if d.err != nil {
+		return
 	}
 	if err := json.Unmarshal(d.buf[start:d.pos], dst); err != nil && d.typeErr == nil {
 		d.typeErr = err
 	}
-	return nil
 }
 
 // decodeSlice decodes the array at d.pos into dst under encoding/json's
@@ -179,97 +174,91 @@ func (d *bodyDecoder) unmarshal(dst any) error {
 // i, even past its length, so a duplicate key decodes into what the
 // earlier value left there; storage is grown as append grows it. An
 // empty array leaves a fresh empty slice.
-func decodeSlice[T any](d *bodyDecoder, dst *[]T, what string, elem func(*T) error) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case 'n':
+func decodeSlice[T any](d *bodyDecoder, dst *[]T, what string, elem func(*T)) {
+	if d.peek() == 'n' {
 		*dst = nil
-		return d.literal("null")
-	case '[':
-	default:
-		return d.mismatch(what)
+	}
+	if d.nullOr('[', what) {
+		return
 	}
 	s, n := *dst, 0
-	if err := d.array(func(i int) error {
+	d.array(func(i int) {
 		if i == cap(s) {
 			var zero T
 			s = append(s[:cap(s)], zero)
 		}
 		s, n = s[:i+1], i+1
-		return elem(&s[i])
-	}); err != nil {
-		return err
-	}
+		elem(&s[i])
+	})
 	if n == 0 {
 		s = []T{}
 	}
 	*dst = s[:n]
-	return nil
 }
 
-// point decodes one [x, y, t] array into p: [x, y] zeroes t, elements
-// past the third are skipped, and null leaves p as it is.
-func (d *bodyDecoder) point(p *[3]float64) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case 'n':
-		return d.literal("null")
-	case '[':
-	default:
-		return d.mismatch("a point")
+// point decodes one [x, y, t] array into p: [x, y] zeroes t, and
+// elements past the third are skipped.
+func (d *bodyDecoder) point(p *[3]float64) {
+	if d.nullOr('[', "a point") {
+		return
 	}
 	n := 0
-	err = d.array(func(i int) error {
-		n = i + 1
-		if i < len(p) {
-			return d.float(&p[i])
+	d.array(func(i int) {
+		if n = i + 1; i < len(p) {
+			d.float(&p[i])
+		} else {
+			d.skip()
 		}
-		return d.skip()
 	})
 	for i := n; i < len(p); i++ {
 		p[i] = 0
 	}
-	return err
 }
 
 // float decodes the number at d.pos into f; null leaves f as it is. A
 // number out of float64's range is a type error and leaves f as it is.
-func (d *bodyDecoder) float(f *float64) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.literal("null")
-	}
-	if c != '-' && (c < '0' || c > '9') {
-		return d.mismatch("a coordinate")
-	}
-	start := d.pos
-	num, err := d.number()
-	if err != nil {
-		return err
-	}
-	v, err := strconv.ParseFloat(string(num), 64)
-	if err != nil {
-		if d.typeErr == nil {
+func (d *bodyDecoder) float(f *float64) {
+	switch c := d.peek(); {
+	case c == 'n':
+		d.literal("null")
+	case c == '-' || '0' <= c && c <= '9':
+		start := d.pos
+		num := d.number()
+		if d.err != nil {
+			return
+		}
+		v, err := strconv.ParseFloat(string(num), 64)
+		if err == nil {
+			*f = v
+		} else if d.typeErr == nil {
 			d.typeErr = fmt.Errorf("number %s out of range at byte %d", num, start)
 		}
-		return nil
+	default:
+		d.mismatch("a coordinate")
 	}
-	*f = v
-	return nil
+}
+
+// nullOr reports whether the value at d.pos is dealt with: null is
+// scanned and left to mean "unchanged", and a value that does not start
+// with open is a type error and skipped. Otherwise d.pos is at open.
+func (d *bodyDecoder) nullOr(open byte, what string) bool {
+	switch d.peek() {
+	case open:
+		return false
+	case 'n':
+		d.literal("null")
+	default:
+		d.mismatch(what)
+	}
+	return true
 }
 
 // mismatch records that the value at d.pos does not fit a destination
 // that wants what, then skips the value.
-func (d *bodyDecoder) mismatch(what string) error {
+func (d *bodyDecoder) mismatch(what string) {
+	if d.err != nil {
+		return
+	}
 	if d.typeErr == nil {
 		kind := "number"
 		switch d.buf[d.pos] {
@@ -284,127 +273,99 @@ func (d *bodyDecoder) mismatch(what string) error {
 		}
 		d.typeErr = fmt.Errorf("cannot unmarshal %s into %s at byte %d", kind, what, d.pos)
 	}
-	return d.skip()
+	d.skip()
 }
 
 // skip validates the value at d.pos and moves past it.
-func (d *bodyDecoder) skip() error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	switch {
+func (d *bodyDecoder) skip() {
+	switch c := d.peek(); {
 	case c == '{':
-		return d.object(func([]byte) error { return d.skip() })
+		d.object(func([]byte) { d.skip() })
 	case c == '[':
-		return d.array(func(int) error { return d.skip() })
+		d.array(func(int) { d.skip() })
 	case c == '"':
-		_, err := d.str()
-		return err
+		d.str()
 	case c == '-' || '0' <= c && c <= '9':
-		_, err := d.number()
-		return err
+		d.number()
 	case c == 't':
-		return d.literal("true")
+		d.literal("true")
 	case c == 'f':
-		return d.literal("false")
+		d.literal("false")
 	case c == 'n':
-		return d.literal("null")
+		d.literal("null")
+	default:
+		d.stop()
 	}
-	return d.syntax()
 }
 
 // object scans the object at d.pos, calling member with each key,
 // unescaped, and d.pos at the key's value.
-func (d *bodyDecoder) object(member func(key []byte) error) error {
-	if err := d.open(); err != nil {
-		return err
+func (d *bodyDecoder) object(member func(key []byte)) {
+	if !d.open() {
+		return
 	}
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == '}' {
+	if d.peek() == '}' {
 		d.close()
-		return nil
+		return
 	}
-	for {
-		if c != '"' {
-			return d.syntax()
+	for d.err == nil {
+		if d.peek() != '"' {
+			d.stop()
+			return
 		}
-		key, err := d.key()
-		if err != nil {
-			return err
-		}
-		if c, err = d.peek(); err != nil {
-			return err
-		}
-		if c != ':' {
-			return d.syntax()
+		key := d.key()
+		if d.peek() != ':' {
+			d.stop()
+			return
 		}
 		d.pos++
-		if err := member(key); err != nil {
-			return err
-		}
-		if c, err = d.peek(); err != nil {
-			return err
-		}
-		switch c {
+		member(key)
+		switch d.peek() {
 		case ',':
 			d.pos++
-			if c, err = d.peek(); err != nil {
-				return err
-			}
 		case '}':
 			d.close()
-			return nil
+			return
 		default:
-			return d.syntax()
+			d.stop()
 		}
 	}
 }
 
 // array scans the array at d.pos, calling elem with each index and d.pos
 // at the element.
-func (d *bodyDecoder) array(elem func(i int) error) error {
-	if err := d.open(); err != nil {
-		return err
+func (d *bodyDecoder) array(elem func(i int)) {
+	if !d.open() {
+		return
 	}
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == ']' {
+	if d.peek() == ']' {
 		d.close()
-		return nil
+		return
 	}
-	for i := 0; ; i++ {
-		if err := elem(i); err != nil {
-			return err
-		}
-		if c, err = d.peek(); err != nil {
-			return err
-		}
-		switch c {
+	for i := 0; d.err == nil; i++ {
+		elem(i)
+		switch d.peek() {
 		case ',':
 			d.pos++
 		case ']':
 			d.close()
-			return nil
+			return
 		default:
-			return d.syntax()
+			d.stop()
 		}
 	}
 }
 
-// open enters the object or array at d.pos.
-func (d *bodyDecoder) open() error {
+// open enters the object or array at d.pos, unless that would nest one
+// level too deep.
+func (d *bodyDecoder) open() bool {
 	if d.depth == maxNesting {
-		return fmt.Errorf("nesting exceeds %d levels at byte %d", maxNesting, d.pos)
+		d.err = fmt.Errorf("nesting exceeds %d levels at byte %d", maxNesting, d.pos)
+		return false
 	}
 	d.depth++
 	d.pos++
-	return nil
+	return true
 }
 
 // close leaves the object or array whose closing byte is at d.pos.
@@ -414,145 +375,131 @@ func (d *bodyDecoder) close() {
 }
 
 // key scans the object key at d.pos and returns it unescaped.
-func (d *bodyDecoder) key() ([]byte, error) {
+func (d *bodyDecoder) key() []byte {
 	start := d.pos
-	escaped, err := d.str()
-	if err != nil {
-		return nil, err
-	}
-	tok := d.buf[start:d.pos]
-	if !escaped {
-		return tok[1 : len(tok)-1], nil
+	escaped := d.str()
+	switch {
+	case d.err != nil:
+		return nil
+	case !escaped:
+		return d.buf[start+1 : d.pos-1]
 	}
 	var s string
-	if err := json.Unmarshal(tok, &s); err != nil {
-		return nil, err
+	if err := json.Unmarshal(d.buf[start:d.pos], &s); err != nil {
+		d.err = err
 	}
-	return []byte(s), nil
+	return []byte(s)
 }
 
 // str scans the string at d.pos and reports whether it holds escapes.
-func (d *bodyDecoder) str() (escaped bool, err error) {
-	d.pos++
-	for d.pos < len(d.buf) {
-		switch c := d.buf[d.pos]; {
+func (d *bodyDecoder) str() (escaped bool) {
+	b := d.buf
+	for d.pos++; d.pos < len(b); d.pos++ {
+		switch c := b[d.pos]; {
 		case c == '"':
 			d.pos++
-			return escaped, nil
+			return escaped
 		case c == '\\':
 			escaped = true
-			d.pos++
-			if d.pos == len(d.buf) {
-				return false, io.ErrUnexpectedEOF
-			}
-			switch d.buf[d.pos] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				d.pos++
-			case 'u':
-				d.pos++
-				for i := 0; i < 4; i++ {
-					if d.pos == len(d.buf) {
-						return false, io.ErrUnexpectedEOF
+			if d.pos++; d.pos < len(b) && b[d.pos] == 'u' {
+				for k := 0; k < 4; k++ {
+					if d.pos++; d.pos == len(b) || !isHex(b[d.pos]) {
+						d.stop()
+						return
 					}
-					if h := d.buf[d.pos] | 0x20; !('0' <= h && h <= '9' || 'a' <= h && h <= 'f') {
-						return false, d.syntax()
-					}
-					d.pos++
 				}
-			default:
-				return false, d.syntax()
+			} else if d.pos == len(b) || strings.IndexByte(`"\/bfnrt`, b[d.pos]) < 0 {
+				d.stop()
+				return
 			}
 		case c < 0x20:
-			return false, d.syntax()
-		default:
-			d.pos++
+			d.stop()
+			return
 		}
 	}
-	return false, io.ErrUnexpectedEOF
+	d.stop()
+	return
 }
+
+func isHex(c byte) bool { return c-'0' <= 9 || (c|0x20)-'a' <= 5 }
 
 // number scans the number at d.pos under JSON's grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
-func (d *bodyDecoder) number() ([]byte, error) {
-	b, i := d.buf, d.pos
-	if b[i] == '-' {
-		i++
-	}
+func (d *bodyDecoder) number() []byte {
+	b, i, ok := d.buf, d.pos, true
 	// digits moves i past a run of digits, which must not be empty.
-	digits := func() error {
-		if i == len(b) {
-			return io.ErrUnexpectedEOF
-		}
-		if b[i]-'0' > 9 {
-			d.pos = i
-			return d.syntax()
+	digits := func() {
+		if i == len(b) || b[i]-'0' > 9 {
+			ok = false
+			return
 		}
 		for i++; i < len(b) && b[i]-'0' <= 9; i++ {
 		}
-		return nil
+	}
+	if b[i] == '-' {
+		i++
 	}
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else if err := digits(); err != nil {
-		return nil, err
+	} else {
+		digits()
 	}
-	if i < len(b) && b[i] == '.' {
+	if ok && i < len(b) && b[i] == '.' {
 		i++
-		if err := digits(); err != nil {
-			return nil, err
-		}
+		digits()
 	}
-	if i < len(b) && b[i]|0x20 == 'e' {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+	if ok && i < len(b) && b[i]|0x20 == 'e' {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if err := digits(); err != nil {
-			return nil, err
-		}
+		digits()
 	}
 	num := b[d.pos:i]
-	d.pos = i
-	return num, nil
+	if d.pos = i; !ok {
+		d.stop()
+	}
+	return num
 }
 
 // literal scans lit, which must be at d.pos.
-func (d *bodyDecoder) literal(lit string) error {
+func (d *bodyDecoder) literal(lit string) {
 	for i := 0; i < len(lit); i++ {
-		if d.pos == len(d.buf) {
-			return io.ErrUnexpectedEOF
-		}
-		if d.buf[d.pos] != lit[i] {
-			return d.syntax()
+		if d.pos == len(d.buf) || d.buf[d.pos] != lit[i] {
+			d.stop()
+			return
 		}
 		d.pos++
 	}
-	return nil
 }
 
-// peek skips whitespace and returns the byte after it, or
-// io.ErrUnexpectedEOF at the end of the body.
-func (d *bodyDecoder) peek() (byte, error) {
-	d.ws()
-	if d.pos == len(d.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	return d.buf[d.pos], nil
-}
-
-// ws moves past whitespace.
-func (d *bodyDecoder) ws() {
+// peek skips whitespace and returns the byte after it. At the end of the
+// body it stops the scan; once the scan has stopped it returns 0.
+func (d *bodyDecoder) peek() byte {
 	for d.pos < len(d.buf) {
 		switch d.buf[d.pos] {
 		case ' ', '\t', '\n', '\r':
 			d.pos++
-		default:
-			return
+			continue
 		}
+		break
 	}
+	if d.pos == len(d.buf) {
+		d.stop()
+	}
+	if d.err != nil {
+		return 0
+	}
+	return d.buf[d.pos]
 }
 
-// syntax is the error for the unexpected byte at d.pos.
-func (d *bodyDecoder) syntax() error {
-	return fmt.Errorf("invalid character %q at byte %d", d.buf[d.pos:d.pos+1], d.pos)
+// stop ends the scan at d.pos, unless it has ended already: the body
+// ended too soon, or the byte there cannot come next.
+func (d *bodyDecoder) stop() {
+	switch {
+	case d.err != nil:
+	case d.pos >= len(d.buf):
+		d.err = io.ErrUnexpectedEOF
+	default:
+		d.err = fmt.Errorf("invalid character %q at byte %d", d.buf[d.pos:d.pos+1], d.pos)
+	}
 }

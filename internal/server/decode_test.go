@@ -127,6 +127,8 @@ var decodeCases = []decodeCase{
 		status: http.StatusBadRequest, code: codeBadRequest},
 	{name: "bad escape", members: `"x":"\q","points":[[1,2,3],[4,5,6]]`,
 		status: http.StatusBadRequest, code: codeBadRequest},
+	{name: "control bytes are no hex digits", members: "\"x\":\"\\u00\x10\x11\",\"points\":[[1,2,3],[4,5,6]]",
+		status: http.StatusBadRequest, code: codeBadRequest},
 	{name: "empty body", whole: true, members: ``,
 		status: http.StatusBadRequest, code: codeBadRequest},
 	{name: "whitespace-only body", whole: true, members: " \t\r\n ",
