@@ -500,6 +500,6 @@ func (d *bodyDecoder) stop() {
 	case d.pos >= len(d.buf):
 		d.err = io.ErrUnexpectedEOF
 	default:
-		d.err = fmt.Errorf("invalid character %q at byte %d", d.buf[d.pos:d.pos+1], d.pos)
+		d.err = fmt.Errorf("invalid character %q at byte %d", rune(d.buf[d.pos]), d.pos)
 	}
 }
