@@ -77,41 +77,34 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // readJSON reads body into one buffer sized from contentLength and
-// decodes its first value into v. When that value does not end within
-// the bytes read, the read's own error, such as *http.MaxBytesError,
-// is the result.
+// decodes its first value into v. A body of whitespace alone is io.EOF.
+// When the value does not end within the bytes read, the read's own
+// error, such as *http.MaxBytesError, is the result, or
+// io.ErrUnexpectedEOF when the body ended cleanly.
 func readJSON(body io.Reader, contentLength int64, v any) error {
 	var buf bytes.Buffer
 	buf.Grow(int(min(max(contentLength, 0), bodyPrealloc)) + bytes.MinRead)
 	_, rerr := buf.ReadFrom(body)
-	err := decodeJSON(buf.Bytes(), rerr != nil, v)
-	if rerr != nil && (err == io.EOF || err == io.ErrUnexpectedEOF) {
-		return rerr
-	}
-	return err
-}
-
-// decodeJSON decodes the first JSON value in buf into v. more reports
-// that the body went on past buf; then a top-level scalar that reaches
-// buf's end has not ended, since encoding/json ends one only at the byte
-// after it. A body of whitespace alone is io.EOF, a value cut off by
-// buf's end io.ErrUnexpectedEOF.
-func decodeJSON(buf []byte, more bool, v any) error {
-	d := bodyDecoder{buf: buf}
+	d := bodyDecoder{buf: buf.Bytes()}
 	c := d.peek()
-	if d.err != nil {
-		return io.EOF
-	}
-	if o, ok := v.(bodyObject); ok {
+	switch o, ok := v.(bodyObject); {
+	case d.err != nil:
+		d.err = io.EOF
+	case ok:
 		d.fields(o.bodyFields())
-	} else {
+	default:
 		d.unmarshal(v)
 	}
+	// encoding/json ends a top-level scalar only at the byte after it, so
+	// one that reaches the end of a body cut short has not ended.
+	if d.err == nil && rerr != nil && d.pos == len(d.buf) && c != '{' && c != '[' {
+		d.err = io.ErrUnexpectedEOF
+	}
 	switch {
+	case rerr != nil && (d.err == io.EOF || d.err == io.ErrUnexpectedEOF):
+		return rerr
 	case d.err != nil:
 		return d.err
-	case more && d.pos == len(buf) && c != '{' && c != '[':
-		return io.ErrUnexpectedEOF
 	}
 	return d.typeErr
 }
