@@ -36,9 +36,10 @@ go test -race ./...
 # reproduce them), and every decision path — Simplify, BatchEngine,
 # Streamer, resumed Streamer, the fast kernels; pretrained, seeded Skip
 # and seeded ++ policies; greedy and sampled — must reproduce its pinned
-# digest. A change
-# that alters a persisted format or forks one decision fails here by
-# name. Fixtures are never regenerated to make this stage pass.
+# digest, as must the float64 bits of every measure
+# (TestGoldenMeasureBits). A change that alters a persisted format, forks
+# one decision or moves one measure's last bit fails here by name.
+# Fixtures are never regenerated to make this stage pass.
 echo "== golden fixtures =="
 go test -count=1 -run 'TestGolden' ./internal/core ./internal/server ./internal/check ./internal/traj ./internal/storage ./internal/rl
 
@@ -215,6 +216,7 @@ go test ./internal/traj -run '^$' -fuzz '^FuzzFromPoints$' -fuzztime "$FUZZTIME"
 go test ./internal/traj -run '^$' -fuzz '^FuzzRepair$' -fuzztime "$FUZZTIME"
 go test ./internal/traj -run '^$' -fuzz '^FuzzDecodeRepairState$' -fuzztime "$FUZZTIME"
 go test ./internal/core -run '^$' -fuzz '^FuzzDecodeStreamerState$' -fuzztime "$FUZZTIME"
+go test ./internal/errm -run '^$' -fuzz '^FuzzSegmentError$' -fuzztime "$FUZZTIME"
 go test ./internal/storage -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzSimplifyHandler$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzStatsHandler$' -fuzztime "$FUZZTIME"
