@@ -145,9 +145,10 @@ func pushSeg(h *segHeap, t traj.Trajectory, m errm.Measure, a, b int) {
 		heap.Push(h, splitSeg{a: a, b: b, split: -1, err: 0})
 		return
 	}
+	an := errm.Prepare(m, t, a, b)
 	worst, at := -1.0, a+1
 	for i := a + 1; i < b; i++ {
-		if e := errm.PointError(m, t, a, i, b); e > worst {
+		if e := an.PointError(i); e > worst {
 			worst, at = e, i
 		}
 	}

@@ -6,6 +6,17 @@
 // across drop/extend operations, which the RL training loop uses to compute
 // rewards in amortized sub-linear time.
 //
+// # Prepared anchors
+//
+// Every granularity runs geo's prepared anchors (geo.SEDAnchor and its
+// siblings), each measure's one implementation. A span scan —
+// SegmentError, MeanError, or Top-Down's split search through Prepare
+// and Anchor.PointError — prepares the anchor segment once per span and
+// then pays only the per-point arithmetic for each covered point, so the
+// n' term of RLTS+'s O((n−W)(n' + log W)) cost has a small constant.
+// PointError and OnlineValue are the same kernels applied to one point,
+// and every route yields the same float64 bits.
+//
 // # Degenerate geometry
 //
 // All four measures are total functions over finite inputs: they return a
@@ -97,6 +108,54 @@ func Parse(name string) (Measure, error) {
 	return 0, fmt.Errorf("errm: unknown measure %q (want SED, PED, DAD or SAD)", name)
 }
 
+// Anchor is the anchor segment T[a]T[b] prepared once for one measure
+// (geo's prepared anchors), so the error of each point or motion segment
+// it covers costs only the per-point arithmetic. It is a plain value; a
+// span scan keeps it on the stack.
+type Anchor struct {
+	m   Measure
+	t   traj.Trajectory
+	b   int
+	sed geo.SEDAnchor
+	ped geo.PEDAnchor
+	dad geo.DADAnchor
+	sad geo.SADAnchor
+}
+
+// Prepare prepares the anchor segment T[a]T[b] for measure m.
+func Prepare(m Measure, t traj.Trajectory, a, b int) Anchor {
+	an := Anchor{m: m, t: t, b: b}
+	s := t.Segment(a, b)
+	switch m {
+	case SED:
+		an.sed = geo.PrepareSED(s)
+	case PED:
+		an.ped = geo.PreparePED(s)
+	case DAD:
+		an.dad = geo.PrepareDAD(s)
+	case SAD:
+		an.sad = geo.PrepareSAD(s)
+	default:
+		panic(fmt.Sprintf("errm: invalid measure %d", int(m)))
+	}
+	return an
+}
+
+// PointError returns eps(seg | T[i]) for a <= i <= b, as the package
+// function PointError defines it.
+func (an *Anchor) PointError(i int) float64 {
+	switch an.m {
+	case SED:
+		return an.sed.Distance(an.t[i])
+	case PED:
+		return an.ped.Distance(an.t[i])
+	case DAD:
+		return an.dad.Distance(motionAt(an.t, i, an.b))
+	default:
+		return an.sad.Distance(motionAt(an.t, i, an.b))
+	}
+}
+
 // PointError returns eps(seg | p): the error of using the anchor segment
 // T[a]T[b] in place of the original motion at point T[i], where a <= i <= b.
 //
@@ -104,19 +163,8 @@ func Parse(name string) (Measure, error) {
 // error is attributed to the original motion segment starting at T[i]
 // (or ending at it, when i == b), compared against the anchor segment.
 func PointError(m Measure, t traj.Trajectory, a, i, b int) float64 {
-	anchor := t.Segment(a, b)
-	switch m {
-	case SED:
-		return geo.SynchronizedDistance(anchor, t[i])
-	case PED:
-		return geo.PerpendicularDistance(anchor, t[i])
-	case DAD:
-		return geo.DirectionDistance(anchor, motionAt(t, i, b))
-	case SAD:
-		return geo.SpeedDistance(anchor, motionAt(t, i, b))
-	default:
-		panic(fmt.Sprintf("errm: invalid measure %d", int(m)))
-	}
+	an := Prepare(m, t, a, b)
+	return an.PointError(i)
 }
 
 // motionAt returns the original motion segment attributed to point i:
@@ -141,26 +189,30 @@ func SegmentError(m Measure, t traj.Trajectory, a, b int) float64 {
 	var worst float64
 	switch m {
 	case SED:
-		for i := a + 1; i < b; i++ {
-			if d := geo.SynchronizedDistance(anchor, t[i]); d > worst {
+		an := geo.PrepareSED(anchor)
+		for _, p := range t[a+1 : b] {
+			if d := an.Distance(p); d > worst {
 				worst = d
 			}
 		}
 	case PED:
-		for i := a + 1; i < b; i++ {
-			if d := geo.PerpendicularDistance(anchor, t[i]); d > worst {
+		an := geo.PreparePED(anchor)
+		for _, p := range t[a+1 : b] {
+			if d := an.Distance(p); d > worst {
 				worst = d
 			}
 		}
 	case DAD:
+		an := geo.PrepareDAD(anchor)
 		for i := a; i < b; i++ {
-			if d := geo.DirectionDistance(anchor, t.Segment(i, i+1)); d > worst {
+			if d := an.Distance(t.Segment(i, i+1)); d > worst {
 				worst = d
 			}
 		}
 	case SAD:
+		an := geo.PrepareSAD(anchor)
 		for i := a; i < b; i++ {
-			if d := geo.SpeedDistance(anchor, t.Segment(i, i+1)); d > worst {
+			if d := an.Distance(t.Segment(i, i+1)); d > worst {
 				worst = d
 			}
 		}

@@ -39,8 +39,12 @@ func MeanError(m Measure, t traj.Trajectory, kept []int) float64 {
 	var cnt int
 	for i := 1; i < len(kept); i++ {
 		a, b := kept[i-1], kept[i]
+		if b <= a+1 {
+			continue
+		}
+		an := Prepare(m, t, a, b)
 		for j := a + 1; j < b; j++ {
-			sum += PointError(m, t, a, j, b)
+			sum += an.PointError(j)
 			cnt++
 		}
 	}

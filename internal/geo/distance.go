@@ -2,27 +2,199 @@ package geo
 
 import "math"
 
+// span is what SED and PED share about an anchor segment: its endpoint
+// locations and their differences, which place a parameter u on it.
+type span struct {
+	ax, ay, bx, by float64
+	dx, dy         float64
+}
+
+func newSpan(s Segment) span {
+	return span{
+		ax: s.A.X, ay: s.A.Y, bx: s.B.X, by: s.B.Y,
+		dx: s.B.X - s.A.X, dy: s.B.Y - s.A.Y,
+	}
+}
+
+// dist returns the distance from p's location to the point at parameter
+// u on the span: Dist(p, Lerp(A, B, u)), without the timestamp.
+func (s *span) dist(p Point, u float64) float64 {
+	return math.Hypot(p.X-lerp1(s.ax, s.bx, s.dx, u), p.Y-lerp1(s.ay, s.by, s.dy, u))
+}
+
+// SEDAnchor is an anchor segment prepared for synchronized Euclidean
+// distances: its coordinate differences and its time span.
+type SEDAnchor struct {
+	span
+	// u = (t - t0) / dt locates a timestamp t, on halved timestamps when
+	// the span overflows float64 (half); flat (a zero or negative span)
+	// maps every t to 0.
+	t0, dt     float64
+	half, flat bool
+}
+
+// PrepareSED prepares s for SEDAnchor.Distance.
+func PrepareSED(s Segment) SEDAnchor {
+	a := SEDAnchor{span: newSpan(s), t0: s.A.T, dt: s.B.T - s.A.T}
+	switch {
+	case a.dt <= 0:
+		a.flat = true
+	case math.IsInf(a.dt, 0):
+		a.half, a.t0, a.dt = true, s.A.T/2, s.B.T/2-s.A.T/2
+	}
+	return a
+}
+
+// param is Segment.TimeParam on the prepared segment.
+func (a *SEDAnchor) param(t float64) float64 {
+	if a.flat {
+		return 0
+	}
+	if a.half {
+		t /= 2
+	}
+	return clamp01((t - a.t0) / a.dt)
+}
+
+// Distance returns the synchronized Euclidean distance from p to the
+// anchor: the distance between p's location and the position on the
+// anchor synchronized to p's timestamp.
+func (a *SEDAnchor) Distance(p Point) float64 {
+	return a.dist(p, a.param(p.T))
+}
+
+// PEDAnchor is an anchor segment prepared for perpendicular Euclidean
+// distances: its coordinate differences and squared length, or, when the
+// squared length overflows float64, its direction normalised by its
+// largest half-component (halving keeps differences of finite values
+// finite), so no square of a raw coordinate difference is ever formed.
+type PEDAnchor struct {
+	span
+	// u = ((x - ox)*ux + (y - oy)*uy) / den, and then / m when wide,
+	// where x and y are the point's coordinates, halved when wide; flat
+	// (a zero-length segment) maps every point to 0.
+	ox, oy, ux, uy, den, m float64
+	wide, flat             bool
+}
+
+// PreparePED prepares s for PEDAnchor.Distance.
+func PreparePED(s Segment) PEDAnchor {
+	a := PEDAnchor{span: newSpan(s), ox: s.A.X, oy: s.A.Y}
+	a.ux, a.uy = a.dx, a.dy
+	a.den = a.dx*a.dx + a.dy*a.dy
+	switch {
+	case a.den == 0:
+		a.flat = true
+	case math.IsInf(a.den, 0):
+		hx, hy := s.B.X/2-s.A.X/2, s.B.Y/2-s.A.Y/2
+		a.m = math.Max(math.Abs(hx), math.Abs(hy))
+		if a.m == 0 {
+			a.flat = true
+			break
+		}
+		// u = (v·d)/|d|² with d = 2m·(ux, uy) and v twice the halved
+		// offset; the factors of two cancel. Dividing by the O(1) norm
+		// first leaves one division by m, which is huge on this path.
+		a.wide, a.ox, a.oy = true, s.A.X/2, s.A.Y/2
+		a.ux, a.uy = hx/a.m, hy/a.m
+		a.den = a.ux*a.ux + a.uy*a.uy
+	}
+	return a
+}
+
+// param is Segment.ClosestParam on the prepared segment.
+func (a *PEDAnchor) param(p Point) float64 {
+	if a.flat {
+		return 0
+	}
+	x, y := p.X, p.Y
+	if a.wide {
+		x, y = x/2, y/2
+	}
+	u := ((x-a.ox)*a.ux + (y-a.oy)*a.uy) / a.den
+	if a.wide {
+		u /= a.m
+	}
+	return clamp01(u)
+}
+
+// Distance returns the shortest Euclidean distance from p's location to
+// the anchor (the distance to the closest point on the segment).
+func (a *PEDAnchor) Distance(p Point) float64 {
+	return a.dist(p, a.param(p))
+}
+
+// DADAnchor is an anchor segment prepared for direction-aware distances:
+// its heading, and whether it is zero-length.
+type DADAnchor struct {
+	heading float64
+	flat    bool
+}
+
+// PrepareDAD prepares s for DADAnchor.Distance.
+func PrepareDAD(s Segment) DADAnchor {
+	return DADAnchor{heading: s.Direction(), flat: s.IsDegenerate()}
+}
+
+// Distance returns the angular difference in [0, pi] radians between the
+// anchor's heading and the motion segment m's. A zero-length anchor or
+// motion segment contributes 0: a stationary object has no preferred
+// direction.
+func (a DADAnchor) Distance(m Segment) float64 {
+	if a.flat || m.IsDegenerate() {
+		return 0
+	}
+	return AngularDifference(a.heading, m.Direction())
+}
+
+// SADAnchor is an anchor segment prepared for speed-aware distances: its
+// constant-speed interpretation.
+type SADAnchor struct {
+	speed float64
+}
+
+// PrepareSAD prepares s for SADAnchor.Distance.
+func PrepareSAD(s Segment) SADAnchor {
+	return SADAnchor{speed: s.Speed()}
+}
+
+// Distance returns the absolute difference between the anchor's speed
+// and the motion segment m's. Two speeds that both saturate to +Inf
+// (true values beyond float64 range) compare equal, returning 0 instead
+// of the Inf-Inf NaN the naive subtraction would produce.
+func (a SADAnchor) Distance(m Segment) float64 {
+	b := m.Speed()
+	if math.IsInf(a.speed, 1) && math.IsInf(b, 1) {
+		return 0
+	}
+	return math.Abs(a.speed - b)
+}
+
 // PerpendicularDistance returns the shortest Euclidean distance from p's
 // location to the segment s (distance to the closest point on the segment,
 // which is the standard PED primitive).
 func PerpendicularDistance(s Segment, p Point) float64 {
-	u := s.ClosestParam(p)
-	c := Lerp(s.A, s.B, u)
-	return Dist(p, c)
+	a := PreparePED(s)
+	return a.Distance(p)
 }
 
 // SynchronizedDistance returns the synchronized Euclidean distance (SED)
 // from p to the segment s: the distance between p's location and the
 // position on s synchronized to p's timestamp.
 func SynchronizedDistance(s Segment, p Point) float64 {
-	return Dist(p, s.At(p.T))
+	a := PrepareSED(s)
+	return a.Distance(p)
 }
 
 // AngularDifference returns the absolute difference between two headings
 // (radians), folded into [0, pi].
 func AngularDifference(a, b float64) float64 {
 	d := math.Abs(a - b)
-	d = math.Mod(d, 2*math.Pi)
+	if d >= 2*math.Pi {
+		// math.Mod(d, 2π) returns d itself below 2π, so only a larger
+		// difference (or Inf, which Mod turns into NaN) needs the call.
+		d = math.Mod(d, 2*math.Pi)
+	}
 	if d > math.Pi {
 		d = 2*math.Pi - d
 	}
@@ -35,11 +207,7 @@ func AngularDifference(a, b float64) float64 {
 // (zero length) contribute their 0 heading, matching the interpretation
 // that a stationary object has no preferred direction.
 func DirectionDistance(s, m Segment) float64 {
-	if s.IsDegenerate() || m.IsDegenerate() {
-		// A stationary stretch imposes no direction constraint.
-		return 0
-	}
-	return AngularDifference(s.Direction(), m.Direction())
+	return PrepareDAD(s).Distance(m)
 }
 
 // SpeedDistance returns the speed-aware distance (SAD primitive) between
@@ -48,9 +216,5 @@ func DirectionDistance(s, m Segment) float64 {
 // to +Inf (true values beyond float64 range) compare equal — returning 0
 // instead of the Inf-Inf NaN the naive subtraction would produce.
 func SpeedDistance(s, m Segment) float64 {
-	a, b := s.Speed(), m.Speed()
-	if math.IsInf(a, 1) && math.IsInf(b, 1) {
-		return 0
-	}
-	return math.Abs(a - b)
+	return PrepareSAD(s).Distance(m)
 }

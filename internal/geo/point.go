@@ -5,6 +5,20 @@
 // All coordinates are planar (x, y) in an arbitrary but consistent unit
 // (the paper reports errors in units of 10 m); timestamps are float64
 // seconds. The package is allocation-free on the hot paths.
+//
+// # Prepared anchors
+//
+// Each measure's distance has one implementation: a prepared anchor
+// (SEDAnchor, PEDAnchor, DADAnchor, SADAnchor). Its constructor computes
+// once what every point covered by an anchor segment shares, such as the
+// coordinate differences, the time span or the heading, and its Distance
+// method runs the per-point arithmetic, keeping every per-point overflow
+// fallback. A span scan prepares its anchor once and calls Distance per
+// covered point; SynchronizedDistance, PerpendicularDistance,
+// DirectionDistance, SpeedDistance, Segment.TimeParam and
+// Segment.ClosestParam are the prepared form applied to one point, so
+// both routes produce the same float64 bits. Anchors are plain values
+// and allocate nothing.
 package geo
 
 import (
@@ -60,14 +74,16 @@ func (p Point) IsFinite() bool {
 // intermediate Inf.
 func Lerp(p, q Point, u float64) Point {
 	return Point{
-		X: lerp1(p.X, q.X, u),
-		Y: lerp1(p.Y, q.Y, u),
-		T: lerp1(p.T, q.T, u),
+		X: lerp1(p.X, q.X, q.X-p.X, u),
+		Y: lerp1(p.Y, q.Y, q.Y-p.Y, u),
+		T: lerp1(p.T, q.T, q.T-p.T, u),
 	}
 }
 
-func lerp1(a, b, u float64) float64 {
-	v := a + u*(b-a)
+// lerp1 interpolates one coordinate from a to b, given their difference
+// d = b-a, which a prepared anchor computes once for every point.
+func lerp1(a, b, d, u float64) float64 {
+	v := a + u*d
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		// b-a overflowed (or u*(b-a) produced 0*Inf): the convex form is
 		// bounded by max(|a|, |b|) for u in [0, 1], hence finite.

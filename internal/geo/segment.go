@@ -67,44 +67,21 @@ func (s Segment) IsDegenerate() bool {
 // squared length overflows float64 are projected with normalized
 // arithmetic instead, so extreme (but finite) coordinates never yield NaN.
 func (s Segment) ClosestParam(p Point) float64 {
-	dx, dy := s.B.X-s.A.X, s.B.Y-s.A.Y
-	den := dx*dx + dy*dy
-	if den == 0 {
-		return 0
-	}
-	if math.IsInf(den, 0) {
-		return s.closestParamWide(p)
-	}
-	u := ((p.X-s.A.X)*dx + (p.Y-s.A.Y)*dy) / den
-	return clamp01(u)
-}
-
-// closestParamWide is the overflow-safe slow path of ClosestParam: the
-// segment direction is normalized by its largest half-component (halving
-// keeps differences of finite values finite) before projecting, so no
-// intermediate square of a raw coordinate difference is ever formed.
-func (s Segment) closestParamWide(p Point) float64 {
-	hx, hy := s.B.X/2-s.A.X/2, s.B.Y/2-s.A.Y/2
-	m := math.Max(math.Abs(hx), math.Abs(hy))
-	if m == 0 {
-		return 0
-	}
-	nx, ny := hx/m, hy/m
-	vx, vy := p.X/2-s.A.X/2, p.Y/2-s.A.Y/2
-	// u = (v·d)/|d|² with d = 2m·(nx, ny) and v = 2·(vx, vy); the factors
-	// of two cancel. Divide by the O(1) norm first so the only remaining
-	// division is by m, which is huge on this path.
-	u := (vx*nx + vy*ny) / (nx*nx + ny*ny) / m
-	return clamp01(u)
+	a := PreparePED(s)
+	return a.param(p)
 }
 
 // clamp01 clamps u to [0, 1], mapping NaN (a pathological magnitude
-// spread where opposing contributions both overflow) to 0.
+// spread where opposing contributions both overflow) and -0 to +0, as
+// math.Max(0, math.Min(1, u)) after a NaN check does.
 func clamp01(u float64) float64 {
-	if math.IsNaN(u) {
+	if !(u > 0) {
 		return 0
 	}
-	return math.Max(0, math.Min(1, u))
+	if u > 1 {
+		return 1
+	}
+	return u
 }
 
 // TimeParam returns the parameter u in [0, 1] locating time t
@@ -113,15 +90,8 @@ func clamp01(u float64) float64 {
 // from halved timestamps (finite for finite inputs), so astronomically
 // long segments still interpolate instead of collapsing to an endpoint.
 func (s Segment) TimeParam(t float64) float64 {
-	dt := s.Duration()
-	if dt <= 0 {
-		return 0
-	}
-	if math.IsInf(dt, 0) {
-		return clamp01((t/2 - s.A.T/2) / (s.B.T/2 - s.A.T/2))
-	}
-	u := (t - s.A.T) / dt
-	return clamp01(u)
+	a := PrepareSED(s)
+	return a.param(t)
 }
 
 // At returns the synchronized position on the segment at time t: the
