@@ -1,6 +1,7 @@
 package errm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,15 +24,25 @@ func benchTraj(n int) traj.Trajectory {
 var sinkF float64
 
 // BenchmarkSegmentError measures the span scan behind n' in the paper's
-// complexity analysis, at a typical span width.
+// complexity analysis, sweeping the anchor span b-a from 4 to 256 so the
+// per-point constant and the per-span preparation separate. Each
+// sub-benchmark reports ns per covered point: the b-a-1 interior points
+// of SED and PED, the b-a motion segments of DAD and SAD.
 func BenchmarkSegmentError(b *testing.B) {
 	t := benchTraj(1000)
 	for _, m := range Measures {
-		b.Run(m.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF = SegmentError(m, t, 100, 120) // 20-point span
+		for _, w := range []int{4, 16, 64, 256} {
+			covered := w - 1
+			if m == DAD || m == SAD {
+				covered = w
 			}
-		})
+			b.Run(fmt.Sprintf("%v/span=%d", m, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sinkF = SegmentError(m, t, 100, 100+w)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*covered), "ns/pt")
+			})
+		}
 	}
 }
 
