@@ -185,6 +185,8 @@ func SegmentError(m Measure, t traj.Trajectory, a, b int) float64 {
 	if b <= a+1 {
 		return 0
 	}
+	// The Eq. 12 hot path: one loop per measure straight over the geo
+	// anchor, without Anchor's per-point dispatch.
 	anchor := t.Segment(a, b)
 	var worst float64
 	switch m {

@@ -149,6 +149,26 @@ func TestSegmentErrorZigzag(t *testing.T) {
 	}
 }
 
+// TestSpanScanAllocatesNothing: prepared anchors are stack values, so
+// no granularity allocates.
+func TestSpanScanAllocatesNothing(t *testing.T) {
+	tr := zigzag(40, 3)
+	kept := []int{0, 7, 20, 39}
+	for _, m := range Measures {
+		allocs := testing.AllocsPerRun(100, func() {
+			sinkF = SegmentError(m, tr, 2, 30)
+			sinkF = PointError(m, tr, 2, 17, 30)
+			sinkF = OnlineValue(m, tr[4], tr[5], tr[6])
+			sinkF = MeanError(m, tr, kept)
+			an := Prepare(m, tr, 2, 30)
+			sinkF = an.PointError(30)
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %v allocations per run, want 0", m, allocs)
+		}
+	}
+}
+
 func TestSegmentErrorMonotoneUnderContainmentSED(t *testing.T) {
 	// Widening the span can only add candidate points, but the anchor also
 	// changes, so instead verify the max-definition: error over [a,b]

@@ -56,9 +56,7 @@ func (a *SEDAnchor) param(t float64) float64 {
 	return clamp01((t - a.t0) / a.dt)
 }
 
-// Distance returns the synchronized Euclidean distance from p to the
-// anchor: the distance between p's location and the position on the
-// anchor synchronized to p's timestamp.
+// Distance returns SynchronizedDistance(s, p) for the prepared anchor s.
 func (a *SEDAnchor) Distance(p Point) float64 {
 	return a.dist(p, a.param(p.T))
 }
@@ -118,8 +116,7 @@ func (a *PEDAnchor) param(p Point) float64 {
 	return clamp01(u)
 }
 
-// Distance returns the shortest Euclidean distance from p's location to
-// the anchor (the distance to the closest point on the segment).
+// Distance returns PerpendicularDistance(s, p) for the prepared anchor s.
 func (a *PEDAnchor) Distance(p Point) float64 {
 	return a.dist(p, a.param(p))
 }
@@ -136,10 +133,7 @@ func PrepareDAD(s Segment) DADAnchor {
 	return DADAnchor{heading: s.Direction(), flat: s.IsDegenerate()}
 }
 
-// Distance returns the angular difference in [0, pi] radians between the
-// anchor's heading and the motion segment m's. A zero-length anchor or
-// motion segment contributes 0: a stationary object has no preferred
-// direction.
+// Distance returns DirectionDistance(s, m) for the prepared anchor s.
 func (a DADAnchor) Distance(m Segment) float64 {
 	if a.flat || m.IsDegenerate() {
 		return 0
@@ -158,10 +152,7 @@ func PrepareSAD(s Segment) SADAnchor {
 	return SADAnchor{speed: s.Speed()}
 }
 
-// Distance returns the absolute difference between the anchor's speed
-// and the motion segment m's. Two speeds that both saturate to +Inf
-// (true values beyond float64 range) compare equal, returning 0 instead
-// of the Inf-Inf NaN the naive subtraction would produce.
+// Distance returns SpeedDistance(s, m) for the prepared anchor s.
 func (a SADAnchor) Distance(m Segment) float64 {
 	b := m.Speed()
 	if math.IsInf(a.speed, 1) && math.IsInf(b, 1) {
