@@ -2,40 +2,40 @@ package geo
 
 import "math"
 
-// span is what SED and PED share about an anchor segment: its endpoint
+// interp is what SED and PED share about an anchor segment: its endpoint
 // locations and their differences, which place a parameter u on it.
-type span struct {
+type interp struct {
 	ax, ay, bx, by float64
 	dx, dy         float64
 }
 
-func newSpan(s Segment) span {
-	return span{
+func newInterp(s Segment) interp {
+	return interp{
 		ax: s.A.X, ay: s.A.Y, bx: s.B.X, by: s.B.Y,
 		dx: s.B.X - s.A.X, dy: s.B.Y - s.A.Y,
 	}
 }
 
 // dist returns the distance from p's location to the point at parameter
-// u on the span: Dist(p, Lerp(A, B, u)), without the timestamp.
-func (s *span) dist(p Point, u float64) float64 {
+// u on the segment: Dist(p, Lerp(A, B, u)), without the timestamp.
+func (s *interp) dist(p Point, u float64) float64 {
 	return math.Hypot(p.X-lerp1(s.ax, s.bx, s.dx, u), p.Y-lerp1(s.ay, s.by, s.dy, u))
 }
 
 // SEDAnchor is an anchor segment prepared for synchronized Euclidean
 // distances: its coordinate differences and its time span.
 type SEDAnchor struct {
-	span
+	interp
 	// u = (t - t0) / dt locates a timestamp t, on halved timestamps when
-	// the span overflows float64 (half); flat (a zero or negative span)
-	// maps every t to 0.
+	// the time span overflows float64 (half); flat (a zero or negative
+	// time span) maps every t to 0.
 	t0, dt     float64
 	half, flat bool
 }
 
 // PrepareSED prepares s for SEDAnchor.Distance.
 func PrepareSED(s Segment) SEDAnchor {
-	a := SEDAnchor{span: newSpan(s), t0: s.A.T, dt: s.B.T - s.A.T}
+	a := SEDAnchor{interp: newInterp(s), t0: s.A.T, dt: s.B.T - s.A.T}
 	switch {
 	case a.dt <= 0:
 		a.flat = true
@@ -67,7 +67,7 @@ func (a *SEDAnchor) Distance(p Point) float64 {
 // largest half-component (halving keeps differences of finite values
 // finite), so no square of a raw coordinate difference is ever formed.
 type PEDAnchor struct {
-	span
+	interp
 	// u = ((x - ox)*ux + (y - oy)*uy) / den, and then / m when wide,
 	// where x and y are the point's coordinates, halved when wide; flat
 	// (a zero-length segment) maps every point to 0.
@@ -77,7 +77,7 @@ type PEDAnchor struct {
 
 // PreparePED prepares s for PEDAnchor.Distance.
 func PreparePED(s Segment) PEDAnchor {
-	a := PEDAnchor{span: newSpan(s), ox: s.A.X, oy: s.A.Y}
+	a := PEDAnchor{interp: newInterp(s), ox: s.A.X, oy: s.A.Y}
 	a.ux, a.uy = a.dx, a.dy
 	a.den = a.dx*a.dx + a.dy*a.dy
 	switch {
