@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -325,6 +326,66 @@ func TestDecodeContract(t *testing.T) {
 				t.Errorf("%s on %s: decoded %v, want %v", c.name, rt.name, got.points, c.want)
 			}
 		}
+	}
+}
+
+// numberRows are coordinates that pin how a JSON number decodes: signed
+// zeros, round-half-to-even at 2^53 and at midpoints between adjacent
+// float64s, significands of 19 and 20 digits, long leading-zero
+// fractions, exponent forms and the ends of float64's range. Each
+// decodes to strconv.ParseFloat's bits; TestDecodeNumbers runs them
+// through readJSON and FuzzDecodeNumber starts from them.
+var numberRows = []string{
+	"0", "-0", "-0.0", "0.000", "-0e400",
+	"9007199254740992", "9007199254740993", "9007199254740995",
+	"9007199254740993.0", "9007199254740995.0", "-9007199254740993.0",
+	"900719925474099.2", "900719925474099.3",
+	// 2^52+0.5 and 2^52+1.5 lie halfway between adjacent float64s.
+	"4503599627370496.5", "4503599627370497.5",
+	"4503599627370496.49", "4503599627370496.51",
+	"4503599627370496.500", "4503599627370496.501", "4503599627370497.499",
+	// Near 2^49 float64s are 0.125 apart.
+	"562949953421312.0625", "562949953421312.1875",
+	"562949953421312.0624", "562949953421312.0626", "-562949953421312.1876",
+	"1234567890.123456789", "9876543210.9876543210", "0.1234567890123456789",
+	"0." + strings.Repeat("0", 25) + "123456789", "0." + strings.Repeat("0", 25) + "1",
+	"0.30000000000000004", "116.31786666666667", "39.984702", "-1.5e-3",
+	"9.007199254740993e2", "1.2345678901234567e-3", "12345678901234567e-20",
+	"1e-07", "1E+21", "5e-324", "2.2250738585072014e-308",
+	"1.7976931348623157e308", "1e-400",
+	// strconv stops reading exponent digits once the exponent reaches 10000.
+	"0." + strings.Repeat("0", 9999) + "1e100000", "0." + strings.Repeat("0", 10005) + "1e9999",
+}
+
+// TestDecodeNumbers holds every numberRows coordinate to the float64
+// bits strconv.ParseFloat gives it, and 1e400 to its out-of-range error.
+func TestDecodeNumbers(t *testing.T) {
+	for _, num := range numberRows {
+		want, err := strconv.ParseFloat(num, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", num, err)
+		}
+		body := `{"points":[[` + num + `,` + num + `,0]]}`
+		var req pointsRequest
+		if err := readJSON(strings.NewReader(body), int64(len(body)), &req); err != nil {
+			t.Errorf("%s: %v", num, err)
+			continue
+		}
+		if got := req.Points[0]; math.Float64bits(got[0]) != math.Float64bits(want) ||
+			math.Float64bits(got[1]) != math.Float64bits(want) {
+			t.Errorf("%s decodes to %v (%#x), want %v (%#x)", num, got[0], math.Float64bits(got[0]), want, math.Float64bits(want))
+		}
+	}
+	body := `{"points":[[1e400,0,0],[1,1,1]]}`
+	err := readJSON(strings.NewReader(body), int64(len(body)), &pointsRequest{})
+	if want := "number 1e400 out of range at byte 12"; err == nil || err.Error() != want {
+		t.Errorf("1e400: got %v, want %q", err, want)
+	}
+	rec := httptest.NewRecorder()
+	NewWith(nil, Config{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/stats", strings.NewReader(body)))
+	if msg, code := errorBody(t, rec.Body.Bytes()); rec.Code != http.StatusBadRequest || code != codeBadRequest ||
+		msg != "bad request body: number 1e400 out of range at byte 12" {
+		t.Errorf("1e400 on stats: %d %q %q", rec.Code, code, msg)
 	}
 }
 
