@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"strings"
@@ -216,8 +218,12 @@ func (d *bodyDecoder) float(f *float64) {
 		d.literal("null")
 	case c == '-' || '0' <= c && c <= '9':
 		start := d.pos
-		num := d.number()
+		num, x := d.number()
 		if d.err != nil {
+			return
+		}
+		if v, ok := x.float64(); ok {
+			*f = v
 			return
 		}
 		v, err := strconv.ParseFloat(string(num), 64)
@@ -417,41 +423,139 @@ func (d *bodyDecoder) str() (escaped bool) {
 func isHex(c byte) bool { return c-'0' <= 9 || (c|0x20)-'a' <= 5 }
 
 // number scans the number at d.pos under JSON's grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
-func (d *bodyDecoder) number() []byte {
-	b, i, ok := d.buf, d.pos, true
-	// digits moves i past a run of digits, which must not be empty.
-	digits := func() {
-		if i == len(b) || b[i]-'0' > 9 {
-			ok = false
-			return
-		}
-		for i++; i < len(b) && b[i]-'0' <= 9; i++ {
-		}
-	}
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes
+// and, read in the same pass, the decimal they spell.
+func (d *bodyDecoder) number() ([]byte, decimal) {
+	b, i := d.buf, d.pos
+	var x decimal
 	if b[i] == '-' {
+		x.neg = true
 		i++
 	}
+	start, nd := i, 0 // nd counts the significant digits read into x.mant
 	if i < len(b) && b[i] == '0' {
 		i++
 	} else {
-		digits()
+		i = x.digits(b, i)
+		nd = i - start
 	}
+	ok := i > start
 	if ok && i < len(b) && b[i] == '.' {
 		i++
-		digits()
+		frac := i
+		if x.mant == 0 {
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+		}
+		sig := i
+		i = x.digits(b, i)
+		nd += i - sig
+		x.exp, ok = frac-i, i > frac
 	}
+	x.exact = nd <= 19
 	if ok && i < len(b) && b[i]|0x20 == 'e' {
+		sign := 1
 		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			if b[i] == '-' {
+				sign = -1
+			}
 			i++
 		}
-		digits()
+		// Exponent digits stop counting once e reaches 10000, as they
+		// do in strconv; such an exponent is left to strconv whole.
+		e := 0
+		for start = i; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		x.exp += sign * e
+		x.exact = x.exact && e < 10000
+		ok = i > start
 	}
 	num := b[d.pos:i]
 	if d.pos = i; !ok {
 		d.stop()
 	}
-	return num
+	return num, x
+}
+
+// decimal is a JSON number as number reads it: (-1)^neg × mant × 10^exp.
+// It is exact when mant holds every significant digit, at most 19, and
+// exp every exponent digit.
+type decimal struct {
+	mant  uint64
+	exp   int
+	neg   bool
+	exact bool
+}
+
+// digits reads the run of digits at b[i:] into x.mant and returns where
+// the run ends.
+func (x *decimal) digits(b []byte, i int) int {
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		x.mant = x.mant*10 + uint64(b[i]-'0')
+	}
+	return i
+}
+
+// pow10 and float64pow10 hold the powers of ten that uint64 and float64
+// hold exactly.
+var (
+	pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+	float64pow10 = [23]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+)
+
+// float64 converts x, correctly rounded half to even, when it is exact
+// and one of three routes applies (DESIGN.md §9.3): a zero mant is ±0;
+// a mant of at most 2^53 with exp in [-22, 22] is one IEEE multiply or
+// divide of two exact float64s; and a larger mant with exp in [-19, -1]
+// is divided by 10^-exp in integers. It reports false for every other
+// decimal, which strconv.ParseFloat converts instead.
+func (x decimal) float64() (float64, bool) {
+	var f float64
+	switch {
+	case !x.exact:
+		return 0, false
+	case x.mant == 0:
+	case x.mant <= 1<<53 && 0 <= x.exp && x.exp <= 22:
+		f = float64(x.mant) * float64pow10[x.exp]
+	case x.mant <= 1<<53 && -22 <= x.exp && x.exp < 0:
+		f = float64(x.mant) / float64pow10[-x.exp]
+	case -19 <= x.exp && x.exp < 0:
+		f = divPow10(x.mant, -x.exp)
+	default:
+		return 0, false
+	}
+	if x.neg {
+		f = -f
+	}
+	return f, true
+}
+
+// divPow10 returns m/10^k correctly rounded, for 2^53 < m < 2^64 and
+// 1 <= k <= 19, which make the result a normal float64. It shifts m left
+// by s so that the 128-by-64-bit quotient q of m·2^s by 10^k has 63 or
+// 64 bits, then rounds q to 53 bits half to even: the bits cut off are
+// the guard bits and a nonzero remainder is the sticky bit.
+func divPow10(m uint64, k int) float64 {
+	div := pow10[k]
+	s := uint(63 - bits.Len64(m) + bits.Len64(div))
+	q, r := bits.Div64(m>>(64-s)|m<<(s-64), m<<s, div)
+	cut := uint(bits.Len64(q) - 53)
+	mant, rest, half := q>>cut, q&(1<<cut-1), uint64(1)<<(cut-1)
+	if rest > half || rest == half && (r != 0 || mant&1 == 1) {
+		if mant++; mant == 1<<53 {
+			mant >>= 1
+			cut++
+		}
+	}
+	// mant·2^(cut-s) is 1.f × 2^(52+cut-s) with f the low 52 bits of mant.
+	exp := uint64(1023 + 52 + int(cut) - int(s))
+	return math.Float64frombits(exp<<52 | mant&(1<<52-1))
 }
 
 // literal scans lit, which must be at d.pos.

@@ -437,35 +437,56 @@ func TestDecodeBodyLimit(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeBody decodes one 10,000-point /v1/simplify body of
-// Truck coordinates, written as json.Marshal writes them, with the body
-// scanner and with encoding/json's Decoder, and reports ns per point.
+// BenchmarkDecodeBody decodes two /v1/simplify bodies written as
+// json.Marshal writes them, with the body scanner and with
+// encoding/json's Decoder, and reports ns per point: 10,000 Truck
+// points, and a dirty_bounded-shaped body of 4,000 corrupted Geolife
+// fixes with repair and bound members.
 func BenchmarkDecodeBody(b *testing.B) {
-	tr := gen.New(gen.Truck(), 1).Trajectory(10000)
-	body, err := json.Marshal(simplifyRequest{Algorithm: "rlts+", Measure: "SED", Ratio: 0.1, Points: points(tr)})
-	if err != nil {
-		b.Fatal(err)
+	var dirty []gen.DirtyConfig
+	for _, f := range gen.DirtyFamilies() {
+		// garbage, alone or in the kitchen sink, writes NaN and Inf,
+		// which JSON cannot carry.
+		if f.Name != "garbage" && f.Name != "kitchen-sink" {
+			dirty = append(dirty, f)
+		}
 	}
-	for _, bc := range []struct {
-		name   string
-		decode func(v *simplifyRequest) error
+	bound := 8.0
+	for _, body := range []struct {
+		name string
+		req  simplifyRequest
 	}{
-		{"scanner", func(v *simplifyRequest) error {
-			return readJSON(bytes.NewReader(body), int64(len(body)), v)
-		}},
-		{"encoding_json", func(v *simplifyRequest) error {
-			return json.NewDecoder(bytes.NewReader(body)).Decode(v)
-		}},
+		{"truck", simplifyRequest{Algorithm: "rlts+", Measure: "SED", Ratio: 0.1,
+			Points: points(gen.New(gen.Truck(), 1).Trajectory(10000))}},
+		{"dirty", simplifyRequest{Measure: "SED", Bound: &bound, Repair: &repairParams{Window: 16, MaxSpeed: 60},
+			Points: gen.Raw(gen.Compose("dirty", dirty...).Corrupt(gen.New(gen.Geolife(), 1).Trajectory(4000), 2))}},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var req simplifyRequest
-				if err := bc.decode(&req); err != nil || len(req.Points) != tr.Len() {
-					b.Fatalf("decoded %d points: %v", len(req.Points), err)
+		raw, err := json.Marshal(body.req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := len(body.req.Points)
+		for _, bc := range []struct {
+			name   string
+			decode func(v *simplifyRequest) error
+		}{
+			{"scanner", func(v *simplifyRequest) error {
+				return readJSON(bytes.NewReader(raw), int64(len(raw)), v)
+			}},
+			{"encoding_json", func(v *simplifyRequest) error {
+				return json.NewDecoder(bytes.NewReader(raw)).Decode(v)
+			}},
+		} {
+			b.Run(body.name+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var req simplifyRequest
+					if err := bc.decode(&req); err != nil || len(req.Points) != n {
+						b.Fatalf("decoded %d points: %v", len(req.Points), err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/pt")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pt")
+			})
+		}
 	}
 }

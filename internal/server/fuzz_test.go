@@ -3,11 +3,13 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -147,6 +149,50 @@ func FuzzDecodeBody(f *testing.F) {
 			if werr == nil && !sameBits(reflect.ValueOf(want), reflect.ValueOf(got)) {
 				t.Fatalf("%T: encoding/json decodes %+v, the scanner %+v, from %q", want, want, got, body)
 			}
+		}
+	})
+}
+
+// FuzzDecodeNumber holds the scanner's number path to
+// strconv.ParseFloat. Whenever the grammar accepts a number at the start
+// of the input, it must decode to the float64 bits strconv.ParseFloat
+// gives the same bytes, and a number strconv finds out of range must be
+// the scanner's out-of-range type error, leaving the destination as it
+// was.
+func FuzzDecodeNumber(f *testing.F) {
+	for _, s := range numberRows {
+		if len(s) <= 1<<8 { // long seeds stall the fuzzer's minimizer
+			f.Add(s)
+		}
+	}
+	for _, s := range []string{"1e400", "-1e400", "01", "-", "1.", "1e+", "1.5e3x", " 2.5 "} {
+		f.Add(s)
+	}
+	const unset = 0x7ff8_dead_beef_0001 // a NaN no number decodes to
+	f.Fuzz(func(t *testing.T, s string) {
+		d := bodyDecoder{buf: []byte(s)}
+		c := d.peek()
+		if d.err != nil || c != '-' && c-'0' > 9 {
+			return
+		}
+		start, got := d.pos, math.Float64frombits(unset)
+		d.float(&got)
+		if d.err != nil {
+			return
+		}
+		num := s[start:d.pos]
+		want, err := strconv.ParseFloat(num, 64)
+		switch {
+		case err != nil && !errors.Is(err, strconv.ErrRange):
+			t.Fatalf("the grammar accepts %q, strconv does not: %v", num, err)
+		case err != nil:
+			if msg := fmt.Sprintf("number %s out of range at byte %d", num, start); d.typeErr == nil ||
+				d.typeErr.Error() != msg || math.Float64bits(got) != unset {
+				t.Fatalf("%q: got %v (%#x) and error %v, want %q", num, got, math.Float64bits(got), d.typeErr, msg)
+			}
+		case d.typeErr != nil || math.Float64bits(got) != math.Float64bits(want):
+			t.Fatalf("%q decodes to %v (%#x, error %v), strconv to %v (%#x)",
+				num, got, math.Float64bits(got), d.typeErr, want, math.Float64bits(want))
 		}
 	})
 }
