@@ -334,7 +334,7 @@ func TestDecodeContract(t *testing.T) {
 // float64s, significands of 19 and 20 digits, long leading-zero
 // fractions, exponent forms and the ends of float64's range. Each
 // decodes to strconv.ParseFloat's bits; TestDecodeNumbers runs them
-// through readJSON and FuzzDecodeNumber starts from them.
+// through readJSON and FuzzDecodeNumber starts from the short ones.
 var numberRows = []string{
 	"0", "-0", "-0.0", "0.000", "-0e400",
 	"9007199254740992", "9007199254740993", "9007199254740995",
