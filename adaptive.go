@@ -1,8 +1,6 @@
 package rlts
 
-import (
-	"rlts/internal/adaptive"
-)
+import "rlts/internal/adaptive"
 
 // Adaptive measure selection — a prototype of the paper's future-work
 // direction (§VII): choosing the error measurement per trajectory instead
@@ -11,9 +9,6 @@ import (
 // TrajectoryFeatures summarizes the dynamics that differentiate the four
 // error measures (heading churn, speed dispersion, sampling regularity).
 type TrajectoryFeatures = adaptive.Features
-
-// ExtractFeatures computes TrajectoryFeatures for t.
-func ExtractFeatures(t Trajectory) TrajectoryFeatures { return adaptive.Extract(t) }
 
 // RecommendMeasure inspects the trajectory's dynamics and recommends the
 // error measure whose signal dominates: DAD for turn-heavy movement, SAD

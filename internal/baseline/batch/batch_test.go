@@ -128,11 +128,12 @@ func TestTopDownPicksWorstSpike(t *testing.T) {
 
 func TestSpanSearchValidAndBounded(t *testing.T) {
 	tr := testTraj(3, 200)
-	kept, derr, err := SpanSearchError(tr, 30)
+	kept, err := SpanSearch(tr, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	validSimplification(t, tr, kept, 30, "SpanSearch")
+	derr := errm.Error(errm.DAD, tr, kept)
 	if derr < 0 {
 		t.Errorf("negative DAD error %v", derr)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rlts/internal/errm"
 	"rlts/internal/geo"
 	"rlts/internal/traj"
 )
@@ -99,14 +98,4 @@ func spanOK(t traj.Trajectory, dirs []float64, moving []bool, a, b int, tau floa
 		}
 	}
 	return true
-}
-
-// SpanSearchError is a convenience returning the DAD error alongside the
-// kept indices.
-func SpanSearchError(t traj.Trajectory, w int) ([]int, float64, error) {
-	kept, err := SpanSearch(t, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return kept, errm.Error(errm.DAD, t, kept), nil
 }

@@ -11,11 +11,7 @@
 // O((n-W) log W) complexity the paper reports.
 package buffer
 
-import (
-	"fmt"
-
-	"rlts/internal/geo"
-)
+import "rlts/internal/geo"
 
 // Entry is one buffered point. Its Value is meaningful only while the
 // entry is droppable (has both neighbours); endpoints carry no value and
@@ -38,10 +34,6 @@ func (e *Entry) Prev() *Entry { return e.prev }
 // Next returns the buffer successor, or nil at the tail.
 func (e *Entry) Next() *Entry { return e.next }
 
-// InHeap reports whether the entry currently participates in the value
-// order (i.e. is droppable).
-func (e *Entry) InHeap() bool { return e.heapPos >= 0 }
-
 // Buffer is the bounded point buffer. The zero value is not usable; use
 // New.
 type Buffer struct {
@@ -61,9 +53,6 @@ func New(capHint int) *Buffer {
 
 // Size returns the number of buffered points.
 func (b *Buffer) Size() int { return b.size }
-
-// Droppable returns the number of entries in the value heap.
-func (b *Buffer) Droppable() int { return len(b.heap) }
 
 // Head and Tail return the first and last buffered entries (nil when
 // empty).
@@ -217,32 +206,6 @@ func (b *Buffer) Indices() []int {
 		out = append(out, e.Index)
 	}
 	return out
-}
-
-// checkInvariants verifies list and heap consistency; used by tests.
-func (b *Buffer) checkInvariants() error {
-	n := 0
-	for e := b.head; e != nil; e = e.next {
-		if e.next != nil && e.next.prev != e {
-			return fmt.Errorf("buffer: broken links at index %d", e.Index)
-		}
-		n++
-	}
-	if n != b.size {
-		return fmt.Errorf("buffer: size %d, list length %d", b.size, n)
-	}
-	for i, e := range b.heap {
-		if e.heapPos != i {
-			return fmt.Errorf("buffer: heapPos mismatch at %d", i)
-		}
-		if l := 2*i + 1; l < len(b.heap) && b.heap[l].value < e.value {
-			return fmt.Errorf("buffer: heap violated at %d (left)", i)
-		}
-		if r := 2*i + 2; r < len(b.heap) && b.heap[r].value < e.value {
-			return fmt.Errorf("buffer: heap violated at %d (right)", i)
-		}
-	}
-	return nil
 }
 
 func (b *Buffer) siftUp(i int) {

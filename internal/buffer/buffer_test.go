@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -247,4 +248,37 @@ func TestRandomOpsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// InHeap reports whether the entry currently participates in the value
+// order (i.e. is droppable).
+func (e *Entry) InHeap() bool { return e.heapPos >= 0 }
+
+// Droppable returns the number of entries in the value heap.
+func (b *Buffer) Droppable() int { return len(b.heap) }
+
+// checkInvariants verifies list and heap consistency.
+func (b *Buffer) checkInvariants() error {
+	n := 0
+	for e := b.head; e != nil; e = e.next {
+		if e.next != nil && e.next.prev != e {
+			return fmt.Errorf("buffer: broken links at index %d", e.Index)
+		}
+		n++
+	}
+	if n != b.size {
+		return fmt.Errorf("buffer: size %d, list length %d", b.size, n)
+	}
+	for i, e := range b.heap {
+		if e.heapPos != i {
+			return fmt.Errorf("buffer: heapPos mismatch at %d", i)
+		}
+		if l := 2*i + 1; l < len(b.heap) && b.heap[l].value < e.value {
+			return fmt.Errorf("buffer: heap violated at %d (left)", i)
+		}
+		if r := 2*i + 2; r < len(b.heap) && b.heap[r].value < e.value {
+			return fmt.Errorf("buffer: heap violated at %d (right)", i)
+		}
+	}
+	return nil
 }

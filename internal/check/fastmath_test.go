@@ -3,6 +3,7 @@ package check
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rlts/internal/core"
@@ -140,15 +141,25 @@ func TestFastCloneIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rand.New(rand.NewSource(8))
+	state := make([]float64, opts.StateSize())
+	for i := range state {
+		state[i] = r.NormFloat64()
+	}
+	probs := func(p *rl.Policy) []float64 {
+		return append([]float64(nil), p.Probs(state, nil, false)...)
+	}
 	tr := &core.Trained{Opts: opts, Policy: p}
+	exact := probs(p)
 	ft := tr.FastClone()
-	if got := ft.Policy.Kernel(); got != nn.KernelFast {
-		t.Fatalf("FastClone kernel = %v, want fast", got)
+	fast := probs(ft.Policy)
+	if slices.Equal(fast, exact) {
+		t.Fatalf("FastClone probs %v equal the exact kernel's bit for bit, want the fast kernel", fast)
 	}
-	if got := tr.Policy.Kernel(); got != nn.KernelExact {
-		t.Fatalf("original kernel after FastClone = %v, want exact", got)
+	if got := probs(tr.Policy); !slices.Equal(got, exact) {
+		t.Fatalf("original probs after FastClone = %v, want exact %v", got, exact)
 	}
-	if got := ft.Policy.Clone().Kernel(); got != nn.KernelFast {
-		t.Fatalf("clone of fast policy kernel = %v, want fast", got)
+	if got := probs(ft.Policy.Clone()); !slices.Equal(got, fast) {
+		t.Fatalf("clone of fast policy probs = %v, want fast %v", got, fast)
 	}
 }

@@ -33,8 +33,9 @@ func BenchmarkBuildState(b *testing.B) {
 	}
 }
 
-// BenchmarkRolloutEpisode measures one full training episode on the real
-// scanning MDP, rewards included.
+// BenchmarkRolloutEpisode measures one full sampled episode on the real
+// scanning MDP, rewards included: a trainer rollout without the copy into
+// episode storage.
 func BenchmarkRolloutEpisode(b *testing.B) {
 	t := smallDataset(2, 1, 500)[0]
 	opts := DefaultOptions(errm.SED, Online)
@@ -47,7 +48,10 @@ func BenchmarkRolloutEpisode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = rl.Rollout(env, p, r, false)
+		state, mask, done := env.Reset()
+		for !done {
+			state, mask, _, done = env.Step(p.Act(state, mask, true, r))
+		}
 	}
 }
 

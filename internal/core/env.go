@@ -73,8 +73,8 @@ func (sc *scanner) valueOf(en *buffer.Entry) float64 {
 // Skip variants, the J look-ahead skip errors, together with the legal-
 // action mask, for a decision on the buffered tail. The returned slices
 // are scanner-owned scratch, valid until the next call: every index is
-// rewritten each call, and rl.Rollout copies states into episode storage
-// before stepping.
+// rewritten each call, and the trainer's rollout copies states into
+// episode storage before stepping.
 func (sc *scanner) buildState() ([]float64, []bool) {
 	return sc.stateOf(sc.buf.KLowest(sc.opts.K))
 }

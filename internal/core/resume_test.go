@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestSimplifyCtxCanceled(t *testing.T) {
 	if _, err := tr.SimplifyGreedyCtx(ctx, target, 20); !errors.Is(err, context.Canceled) {
 		t.Errorf("SimplifyGreedyCtx on canceled context: %v", err)
 	}
-	if _, err := tr.SimplifyCtx(ctx, target, 20, nil); !errors.Is(err, context.Canceled) {
+	if _, err := SimplifyCtx(ctx, tr.Policy, target, 20, tr.Opts, true, rand.New(rand.NewSource(0))); !errors.Is(err, context.Canceled) {
 		t.Errorf("SimplifyCtx on canceled context: %v", err)
 	}
 	// A live context changes nothing.

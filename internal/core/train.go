@@ -176,15 +176,6 @@ func (tr *Trained) Simplify(t traj.Trajectory, w int, r *rand.Rand) ([]int, erro
 	return Simplify(tr.Policy, t, w, tr.Opts, sample, r)
 }
 
-// SimplifyCtx is Simplify honoring a context for cancellation.
-func (tr *Trained) SimplifyCtx(ctx context.Context, t traj.Trajectory, w int, r *rand.Rand) ([]int, error) {
-	sample := tr.Opts.Variant == Online
-	if sample && r == nil {
-		r = rand.New(rand.NewSource(0))
-	}
-	return SimplifyCtx(ctx, tr.Policy, t, w, tr.Opts, sample, r)
-}
-
 // SimplifyGreedy applies the trained policy deterministically (argmax),
 // regardless of variant.
 func (tr *Trained) SimplifyGreedy(t traj.Trajectory, w int) ([]int, error) {

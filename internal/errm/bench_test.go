@@ -67,7 +67,7 @@ func BenchmarkTrackerDrop(b *testing.B) {
 		b.StopTimer()
 		tk := NewFullTracker(SED, t)
 		b.StartTimer()
-		for tk.Count() > len(t)/2 && i < b.N {
+		for tk.kept > len(t)/2 && i < b.N {
 			kept := tk.Kept()
 			tk.Drop(kept[1+r.Intn(len(kept)-2)])
 			i++

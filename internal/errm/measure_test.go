@@ -270,7 +270,7 @@ func TestErrorOfTrajectoryAndKeptIndices(t *testing.T) {
 		t.Error("foreign point accepted")
 	}
 	// Missing endpoint rejected.
-	if _, err := ErrorOfTrajectory(PED, tr, tr.Sub(0, 3)); err == nil {
+	if _, err := ErrorOfTrajectory(PED, tr, tr[:4]); err == nil {
 		t.Error("missing tail accepted")
 	}
 }

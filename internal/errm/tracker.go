@@ -118,24 +118,8 @@ func (tr *Tracker) Kept() []int {
 	return out
 }
 
-// Count returns the number of kept points.
-func (tr *Tracker) Count() int { return tr.kept }
-
 // Tail returns the last kept original index.
 func (tr *Tracker) Tail() int { return tr.tail }
-
-// IsKept reports whether original index i is currently kept.
-func (tr *Tracker) IsKept(i int) bool { return tr.in[i] }
-
-// Prev and Next expose the kept chain neighbours of a kept index
-// (-1 at the chain ends).
-func (tr *Tracker) Prev(i int) int { return tr.prev[i] }
-
-// Next returns the kept successor of kept index i, or -1 at the tail.
-func (tr *Tracker) Next(i int) int { return tr.next[i] }
-
-// LinkError returns the stored error of the link starting at kept index a.
-func (tr *Tracker) LinkError(a int) float64 { return tr.segErr[a] }
 
 func (tr *Tracker) addLink(a, b int) {
 	e := SegmentError(tr.m, tr.t, a, b)

@@ -30,7 +30,7 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 				t.Fatalf("%v: full tracker initial error = %v, want 0", m, tk.Err())
 			}
 			// Drop random interior points down to 5 kept.
-			for tk.Count() > 5 {
+			for tk.kept > 5 {
 				kept := tk.Kept()
 				i := kept[1+r.Intn(len(kept)-2)]
 				got := tk.Drop(i)
@@ -48,7 +48,7 @@ func TestTrackerExtendAndDropOnline(t *testing.T) {
 	tr := randomTraj(r, 40)
 	m := SED
 	tk := NewTracker(m, tr)
-	if tk.Count() != 1 || tk.Tail() != 0 {
+	if tk.kept != 1 || tk.Tail() != 0 {
 		t.Fatal("fresh tracker should keep only index 0")
 	}
 	// Simulate online processing with skips: extend by 1..3, occasionally drop.
@@ -60,14 +60,14 @@ func TestTrackerExtendAndDropOnline(t *testing.T) {
 		}
 		i += step
 		tk.ExtendTo(i)
-		if tk.Count() > 4 && r.Intn(2) == 0 {
+		if tk.kept > 4 && r.Intn(2) == 0 {
 			kept := tk.Kept()
 			drop := kept[1+r.Intn(len(kept)-2)]
 			tk.Drop(drop)
 		}
 		// Cross-check against recompute over the scanned prefix.
 		kept := tk.Kept()
-		want := Error(m, tr.Sub(0, i), kept)
+		want := Error(m, tr[:i+1], kept)
 		if !almost(tk.Err(), want) {
 			t.Fatalf("at i=%d: tracker %v, recompute %v (kept %v)", i, tk.Err(), want, kept)
 		}
@@ -118,13 +118,13 @@ func TestTrackerNeighbours(t *testing.T) {
 	tr := randomTraj(rand.New(rand.NewSource(3)), 8)
 	tk := NewFullTracker(PED, tr)
 	tk.Drop(3)
-	if tk.Next(2) != 4 || tk.Prev(4) != 2 {
-		t.Errorf("chain not bridged: next(2)=%d prev(4)=%d", tk.Next(2), tk.Prev(4))
+	if tk.next[2] != 4 || tk.prev[4] != 2 {
+		t.Errorf("chain not bridged: next(2)=%d prev(4)=%d", tk.next[2], tk.prev[4])
 	}
-	if tk.IsKept(3) {
+	if tk.in[3] {
 		t.Error("dropped point still kept")
 	}
-	if !tk.IsKept(2) || !tk.IsKept(4) {
+	if !tk.in[2] || !tk.in[4] {
 		t.Error("neighbours lost")
 	}
 }
@@ -208,7 +208,7 @@ func TestTrackerRandomOpsProperty(t *testing.T) {
 		tr := randomTraj(r, n)
 		m := Measures[int(sizeByte)%len(Measures)]
 		tk := NewFullTracker(m, tr)
-		for tk.Count() > 3 {
+		for tk.kept > 3 {
 			kept := tk.Kept()
 			tk.Drop(kept[1+r.Intn(len(kept)-2)])
 			if !almost(tk.Err(), Error(m, tr, tk.Kept())) {

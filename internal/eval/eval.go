@@ -11,8 +11,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -238,18 +236,6 @@ func (c *Context) runSetPolicy(tr *core.Trained, data []traj.Trajectory, wRatio 
 	return c.runSet(c.rlts(tr), data, wRatio, m)
 }
 
-// RLTSAlgorithm wraps a trained policy as an Algorithm, using the paper's
-// inference mode for its variant (sample online, argmax batch).
-func RLTSAlgorithm(tr *core.Trained, seed int64) Algorithm {
-	r := rand.New(rand.NewSource(seed))
-	return Algorithm{
-		Name: tr.Opts.Name(),
-		Run: func(t traj.Trajectory, w int) ([]int, error) {
-			return tr.Simplify(t, w, r)
-		},
-	}
-}
-
 // MeasureResult is one (algorithm, setting) cell: mean error and timing.
 type MeasureResult struct {
 	Algorithm string
@@ -362,13 +348,3 @@ func fmtDur(d time.Duration) string { return d.Round(time.Microsecond).String() 
 // fmtDurFine formats sub-microsecond durations (per-point costs) without
 // losing resolution.
 func fmtDurFine(d time.Duration) string { return d.String() }
-
-// sortedKeys returns map keys in sorted order (for deterministic tables).
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

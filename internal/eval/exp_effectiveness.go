@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"rlts/internal/core"
 	"rlts/internal/errm"
@@ -294,11 +293,4 @@ func randomPolicyAlgorithm(opts core.Options, r *rand.Rand) Algorithm {
 			return core.SimplifyRandom(t, w, opts, r)
 		},
 	}
-}
-
-// timing helper shared with the efficiency experiments.
-func timeIt(f func() error) (time.Duration, error) {
-	start := time.Now()
-	err := f()
-	return time.Since(start), err
 }

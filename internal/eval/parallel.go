@@ -16,8 +16,7 @@ import (
 // RunSetParallel is RunSet with the per-trajectory work spread over
 // workers goroutines (0 = GOMAXPROCS). a.Run must be safe for concurrent
 // use: the baseline algorithms are; for a trained policy use
-// RLTSAlgorithmConcurrent rather than RLTSAlgorithm (whose sampling RNG is
-// shared).
+// RLTSAlgorithmConcurrent, whose sampling RNG is per trajectory.
 //
 // The reported Total is the summed per-trajectory wall-clock (comparable
 // with RunSet), not the elapsed time of the parallel run.

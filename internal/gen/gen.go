@@ -73,9 +73,6 @@ func New(cfg Config, seed int64) *Generator {
 	return &Generator{cfg: cfg, r: rand.New(rand.NewSource(seed))}
 }
 
-// Config returns the generator's dataset configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Trajectory generates one trajectory with n points.
 func (g *Generator) Trajectory(n int) traj.Trajectory {
 	if n < 2 {

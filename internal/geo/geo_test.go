@@ -27,9 +27,6 @@ func TestDist(t *testing.T) {
 			if got := Dist(tc.p, tc.q); !almost(got, tc.want) {
 				t.Errorf("Dist(%v, %v) = %v, want %v", tc.p, tc.q, got, tc.want)
 			}
-			if got := Dist2(tc.p, tc.q); !almost(got, tc.want*tc.want) {
-				t.Errorf("Dist2(%v, %v) = %v, want %v", tc.p, tc.q, got, tc.want*tc.want)
-			}
 		})
 	}
 }

@@ -40,13 +40,6 @@ func Dist(p, q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Dist2 returns the squared Euclidean distance between the locations of
-// p and q. It avoids the square root on paths that only compare distances.
-func Dist2(p, q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Equal reports whether p and q have identical coordinates and timestamps.
 func (p Point) Equal(q Point) bool {
 	return p.X == q.X && p.Y == q.Y && p.T == q.T

@@ -44,9 +44,6 @@ func (a *Tanh) Backward(grad []float64) []float64 {
 // Params returns nil: activations have no trainable parameters.
 func (a *Tanh) Params() []*Param { return nil }
 
-// OutSize returns the vector size.
-func (a *Tanh) OutSize() int { return a.size }
-
 // ReLU is an element-wise rectified linear activation, provided for
 // ablation experiments against the paper's tanh choice.
 type ReLU struct {
@@ -98,5 +95,3 @@ func (a *ReLU) Backward(grad []float64) []float64 {
 // Params returns nil: activations have no trainable parameters.
 func (a *ReLU) Params() []*Param { return nil }
 
-// OutSize returns the vector size.
-func (a *ReLU) OutSize() int { return a.size }

@@ -8,14 +8,13 @@ import (
 // Adam implements the Adam stochastic optimizer (Kingma & Ba) over a set
 // of parameters. The paper trains with Adam at learning rate 1e-3.
 type Adam struct {
-	LR       float64
-	Beta1    float64
-	Beta2    float64
-	Eps      float64
-	params   []*Param
-	m, v     [][]float64
-	t        int
-	maximize bool
+	LR     float64
+	Beta1  float64
+	Beta2  float64
+	Eps    float64
+	params []*Param
+	m, v   [][]float64
+	t      int
 }
 
 // NewAdam creates an optimizer for the given parameters with the standard
@@ -37,15 +36,6 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	return a
 }
 
-// NewAdamAscent creates an Adam optimizer that performs gradient *ascent*,
-// which is what the REINFORCE objective (maximize expected return) wants
-// when gradients of the performance measure are accumulated directly.
-func NewAdamAscent(params []*Param, lr float64) *Adam {
-	a := NewAdam(params, lr)
-	a.maximize = true
-	return a
-}
-
 // Step applies one Adam update from the accumulated gradients and clears
 // them. scale divides the gradients first (use it to average over an
 // episode's steps).
@@ -60,9 +50,6 @@ func (a *Adam) Step(scale float64) {
 		m, v := a.m[i], a.v[i]
 		for j := range p.Val {
 			g := p.Grad[j] / scale
-			if a.maximize {
-				g = -g
-			}
 			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
 			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
 			mh := m[j] / c1
@@ -72,9 +59,6 @@ func (a *Adam) Step(scale float64) {
 		}
 	}
 }
-
-// StepCount returns how many optimizer steps have been applied.
-func (a *Adam) StepCount() int { return a.t }
 
 // AdamState is the serializable optimizer state: the step counter and the
 // first/second moment estimates, in parameter order. Checkpointing needs

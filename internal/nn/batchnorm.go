@@ -99,9 +99,6 @@ func (bn *BatchNorm) Backward(grad []float64) []float64 {
 // Params returns gamma and beta.
 func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 
-// OutSize returns the vector size.
-func (bn *BatchNorm) OutSize() int { return bn.size }
-
 // State returns the running statistics (mean then variance), used by
 // serialization.
 func (bn *BatchNorm) State() []float64 {

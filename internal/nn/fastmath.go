@@ -65,9 +65,6 @@ func (n *Network) SetKernel(k Kernel) {
 	n.fast = nil
 }
 
-// Kernel reports the selected inference kernel.
-func (n *Network) Kernel() Kernel { return n.kernel }
-
 // Contract constants of the FastMath kernels, asserted continuously by
 // internal/nn's dense-sweep test and internal/check's tolerance pillar.
 // They are published bounds with margin over the measured worst case,

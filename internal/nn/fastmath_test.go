@@ -198,7 +198,7 @@ func TestForwardVectorZeroAlloc(t *testing.T) {
 func TestKernelCloneAndGuards(t *testing.T) {
 	spec := MLPSpec{In: 3, Hidden: []int{8}, Out: 3, BatchNorm: true, Activation: "tanh"}
 	_, fast := fastNet(t, spec, 77)
-	if got := CloneMLP(spec, fast).Kernel(); got != KernelFast {
+	if got := CloneMLP(spec, fast).kernel; got != KernelFast {
 		t.Fatalf("CloneMLP dropped the kernel: got %v", got)
 	}
 

@@ -37,8 +37,8 @@ func (s MLPSpec) Validate() error {
 }
 
 // NewMLP constructs the network described by spec, with weights drawn
-// from r. The output layer produces raw logits; apply Softmax (or
-// MaskedSoftmax) outside.
+// from r. The output layer produces raw logits; apply SoftmaxInto (or
+// MaskedSoftmaxInto) outside.
 func NewMLP(spec MLPSpec, r *rand.Rand) (*Network, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -36,9 +36,6 @@ type Layer interface {
 	Forward(x []float64, train bool) []float64
 	Backward(grad []float64) []float64
 	Params() []*Param
-	// OutSize returns the length of the layer's output given its
-	// configured input size.
-	OutSize() int
 }
 
 // Network is a sequential stack of layers producing logits.
@@ -245,23 +242,9 @@ func (n *Network) SyncFrom(src *Network) {
 	}
 }
 
-// NumParams returns the total number of trainable scalars.
-func (n *Network) NumParams() int {
-	var c int
-	for _, p := range n.Params() {
-		c += len(p.Val)
-	}
-	return c
-}
-
-// Softmax writes the softmax of logits into a new slice, using the
-// max-subtraction trick for numerical stability.
-func Softmax(logits []float64) []float64 {
-	return SoftmaxInto(make([]float64, len(logits)), logits)
-}
-
-// SoftmaxInto is Softmax writing into a caller-provided slice (len must
-// equal len(logits)), for allocation-free hot paths. dst may alias logits.
+// SoftmaxInto writes the softmax of logits into dst (len must equal
+// len(logits)), using the max-subtraction trick for numerical stability.
+// dst may alias logits.
 func SoftmaxInto(dst, logits []float64) []float64 {
 	checkLen("SoftmaxInto dst", len(dst), len(logits))
 	max := math.Inf(-1)
@@ -282,15 +265,9 @@ func SoftmaxInto(dst, logits []float64) []float64 {
 	return dst
 }
 
-// MaskedSoftmax is Softmax restricted to the actions where mask[i] is
-// true; masked-out entries get probability 0. It panics if no action is
-// legal.
-func MaskedSoftmax(logits []float64, mask []bool) []float64 {
-	return MaskedSoftmaxInto(make([]float64, len(logits)), logits, mask)
-}
-
-// MaskedSoftmaxInto is MaskedSoftmax writing into a caller-provided slice
-// (len must equal len(logits)). dst may alias logits.
+// MaskedSoftmaxInto is SoftmaxInto restricted to the actions where
+// mask[i] is true; masked-out entries get probability 0. It panics if no
+// action is legal.
 func MaskedSoftmaxInto(dst, logits []float64, mask []bool) []float64 {
 	checkLen("MaskedSoftmaxInto dst", len(dst), len(logits))
 	max := math.Inf(-1)

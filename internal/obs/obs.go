@@ -95,21 +95,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Bounds returns the bucket upper edges (not including +Inf). The slice
-// is shared; callers must not modify it.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // cumulative fills dst with the Prometheus-style cumulative bucket counts
 // (one per bound, plus the +Inf total at the end).

@@ -284,3 +284,12 @@ func TestLabelKeyAmbiguity(t *testing.T) {
 		t.Errorf("aliased counter: b = %d after incrementing a", b.Value())
 	}
 }
+
+// Count returns the total number of observations.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}

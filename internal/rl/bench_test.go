@@ -62,7 +62,7 @@ func BenchmarkProbsInto(b *testing.B) {
 		b.Fatal(err)
 	}
 	state := []float64{0.1, 0.5, 1.2}
-	mask := FullMask(3)
+	mask := []bool{true, true, true}
 	p.probsInto(state, mask, false) // warm the scratch
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -36,7 +36,7 @@ func (s *stairEnv) mk() []float64 {
 
 func (s *stairEnv) Reset() ([]float64, []bool, bool) {
 	s.step, s.acc = 0, 0
-	return s.mk(), rl.FullMask(2), false
+	return s.mk(), []bool{true, true}, false
 }
 
 func (s *stairEnv) Step(a int) ([]float64, []bool, float64, bool) {
@@ -46,7 +46,7 @@ func (s *stairEnv) Step(a int) ([]float64, []bool, float64, bool) {
 	}
 	s.acc += float64(a)
 	s.step++
-	return s.mk(), rl.FullMask(2), r, s.step >= s.n
+	return s.mk(), []bool{true, true}, r, s.step >= s.n
 }
 
 func (s *stairEnv) StateSize() int  { return 2 }
@@ -90,7 +90,7 @@ func policyBytes(t *testing.T, p *rl.Policy) []byte {
 // run uses a different worker count.
 func TestResumeBitIdentical(t *testing.T) {
 	const numEnvs = 4 // 4 envs x 3 epochs = 12 batches
-	base, err := rl.Train(stairEnvs(numEnvs), stairConfig())
+	base, err := rl.TrainSeeded(stairEnvs(numEnvs), stairConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			cfg.Checkpoint = ckpt
 			cfg.Workers = 1
 			cfg.OnBatch = faultinject.CrashAfter(crashAt)
-			_, err := rl.Train(stairEnvs(numEnvs), cfg)
+			_, err := rl.TrainSeeded(stairEnvs(numEnvs), cfg)
 			if !errors.Is(err, faultinject.ErrCrash) {
 				t.Fatalf("crashAt=%d: want ErrCrash, got %v", crashAt, err)
 			}
@@ -151,7 +151,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	cfg := stairConfig()
 	cfg.Checkpoint = ckpt
 	cfg.OnBatch = faultinject.CrashAfter(2)
-	if _, err := rl.Train(stairEnvs(3), cfg); !errors.Is(err, faultinject.ErrCrash) {
+	if _, err := rl.TrainSeeded(stairEnvs(3), cfg); !errors.Is(err, faultinject.ErrCrash) {
 		t.Fatal(err)
 	}
 	ck, err := rl.ReadCheckpointFile(ckpt)
@@ -181,7 +181,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	cfg := stairConfig()
 	cfg.Checkpoint = ckpt
 	cfg.OnBatch = faultinject.CrashAfter(2)
-	if _, err := rl.Train(stairEnvs(3), cfg); !errors.Is(err, faultinject.ErrCrash) {
+	if _, err := rl.TrainSeeded(stairEnvs(3), cfg); !errors.Is(err, faultinject.ErrCrash) {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(ckpt)
@@ -214,7 +214,7 @@ func TestNaNRewardSkipsBatch(t *testing.T) {
 
 	cfg := stairConfig()
 	cfg.Epochs = 2
-	res, err := rl.Train(envs, cfg)
+	res, err := rl.TrainSeeded(envs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestNaNStateSkipsBatch(t *testing.T) {
 
 	cfg := stairConfig()
 	cfg.Epochs = 1
-	res, err := rl.Train(envs, cfg)
+	res, err := rl.TrainSeeded(envs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestHealthSurvivesCheckpoint(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.Checkpoint = ckpt
 	cfg.OnBatch = faultinject.CrashAfter(2)
-	if _, err := rl.Train(envs, cfg); !errors.Is(err, faultinject.ErrCrash) {
+	if _, err := rl.TrainSeeded(envs, cfg); !errors.Is(err, faultinject.ErrCrash) {
 		t.Fatal("expected injected crash")
 	}
 	ck, err := rl.ReadCheckpointFile(ckpt)

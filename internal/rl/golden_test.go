@@ -22,7 +22,7 @@ func goldenCheckpoint(t *testing.T) []byte {
 	cfg.Checkpoint = path
 	cfg.Workers = 1
 	cfg.OnBatch = faultinject.CrashAfter(3)
-	if _, err := rl.Train(stairEnvs(4), cfg); !errors.Is(err, faultinject.ErrCrash) {
+	if _, err := rl.TrainSeeded(stairEnvs(4), cfg); !errors.Is(err, faultinject.ErrCrash) {
 		t.Fatalf("want ErrCrash, got %v", err)
 	}
 	b, err := os.ReadFile(path)

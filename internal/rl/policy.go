@@ -93,9 +93,6 @@ func (p *Policy) Clone() *Policy {
 // must never select it.
 func (p *Policy) SetKernel(k nn.Kernel) { p.Net.SetKernel(k) }
 
-// Kernel reports the policy network's inference-kernel selection.
-func (p *Policy) Kernel() nn.Kernel { return p.Net.Kernel() }
-
 // Save writes the policy to w in the nn JSON format.
 func (p *Policy) Save(w io.Writer) error { return nn.SaveMLP(w, p.Spec, p.Net) }
 

@@ -118,13 +118,9 @@ func (e *Episode) TotalReward() float64 {
 	return s
 }
 
-// Returns computes the discounted cumulative returns R_t for each step.
-func (e *Episode) Returns(gamma float64) []float64 {
-	return e.returnsInto(nil, gamma)
-}
-
-// returnsInto is Returns writing into dst (grown only when too small), so
-// the trainer can reuse one buffer per episode slot across batches.
+// returnsInto computes the discounted cumulative returns R_t for each step
+// into dst (grown only when too small), so the trainer can reuse one
+// buffer per episode slot across batches.
 func (e *Episode) returnsInto(dst []float64, gamma float64) []float64 {
 	if cap(dst) < len(e.Rewards) {
 		dst = make([]float64, len(e.Rewards))
@@ -136,38 +132,6 @@ func (e *Episode) returnsInto(dst []float64, gamma float64) []float64 {
 		dst[i] = acc
 	}
 	return dst
-}
-
-// NormalizeReturns standardizes the returns to zero mean and unit standard
-// deviation — the variance-reduction baseline of Eq. 11. A constant return
-// vector normalizes to all zeros (no gradient), and a single-step episode
-// keeps its raw sign.
-func NormalizeReturns(returns []float64) []float64 {
-	n := len(returns)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	var mean float64
-	for _, r := range returns {
-		mean += r
-	}
-	mean /= float64(n)
-	var varAcc float64
-	for _, r := range returns {
-		d := r - mean
-		varAcc += d * d
-	}
-	std := math.Sqrt(varAcc / float64(n))
-	if std < 1e-12 {
-		// Degenerate episode: all returns equal. Without spread there is
-		// no preference signal; emit zeros rather than dividing by ~0.
-		return out
-	}
-	for i, r := range returns {
-		out[i] = (r - mean) / std
-	}
-	return out
 }
 
 // SampleAction draws an action index from the probability vector.
@@ -198,13 +162,4 @@ func GreedyAction(probs []float64) int {
 		}
 	}
 	return best
-}
-
-// FullMask returns a mask with all n actions legal.
-func FullMask(n int) []bool {
-	m := make([]bool, n)
-	for i := range m {
-		m[i] = true
-	}
-	return m
 }

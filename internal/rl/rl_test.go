@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"rlts/internal/nn"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -21,7 +19,7 @@ type banditEnv struct {
 
 func (b *banditEnv) Reset() ([]float64, []bool, bool) {
 	b.step = 0
-	return []float64{1, 0}, FullMask(2), false
+	return []float64{1, 0}, []bool{true, true}, false
 }
 
 func (b *banditEnv) Step(a int) ([]float64, []bool, float64, bool) {
@@ -31,7 +29,7 @@ func (b *banditEnv) Step(a int) ([]float64, []bool, float64, bool) {
 		r = 1
 	}
 	done := b.step >= b.n
-	return []float64{1, 0}, FullMask(2), r, done
+	return []float64{1, 0}, []bool{true, true}, r, done
 }
 
 func (b *banditEnv) StateSize() int  { return 2 }
@@ -51,7 +49,7 @@ func (c *corridorEnv) Reset() ([]float64, []bool, bool) {
 	if c.r.Intn(2) == 0 {
 		c.cur = -1
 	}
-	return []float64{c.cur}, FullMask(2), false
+	return []float64{c.cur}, []bool{true, true}, false
 }
 
 func (c *corridorEnv) Step(a int) ([]float64, []bool, float64, bool) {
@@ -68,7 +66,7 @@ func (c *corridorEnv) Step(a int) ([]float64, []bool, float64, bool) {
 	if c.r.Intn(2) == 0 {
 		c.cur = -1
 	}
-	return []float64{c.cur}, FullMask(2), reward, c.step >= 12
+	return []float64{c.cur}, []bool{true, true}, reward, c.step >= 12
 }
 
 func (c *corridorEnv) StateSize() int  { return 1 }
@@ -76,19 +74,19 @@ func (c *corridorEnv) NumActions() int { return 2 }
 
 func TestReturns(t *testing.T) {
 	ep := &Episode{Rewards: []float64{1, 2, 3}}
-	got := ep.Returns(1.0)
+	got := ep.returnsInto(nil, 1.0)
 	want := []float64{6, 5, 3}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Returns(1) = %v, want %v", got, want)
+			t.Fatalf("returns at gamma 1 = %v, want %v", got, want)
 		}
 	}
-	got = ep.Returns(0.5)
+	got = ep.returnsInto(got, 0.5)
 	// R2 = 3; R1 = 2 + 0.5*3 = 3.5; R0 = 1 + 0.5*3.5 = 2.75
 	want = []float64{2.75, 3.5, 3}
 	for i := range want {
 		if !almost(got[i], want[i], 1e-12) {
-			t.Fatalf("Returns(0.5) = %v, want %v", got, want)
+			t.Fatalf("returns at gamma 0.5 = %v, want %v", got, want)
 		}
 	}
 	if ep.TotalReward() != 6 {
@@ -97,7 +95,7 @@ func TestReturns(t *testing.T) {
 }
 
 func TestNormalizeReturns(t *testing.T) {
-	out := NormalizeReturns([]float64{1, 2, 3})
+	out := normalizeSingleSteps([]float64{1, 2, 3})
 	var mean float64
 	for _, v := range out {
 		mean += v
@@ -113,14 +111,32 @@ func TestNormalizeReturns(t *testing.T) {
 		t.Errorf("normalized std = %v", math.Sqrt(sd/3))
 	}
 	// Constant returns give zero gradient signal.
-	for _, v := range NormalizeReturns([]float64{5, 5, 5}) {
+	for _, v := range normalizeSingleSteps([]float64{5, 5, 5}) {
 		if v != 0 {
 			t.Errorf("constant returns normalized to %v", v)
 		}
 	}
-	if len(NormalizeReturns(nil)) != 0 {
-		t.Error("nil input should give empty output")
+	// A lone sample at a position carries no comparative signal.
+	if out := normalizeSingleSteps([]float64{7}); out[0] != 0 {
+		t.Errorf("single episode normalized to %v, want 0", out[0])
 	}
+}
+
+// normalizeSingleSteps runs batchCoeffs, the trainer's Eq. 11
+// normalization, over one single-step episode per reward, so every return
+// shares position 0, and returns each episode's coefficient.
+func normalizeSingleSteps(rewards []float64) []float64 {
+	eps := make([]*Episode, len(rewards))
+	for i, r := range rewards {
+		eps[i] = &Episode{Actions: []int{0}, Rewards: []float64{r}}
+	}
+	coeffs := make([][]float64, len(eps))
+	batchCoeffs(eps, 1, coeffs, make([][]float64, len(eps)))
+	out := make([]float64, len(eps))
+	for i, c := range coeffs {
+		out[i] = c[0]
+	}
+	return out
 }
 
 func TestNormalizeReturnsProperty(t *testing.T) {
@@ -132,7 +148,7 @@ func TestNormalizeReturnsProperty(t *testing.T) {
 		for i, v := range raw {
 			rs[i] = float64(v)
 		}
-		out := NormalizeReturns(rs)
+		out := normalizeSingleSteps(rs)
 		var mean float64
 		for _, v := range out {
 			mean += v
@@ -208,11 +224,11 @@ func TestTrainLearnsBandit(t *testing.T) {
 	cfg := DefaultTrainConfig()
 	cfg.Seed = 5
 	cfg.LearningRate = 0.05
-	res, err := Train(envs, cfg)
+	res, err := TrainSeeded(envs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs := res.Best.Probs([]float64{1, 0}, FullMask(2), false)
+	probs := res.Best.Probs([]float64{1, 0}, []bool{true, true}, false)
 	if probs[0] < 0.85 {
 		t.Errorf("P(good arm) = %v after training, want > 0.85", probs[0])
 	}
@@ -233,12 +249,12 @@ func TestTrainLearnsStateDependentPolicy(t *testing.T) {
 	cfg := DefaultTrainConfig()
 	cfg.Seed = 6
 	cfg.LearningRate = 0.02
-	res, err := Train(envs, cfg)
+	res, err := TrainSeeded(envs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := res.Best.Probs([]float64{1}, FullMask(2), false)
-	neg := res.Best.Probs([]float64{-1}, FullMask(2), false)
+	pos := res.Best.Probs([]float64{1}, []bool{true, true}, false)
+	neg := res.Best.Probs([]float64{-1}, []bool{true, true}, false)
 	if pos[0] < 0.8 || neg[1] < 0.8 {
 		t.Errorf("policy not state-dependent: P(0|+1)=%v P(1|-1)=%v", pos[0], neg[1])
 	}
@@ -256,11 +272,11 @@ func TestEntropyBonusKeepsPolicyMixed(t *testing.T) {
 		cfg.Seed = 4
 		cfg.LearningRate = 0.05
 		cfg.Entropy = entropy
-		res, err := Train(envs, cfg)
+		res, err := TrainSeeded(envs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Final.Probs([]float64{1, 0}, FullMask(2), false)
+		return res.Final.Probs([]float64{1, 0}, []bool{true, true}, false)
 	}
 	committed := mk(0)
 	mixed := mk(5)
@@ -273,36 +289,56 @@ func TestEntropyBonusKeepsPolicyMixed(t *testing.T) {
 }
 
 func TestProgressKeyAlignment(t *testing.T) {
-	// Two episodes with different lengths but overlapping progress keys
-	// must be normalized against each other at equal keys. Build them by
-	// hand and check updateBatch changes the policy (signal flows).
+	// Episodes of different lengths but overlapping progress keys must be
+	// normalized against each other at equal keys. Run one trainer batch
+	// on keyEnv and check the update moves the policy toward the action
+	// that does better at shared keys (signal flows).
 	p, err := NewPolicy(1, 2, 4, rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	adam := nn.NewAdam(p.Net.Params(), 0.05)
-	mkEp := func(keys []int, rewards []float64, action int) *Episode {
-		ep := &Episode{}
-		for i := range keys {
-			ep.States = append(ep.States, []float64{0.5})
-			ep.Masks = append(ep.Masks, FullMask(2))
-			ep.Actions = append(ep.Actions, action)
-			ep.Rewards = append(ep.Rewards, rewards[i])
-			ep.Keys = append(ep.Keys, keys[i])
-		}
-		return ep
+	cfg := TrainConfig{Seed: 8, Episodes: 8, LearningRate: 0.05, Gamma: 1, Workers: 1}
+	cfg.fillDefaults()
+	g := newEngine(p, cfg)
+	before := p.Probs([]float64{0.5}, []bool{true, true}, false)[0]
+	g.runBatch(&keyEnv{}, &TrainResult{BestReward: math.Inf(-1)})
+	lengths := map[int]bool{}
+	for _, ep := range g.eps {
+		lengths[ep.Len()] = true
 	}
-	// Episode A (action 0) does better at shared keys than episode B
-	// (action 1); after the update, action 0 should gain probability.
-	before := p.Probs([]float64{0.5}, FullMask(2), false)[0]
-	a := mkEp([]int{10, 11, 12}, []float64{0, 0, 0}, 0)
-	b := mkEp([]int{10, 12}, []float64{-5, -5}, 1)
-	updateBatch(p, adam, []*Episode{a, b}, 1.0, 0)
-	after := p.Probs([]float64{0.5}, FullMask(2), false)[0]
+	if len(lengths) < 2 {
+		t.Fatalf("every episode has the same length %v; the test needs a mix", lengths)
+	}
+	after := p.Probs([]float64{0.5}, []bool{true, true}, false)[0]
 	if after <= before {
 		t.Errorf("P(better action) %v -> %v, want increase", before, after)
 	}
 }
+
+// keyEnv advances its progress key by 1 on action 0 and by 2, at a reward
+// of -5, on action 1, ending at key 14: episodes of different lengths meet
+// at shared keys, where action 0 does better.
+type keyEnv struct{ key int }
+
+func (k *keyEnv) Reset() ([]float64, []bool, bool) {
+	k.key = 10
+	return []float64{0.5}, []bool{true, true}, false
+}
+
+func (k *keyEnv) Step(a int) ([]float64, []bool, float64, bool) {
+	r := 0.0
+	if a == 1 {
+		k.key += 2
+		r = -5
+	} else {
+		k.key++
+	}
+	return []float64{0.5}, []bool{true, true}, r, k.key >= 14
+}
+
+func (k *keyEnv) ProgressKey() int { return k.key }
+func (k *keyEnv) StateSize() int   { return 1 }
+func (k *keyEnv) NumActions() int  { return 2 }
 
 func TestTrainRejectsShapeMismatch(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
@@ -310,7 +346,7 @@ func TestTrainRejectsShapeMismatch(t *testing.T) {
 	if _, err := TrainPolicy(p, []Env{&banditEnv{n: 5}}, DefaultTrainConfig()); err == nil {
 		t.Error("shape mismatch accepted")
 	}
-	if _, err := Train(nil, DefaultTrainConfig()); err == nil {
+	if _, err := TrainPolicy(p, nil, DefaultTrainConfig()); err == nil {
 		t.Error("empty env list accepted")
 	}
 }
@@ -347,7 +383,8 @@ func TestRolloutRecordsEpisode(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	p, _ := NewPolicy(2, 2, 4, r)
 	env := &banditEnv{n: 7}
-	ep := Rollout(env, p, r, false)
+	ep := &Episode{}
+	rolloutInto(ep, env, p, r, false)
 	if ep.Len() != 7 {
 		t.Fatalf("episode length %d, want 7", ep.Len())
 	}

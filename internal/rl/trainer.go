@@ -115,22 +115,15 @@ type TrainResult struct {
 	Health TrainHealth
 }
 
-// Rollout plays one episode of env under policy, sampling actions, and
-// returns the recorded trace. train selects training-mode forwards
-// (batch-norm statistics update); the batch trainer always rolls out with
-// train=false against a frozen snapshot and folds the statistics in once
-// per batch. If env implements Progresser, per-step progress keys are
-// recorded for the trainer's return alignment.
+// rolloutInto plays one episode of env under policy, sampling actions, and
+// records the trace into ep, reusing its storage. train selects
+// training-mode forwards (batch-norm statistics update); the batch trainer
+// always rolls out with train=false against a frozen snapshot and folds
+// the statistics in once per batch. If env implements Progresser,
+// per-step progress keys are recorded for the trainer's return alignment.
 //
 // States and masks are copied into episode-owned storage, so environments
 // may reuse their state buffers between steps.
-func Rollout(env Env, p *Policy, r *rand.Rand, train bool) *Episode {
-	ep := &Episode{}
-	rolloutInto(ep, env, p, r, train)
-	return ep
-}
-
-// rolloutInto is Rollout reusing a caller-owned episode's storage.
 func rolloutInto(ep *Episode, env Env, p *Policy, r *rand.Rand, train bool) {
 	ep.reset()
 	prog, hasProg := env.(Progresser)
@@ -150,25 +143,11 @@ func rolloutInto(ep *Episode, env Env, p *Policy, r *rand.Rand, train bool) {
 	}
 }
 
-// Train runs REINFORCE over a stream of environments. envs yields one Env
-// per training trajectory (the caller typically wraps a dataset); for each
-// it generates cfg.Episodes episodes and applies one optimizer update per
-// batch. It returns the best policy observed.
-func Train(envs []Env, cfg TrainConfig) (*TrainResult, error) {
-	cfg.fillDefaults()
-	if len(envs) == 0 {
-		return nil, fmt.Errorf("rl: no training environments")
-	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-	p, err := NewPolicy(envs[0].StateSize(), envs[0].NumActions(), cfg.Hidden, r)
-	if err != nil {
-		return nil, err
-	}
-	return TrainPolicy(p, envs, cfg)
-}
-
-// TrainPolicy is Train with a caller-supplied initial policy, allowing
-// warm starts and architecture experiments.
+// TrainPolicy runs REINFORCE from the initial policy p over a stream of
+// environments. envs yields one Env per training trajectory (the caller
+// typically wraps a dataset); for each it generates cfg.Episodes episodes
+// and applies one optimizer update per batch. It returns the best policy
+// observed.
 //
 // Within each per-trajectory batch the cfg.Episodes rollouts are
 // independent given a frozen policy snapshot, so they are fanned out over
@@ -695,30 +674,5 @@ func batchCoeffs(eps []*Episode, gamma float64, coeffs, returns [][]float64) {
 		for _, rf := range refs {
 			coeffs[rf.ep][rf.t] = (returns[rf.ep][rf.t] - mean) / std
 		}
-	}
-}
-
-// updateBatch applies one REINFORCE update from a batch of episodes to p,
-// entirely serially: the reference implementation the parallel engine must
-// reproduce bit for bit, kept for tests and as executable documentation.
-func updateBatch(p *Policy, adam *nn.Adam, batch []*Episode, gamma, entropy float64) {
-	coeffs := make([][]float64, len(batch))
-	returns := make([][]float64, len(batch))
-	batchCoeffs(batch, gamma, coeffs, returns)
-	p.Net.ZeroGrad()
-	var steps int
-	for e, ep := range batch {
-		for t := 0; t < ep.Len(); t++ {
-			steps++
-			if c := coeffs[e][t]; c != 0 {
-				p.accumulateStep(ep.States[t], ep.Masks[t], ep.Actions[t], c)
-			}
-			if entropy > 0 {
-				p.accumulateEntropy(ep.States[t], ep.Masks[t], entropy)
-			}
-		}
-	}
-	if steps > 0 {
-		adam.Step(float64(steps))
 	}
 }

@@ -22,7 +22,7 @@ func trainBandit(t *testing.T, workers int) ([]byte, []byte, *TrainResult) {
 	cfg.Seed = 11
 	cfg.LearningRate = 0.05
 	cfg.Workers = workers
-	res, err := Train(envs, cfg)
+	res, err := TrainSeeded(envs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTrainParallelWithoutCloner(t *testing.T) {
 		cfg.Seed = 4
 		cfg.LearningRate = 0.02
 		cfg.Workers = workers
-		res, err := Train(envs, cfg)
+		res, err := TrainSeeded(envs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -326,7 +326,7 @@ func TestSpillEnvelopeV1StillDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Repair == nil || back.Repair.Cfg != rp.Config() {
+	if back.Repair == nil || back.Repair.Cfg != rec.Repair.Cfg {
 		t.Fatalf("v2 repair section lost: %+v", back.Repair)
 	}
 }

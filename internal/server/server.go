@@ -108,14 +108,10 @@ type Server struct {
 	fleets     *fleetManager
 }
 
-// New creates a server with the given trained policies registered under
-// their paper names (e.g. "rlts+") and default hardening (see Config).
-// The heuristic baselines are always available.
-func New(policies []*core.Trained) *Server {
-	return NewWith(policies, Config{})
-}
-
-// NewWith is New with explicit hardening configuration.
+// NewWith creates a server with the given trained policies registered
+// under their paper names (e.g. "rlts+") and the hardening of cfg; the
+// zero Config gives the defaults. The heuristic baselines are always
+// available.
 func NewWith(policies []*core.Trained, cfg Config) *Server {
 	s := &Server{
 		mux:      http.NewServeMux(),

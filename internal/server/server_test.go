@@ -24,7 +24,7 @@ func testServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New([]*core.Trained{trained}).Handler())
+	srv := httptest.NewServer(NewWith([]*core.Trained{trained}, Config{}).Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }

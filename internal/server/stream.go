@@ -253,13 +253,6 @@ func (m *streamManager) evictIdleShard(sh *streamShard, now time.Time) {
 	}
 }
 
-// evictIdle sweeps every shard; tests drive it by hand.
-func (m *streamManager) evictIdle(now time.Time) {
-	for _, sh := range m.shards {
-		m.evictIdleShard(sh, now)
-	}
-}
-
 // stop terminates the janitor goroutines (Server.Close).
 func (m *streamManager) stop() {
 	m.stopOnce.Do(func() { close(m.stopJanitor) })

@@ -421,3 +421,10 @@ func TestStreamMetricsInServerRegistry(t *testing.T) {
 		t.Errorf("rlts_stream_points_total in server registry = %d, want %d", got, len(pts))
 	}
 }
+
+// evictIdle sweeps every shard, as the janitor does shard by shard.
+func (m *streamManager) evictIdle(now time.Time) {
+	for _, sh := range m.shards {
+		m.evictIdleShard(sh, now)
+	}
+}

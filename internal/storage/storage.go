@@ -14,6 +14,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -69,7 +70,11 @@ func quantize(p geo.Point, scale float64) (x, y, t int64) {
 // Decode reads a trajectory written by Encode. Coordinates come back
 // quantized to the encoded precision.
 func Decode(r io.Reader) (traj.Trajectory, error) {
-	br := asByteReader(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	br := bytes.NewReader(data)
 	var m [4]byte
 	for i := range m {
 		b, err := br.ReadByte()
@@ -118,9 +123,9 @@ func Decode(r io.Reader) (traj.Trajectory, error) {
 		capHint = 1 << 16
 	}
 	out := make(traj.Trajectory, 0, capHint)
-	base := geo.Pt(bases[0], bases[1], bases[2])
-	x, y, t := quantize(base, scale)
-	out = append(out, dequantize(x, y, t, scale))
+	x, y, t := quantize(geo.Pt(bases[0], bases[1], bases[2]), scale)
+	at := func() geo.Point { return geo.Pt(float64(x)/scale, float64(y)/scale, float64(t)/scale) }
+	out = append(out, at())
 	for i := uint64(1); i < n; i++ {
 		dx, err := binary.ReadVarint(br)
 		if err != nil {
@@ -137,13 +142,9 @@ func Decode(r io.Reader) (traj.Trajectory, error) {
 		x += dx
 		y += dy
 		t += dt
-		out = append(out, dequantize(x, y, t, scale))
+		out = append(out, at())
 	}
 	return out, nil
-}
-
-func dequantize(x, y, t int64, scale float64) geo.Point {
-	return geo.Pt(float64(x)/scale, float64(y)/scale, float64(t)/scale)
 }
 
 // EncodedSize returns the number of bytes Encode would produce.
@@ -163,28 +164,4 @@ type countingWriter int64
 func (c *countingWriter) Write(p []byte) (int, error) {
 	*c += countingWriter(len(p))
 	return len(p), nil
-}
-
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-func asByteReader(r io.Reader) byteReader {
-	if br, ok := r.(byteReader); ok {
-		return br
-	}
-	return &simpleByteReader{r: r}
-}
-
-type simpleByteReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func (s *simpleByteReader) Read(p []byte) (int, error) { return s.r.Read(p) }
-
-func (s *simpleByteReader) ReadByte() (byte, error) {
-	_, err := io.ReadFull(s.r, s.buf[:])
-	return s.buf[0], err
 }

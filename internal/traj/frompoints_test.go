@@ -3,7 +3,6 @@ package traj
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -32,21 +31,6 @@ func TestFromPoints(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := FromPoints(tc.points); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-		}
-	}
-}
-
-func TestReadPLTRejectsNonFinite(t *testing.T) {
-	header := "Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n0,2,255,My Track,0,0,2,8421376\n0\n"
-	// Inf parses fine in strconv but is not a usable coordinate.
-	for _, line := range []string{
-		"Inf,116.3,0,492,39745.10,2008-10-24,02:24:00\n",
-		"39.9,-Inf,0,492,39745.10,2008-10-24,02:24:00\n",
-		"NaN,116.3,0,492,39745.10,2008-10-24,02:24:00\n",
-		"39.9,116.3,0,492,Inf,2008-10-24,02:24:00\n",
-	} {
-		if _, err := ReadPLT(strings.NewReader(header + line)); !errors.Is(err, ErrNotFinite) {
-			t.Errorf("line %q: err = %v, want ErrNotFinite", strings.TrimSpace(line), err)
 		}
 	}
 }

@@ -37,22 +37,3 @@ func FuzzReadCSV(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadPLT checks the Geolife reader never panics and only yields
-// valid trajectories.
-func FuzzReadPLT(f *testing.F) {
-	header := "Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n0,2,255,My Track,0,0,2,8421376\n0\n"
-	f.Add(header + "39.9,116.3,0,492,39745.10,2008-10-24,02:24:00\n")
-	f.Add(header)
-	f.Add("short")
-	f.Add(header + "1e309,0,0,0,0,x,y\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		tr, err := ReadPLT(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("accepted invalid trajectory: %v", err)
-		}
-	})
-}

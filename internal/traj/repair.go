@@ -184,9 +184,6 @@ func NewRepairer(cfg RepairConfig) *Repairer {
 	return &Repairer{cfg: cfg}
 }
 
-// Config returns the repairer's configuration.
-func (r *Repairer) Config() RepairConfig { return r.cfg }
-
 // Report returns the cumulative per-defect accounting.
 func (r *Repairer) Report() RepairReport { return r.rep }
 

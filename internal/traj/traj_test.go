@@ -35,23 +35,6 @@ func TestLenDurationPathLength(t *testing.T) {
 	}
 }
 
-func TestSub(t *testing.T) {
-	tr := line(10)
-	sub := tr.Sub(2, 5)
-	if sub.Len() != 4 {
-		t.Fatalf("Sub len = %d, want 4", sub.Len())
-	}
-	if !sub[0].Equal(tr[2]) || !sub[3].Equal(tr[5]) {
-		t.Error("Sub endpoints wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Sub out of range did not panic")
-		}
-	}()
-	tr.Sub(5, 2)
-}
-
 func TestValidate(t *testing.T) {
 	if err := line(5).Validate(); err != nil {
 		t.Errorf("valid trajectory: %v", err)
@@ -92,7 +75,7 @@ func TestIsSimplificationOf(t *testing.T) {
 		s    Trajectory
 		want bool
 	}{
-		{"identity", tr.Clone(), true},
+		{"identity", append(Trajectory(nil), tr...), true},
 		{"endpoints only", Trajectory{tr[0], tr[5]}, true},
 		{"subsequence", Trajectory{tr[0], tr[2], tr[4], tr[5]}, true},
 		{"missing last", Trajectory{tr[0], tr[3]}, false},
@@ -106,15 +89,6 @@ func TestIsSimplificationOf(t *testing.T) {
 				t.Errorf("IsSimplificationOf = %v, want %v", got, tc.want)
 			}
 		})
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	tr := line(4)
-	c := tr.Clone()
-	c[0].X = 99
-	if tr[0].X == 99 {
-		t.Error("Clone shares storage")
 	}
 }
 

@@ -71,23 +71,6 @@ func (t Trajectory) PathLength() float64 {
 	return sum
 }
 
-// Sub returns the subtrajectory T[i:j] inclusive of both endpoints,
-// i.e. <p_i, ..., p_j> in the paper's notation (0-based here).
-// It shares backing storage with t.
-func (t Trajectory) Sub(i, j int) Trajectory {
-	if i < 0 || j >= len(t) || i > j {
-		panic(fmt.Sprintf("traj: Sub(%d, %d) out of range for length %d", i, j, len(t)))
-	}
-	return t[i : j+1]
-}
-
-// Clone returns a deep copy of the trajectory.
-func (t Trajectory) Clone() Trajectory {
-	c := make(Trajectory, len(t))
-	copy(c, t)
-	return c
-}
-
 // Segment returns the directed segment from point i to point j.
 func (t Trajectory) Segment(i, j int) geo.Segment {
 	return geo.Seg(t[i], t[j])

@@ -20,7 +20,6 @@ package pretrained
 import (
 	"embed"
 	"fmt"
-	"sort"
 	"strings"
 
 	"rlts"
@@ -42,20 +41,6 @@ func Load(m rlts.Measure, v rlts.Variant) (*rlts.Policy, error) {
 	}
 	defer f.Close()
 	return rlts.LoadPolicy(f)
-}
-
-// Names lists the embedded policy files.
-func Names() []string {
-	entries, err := files.ReadDir("data")
-	if err != nil {
-		return nil
-	}
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.Name())
-	}
-	sort.Strings(out)
-	return out
 }
 
 func fileName(m rlts.Measure, v rlts.Variant) (string, error) {
