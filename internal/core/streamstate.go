@@ -25,6 +25,7 @@ import (
 	"math/rand"
 
 	"rlts/internal/buffer"
+	"rlts/internal/codec"
 	"rlts/internal/geo"
 	"rlts/internal/rl"
 )
@@ -213,17 +214,13 @@ func (st *StreamerState) AppendBinary(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.Skip))
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.Skipped))
 	b = binary.LittleEndian.AppendUint64(b, st.Draws)
-	b = appendFloat(b, st.ErrEst)
-	b = appendFloat(b, st.Last.X)
-	b = appendFloat(b, st.Last.Y)
-	b = appendFloat(b, st.Last.T)
+	b = codec.AppendF64(b, st.ErrEst)
+	b = codec.AppendPoint(b, st.Last)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Entries)))
 	for _, e := range st.Entries {
 		b = binary.LittleEndian.AppendUint64(b, uint64(e.Index))
-		b = appendFloat(b, e.P.X)
-		b = appendFloat(b, e.P.Y)
-		b = appendFloat(b, e.P.T)
-		b = appendFloat(b, e.Value)
+		b = codec.AppendPoint(b, e.P)
+		b = codec.AppendF64(b, e.Value)
 		b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.HeapPos)))
 	}
 	return b
@@ -235,109 +232,43 @@ func (st *StreamerState) AppendBinary(b []byte) []byte {
 // happens in ResumeStreamer, so a decoded state is not necessarily a
 // usable one.
 func DecodeStreamerState(data []byte) (*StreamerState, error) {
-	d := byteReader{buf: data}
-	ver := d.u32()
-	if d.err == nil && (ver < streamerStateMinVersion || ver > StreamerStateVersion) {
+	d := codec.Reader{Buf: data}
+	ver := d.U32()
+	if d.Err == nil && (ver < streamerStateMinVersion || ver > StreamerStateVersion) {
 		return nil, fmt.Errorf("core: streamer state version %d, want %d..%d",
 			ver, streamerStateMinVersion, StreamerStateVersion)
 	}
-	flags := d.u8()
+	flags := d.U8()
 	st := &StreamerState{
 		Sample:  flags&1 != 0,
 		HasLast: flags&2 != 0,
 	}
-	st.W = int(d.u32())
-	st.Seen = d.count()
-	st.Skip = d.count()
-	st.Skipped = d.count()
-	st.Draws = d.u64()
+	st.W = int(d.U32())
+	st.Seen = d.Count()
+	st.Skip = d.Count()
+	st.Skipped = d.Count()
+	st.Draws = d.U64()
 	if ver >= 2 {
-		st.ErrEst = d.f64()
+		st.ErrEst = d.F64()
 	}
-	st.Last.X = d.f64()
-	st.Last.Y = d.f64()
-	st.Last.T = d.f64()
-	n := d.u32()
-	if d.err != nil {
-		return nil, fmt.Errorf("core: decode streamer state: %w", d.err)
+	st.Last = d.Point()
+	n := d.U32()
+	if d.Err != nil {
+		return nil, fmt.Errorf("core: decode streamer state: %w", d.Err)
 	}
-	if rem := len(data) - d.off; int(n)*streamerEntryBytes != rem {
+	if rem := len(data) - d.Off; int(n)*streamerEntryBytes != rem {
 		return nil, fmt.Errorf("core: decode streamer state: %d entries declared, %d bytes remain", n, rem)
 	}
 	st.Entries = make([]buffer.EntryState, n)
 	for i := range st.Entries {
 		e := &st.Entries[i]
-		e.Index = d.count()
-		e.P.X = d.f64()
-		e.P.Y = d.f64()
-		e.P.T = d.f64()
-		e.Value = d.f64()
-		e.HeapPos = int(int64(d.u64()))
+		e.Index = d.Count()
+		e.P = d.Point()
+		e.Value = d.F64()
+		e.HeapPos = int(int64(d.U64()))
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("core: decode streamer state: %w", d.err)
+	if d.Err != nil {
+		return nil, fmt.Errorf("core: decode streamer state: %w", d.Err)
 	}
 	return st, nil
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// byteReader is a bounds-checked little-endian cursor: reads past the
-// end set err and return zeros instead of panicking, so decoders can
-// read a whole header and check err once.
-type byteReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *byteReader) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("truncated at byte %d (need %d of %d)", d.off, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *byteReader) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *byteReader) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *byteReader) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *byteReader) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// count reads a u64 that must fit a non-negative int.
-func (d *byteReader) count() int {
-	v := d.u64()
-	if d.err == nil && v > math.MaxInt32 {
-		d.err = fmt.Errorf("implausible count %d at byte %d", v, d.off)
-		return 0
-	}
-	return int(v)
 }

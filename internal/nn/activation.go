@@ -94,4 +94,3 @@ func (a *ReLU) Backward(grad []float64) []float64 {
 
 // Params returns nil: activations have no trainable parameters.
 func (a *ReLU) Params() []*Param { return nil }
-

@@ -85,4 +85,3 @@ func (d *Dense) Backward(grad []float64) []float64 {
 
 // Params returns the weight and bias parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
-

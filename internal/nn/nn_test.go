@@ -338,4 +338,3 @@ func TestReLU(t *testing.T) {
 		t.Errorf("ReLU backward = %v", g)
 	}
 }
-

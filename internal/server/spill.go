@@ -53,6 +53,7 @@ import (
 	"strings"
 	"time"
 
+	"rlts/internal/codec"
 	"rlts/internal/core"
 	"rlts/internal/storage"
 	"rlts/internal/traj"
@@ -175,40 +176,40 @@ func decodeSession(data []byte) (*sessionRecord, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
 		return nil, fmt.Errorf("server: spill file checksum mismatch (%08x != %08x)", got, want)
 	}
-	d := spillReader{buf: body, off: len(spillMagic)}
-	ver := d.u32()
-	if d.err == nil && (ver < spillMinVersion || ver > spillVersion) {
+	d := codec.Reader{Buf: body, Off: len(spillMagic)}
+	ver := d.U32()
+	if d.Err == nil && (ver < spillMinVersion || ver > spillVersion) {
 		return nil, fmt.Errorf("server: spill envelope version %d, want %d..%d",
 			ver, spillMinVersion, spillVersion)
 	}
 	rec := &sessionRecord{}
-	rec.ID = d.str(maxSpillID)
-	rec.Key = d.str(maxSpillKey)
-	rec.Seed = int64(d.u64())
-	rec.LastActive = int64(d.u64())
-	stateLen := int(d.u32())
-	if d.err != nil {
-		return nil, fmt.Errorf("server: decode spill file: %w", d.err)
+	rec.ID = d.Str(maxSpillID)
+	rec.Key = d.Str(maxSpillKey)
+	rec.Seed = int64(d.U64())
+	rec.LastActive = int64(d.U64())
+	stateLen := int(d.U32())
+	if d.Err != nil {
+		return nil, fmt.Errorf("server: decode spill file: %w", d.Err)
 	}
 	if ver == 1 {
 		// v1: the streamer state runs to the end of the body.
-		if stateLen != len(body)-d.off {
+		if stateLen != len(body)-d.Off {
 			return nil, fmt.Errorf("server: spill file declares %d state bytes, %d remain",
-				stateLen, len(body)-d.off)
+				stateLen, len(body)-d.Off)
 		}
 	}
-	stateBytes := d.take(stateLen)
+	stateBytes := d.Take(stateLen)
 	var repairBytes []byte
 	if ver >= 2 {
-		if d.bool() {
-			repairBytes = d.take(int(d.u32()))
+		if d.Bool() {
+			repairBytes = d.Take(int(d.U32()))
 		}
-		if d.err == nil && d.off != len(body) {
-			d.err = fmt.Errorf("%d trailing bytes", len(body)-d.off)
+		if d.Err == nil && d.Off != len(body) {
+			d.Err = fmt.Errorf("%d trailing bytes", len(body)-d.Off)
 		}
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("server: decode spill file: %w", d.err)
+	if d.Err != nil {
+		return nil, fmt.Errorf("server: decode spill file: %w", d.Err)
 	}
 	if !validSpillID(rec.ID) {
 		return nil, fmt.Errorf("server: spill file carries invalid session id %q", rec.ID)
@@ -229,60 +230,6 @@ func decodeSession(data []byte) (*sessionRecord, error) {
 		rec.Repair = rs
 	}
 	return rec, nil
-}
-
-// spillReader is a bounds-checked little-endian cursor (reads past the
-// end set err and return zeros).
-type spillReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *spillReader) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("truncated at byte %d (need %d of %d)", d.off, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *spillReader) bool() bool {
-	b := d.take(1)
-	return b != nil && b[0] != 0
-}
-
-func (d *spillReader) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *spillReader) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *spillReader) str(max int) string {
-	n := d.take(1)
-	if n == nil {
-		return ""
-	}
-	if int(n[0]) > max {
-		d.err = fmt.Errorf("string of %d bytes exceeds limit %d", n[0], max)
-		return ""
-	}
-	return string(d.take(int(n[0])))
 }
 
 // spillSessionLocked moves one hot session to disk. The caller holds the

@@ -28,9 +28,8 @@ package traj
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
-	"rlts/internal/geo"
+	"rlts/internal/codec"
 )
 
 // RepairStateVersion is the current repair-state codec version.
@@ -49,26 +48,26 @@ func (st *RepairState) AppendBinary(b []byte) []byte {
 	le := binary.LittleEndian
 	b = append(b, RepairStateVersion)
 	b = le.AppendUint64(b, uint64(st.Cfg.Window))
-	b = le.AppendUint64(b, math.Float64bits(st.Cfg.MaxSpeed))
-	b = le.AppendUint64(b, math.Float64bits(st.Cfg.DupRadius))
+	b = codec.AppendF64(b, st.Cfg.MaxSpeed)
+	b = codec.AppendF64(b, st.Cfg.DupRadius)
 	b = append(b, b2u(st.Cfg.AverageDups))
 	b = le.AppendUint64(b, st.Seq)
 	b = le.AppendUint64(b, st.MaxRelSeq)
 	b = le.AppendUint32(b, uint32(len(st.Pending)))
 	for _, f := range st.Pending {
-		b = appendPoint(b, f.P)
+		b = codec.AppendPoint(b, f.P)
 		b = le.AppendUint64(b, f.Seq)
 	}
 	b = append(b, b2u(st.HasHeld))
 	if st.HasHeld {
-		b = appendPoint(b, st.HeldFirst)
-		b = le.AppendUint64(b, math.Float64bits(st.HeldSumX))
-		b = le.AppendUint64(b, math.Float64bits(st.HeldSumY))
+		b = codec.AppendPoint(b, st.HeldFirst)
+		b = codec.AppendF64(b, st.HeldSumX)
+		b = codec.AppendF64(b, st.HeldSumY)
 		b = le.AppendUint64(b, uint64(st.HeldN))
 	}
 	b = append(b, b2u(st.HasLast))
 	if st.HasLast {
-		b = appendPoint(b, st.Last)
+		b = codec.AppendPoint(b, st.Last)
 	}
 	for _, v := range st.Report.fields() {
 		b = le.AppendUint64(b, uint64(v))
@@ -81,52 +80,52 @@ func (st *RepairState) AppendBinary(b []byte) []byte {
 // error, never a panic. Semantic validity (heap property, balanced
 // report, finite gate) is ResumeRepairer's job.
 func DecodeRepairState(data []byte) (*RepairState, error) {
-	d := &stateReader{buf: data}
-	if v := d.u8(); d.err == nil && v != RepairStateVersion {
+	d := &codec.Reader{Buf: data}
+	if v := d.U8(); d.Err == nil && v != RepairStateVersion {
 		return nil, fmt.Errorf("traj: repair state version %d, want %d", v, RepairStateVersion)
 	}
 	st := &RepairState{}
-	st.Cfg.Window = int(int64(d.u64()))
-	st.Cfg.MaxSpeed = d.f64()
-	st.Cfg.DupRadius = d.f64()
-	st.Cfg.AverageDups = d.bool()
-	st.Seq = d.u64()
-	st.MaxRelSeq = d.u64()
-	n := int(d.u32())
-	if d.err == nil && n > maxRepairPending {
+	st.Cfg.Window = int(int64(d.U64()))
+	st.Cfg.MaxSpeed = d.F64()
+	st.Cfg.DupRadius = d.F64()
+	st.Cfg.AverageDups = d.Bool()
+	st.Seq = d.U64()
+	st.MaxRelSeq = d.U64()
+	n := int(d.U32())
+	if d.Err == nil && n > maxRepairPending {
 		return nil, fmt.Errorf("traj: repair state declares %d pending fixes (max %d)", n, maxRepairPending)
 	}
 	// Check the declared fixes against the bytes left before allocating
 	// for them, so a short blob cannot drive a large allocation.
-	if rem := len(data) - d.off; d.err == nil && n*pendingFixBytes > rem {
+	if rem := len(data) - d.Off; d.Err == nil && n*pendingFixBytes > rem {
 		return nil, fmt.Errorf("traj: repair state declares %d pending fixes, %d bytes remain", n, rem)
 	}
-	if d.err == nil && n > 0 {
+	if d.Err == nil && n > 0 {
 		st.Pending = make([]PendingFixState, n)
 		for i := range st.Pending {
-			st.Pending[i].P = d.point()
-			st.Pending[i].Seq = d.u64()
+			st.Pending[i].P = d.Point()
+			st.Pending[i].Seq = d.U64()
 		}
 	}
-	st.HasHeld = d.bool()
+	st.HasHeld = d.Bool()
 	if st.HasHeld {
-		st.HeldFirst = d.point()
-		st.HeldSumX = d.f64()
-		st.HeldSumY = d.f64()
-		st.HeldN = int(int64(d.u64()))
+		st.HeldFirst = d.Point()
+		st.HeldSumX = d.F64()
+		st.HeldSumY = d.F64()
+		st.HeldN = int(int64(d.U64()))
 	}
-	st.HasLast = d.bool()
+	st.HasLast = d.Bool()
 	if st.HasLast {
-		st.Last = d.point()
+		st.Last = d.Point()
 	}
 	for _, f := range st.Report.fieldPtrs() {
-		*f = int(int64(d.u64()))
+		*f = int(int64(d.U64()))
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("traj: decode repair state: %w", d.err)
+	if d.Err != nil {
+		return nil, fmt.Errorf("traj: decode repair state: %w", d.Err)
 	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("traj: repair state has %d trailing bytes", len(data)-d.off)
+	if d.Off != len(data) {
+		return nil, fmt.Errorf("traj: repair state has %d trailing bytes", len(data)-d.Off)
 	}
 	return st, nil
 }
@@ -146,63 +145,4 @@ func b2u(v bool) byte {
 		return 1
 	}
 	return 0
-}
-
-func appendPoint(b []byte, p geo.Point) []byte {
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.X))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Y))
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(p.T))
-}
-
-// stateReader is a bounds-checked little-endian cursor: reads past the
-// end set err and return zeros.
-type stateReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *stateReader) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("truncated at byte %d (need %d of %d)", d.off, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *stateReader) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *stateReader) bool() bool { return d.u8() != 0 }
-
-func (d *stateReader) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *stateReader) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *stateReader) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *stateReader) point() geo.Point {
-	return geo.Point{X: d.f64(), Y: d.f64(), T: d.f64()}
 }
