@@ -34,22 +34,42 @@ func SimplifyCtx(ctx context.Context, p *rl.Policy, t traj.Trajectory, w int, op
 	if err := checkRun(opts, p, w, len(t), sample, r); err != nil {
 		return nil, err
 	}
+	kept, steps, err := drive(ctx, t, w, opts, func(state []float64, mask []bool) int {
+		return p.Act(state, mask, sample, r)
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	met := coreMetrics()
+	met.simplifyRuns.Inc()
+	met.simplifySteps.Add(uint64(steps))
+	return kept, nil
+}
+
+// drive is the decision loop every entry point into the scanning MDP
+// runs: Reset, then choose an action and Step until the episode is done,
+// checking ctx every ctxCheckEvery steps. observe, when not nil, sees
+// each decision's state, mask and chosen action before the step. It
+// returns the kept indices and the number of decisions.
+func drive(ctx context.Context, t traj.Trajectory, w int, opts Options,
+	choose func(state []float64, mask []bool) int,
+	observe func(state []float64, mask []bool, a int)) ([]int, int, error) {
 	env := newEnv(t, w, opts, false)
 	state, mask, done := env.Reset()
 	step := 0
 	for ; !done; step++ {
 		if step%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: simplify: %w", err)
+				return nil, step, fmt.Errorf("core: simplify: %w", err)
 			}
 		}
-		a := p.Act(state, mask, sample, r)
+		a := choose(state, mask)
+		if observe != nil {
+			observe(state, mask, a)
+		}
 		state, mask, _, done = env.Step(a)
 	}
-	met := coreMetrics()
-	met.simplifyRuns.Inc()
-	met.simplifySteps.Add(uint64(step))
-	return env.Kept(), nil
+	return env.Kept(), step, nil
 }
 
 // SimplifyRandom runs the MDP with a uniformly random policy over the
@@ -59,14 +79,11 @@ func SimplifyRandom(t traj.Trajectory, w int, opts Options, r *rand.Rand) ([]int
 	if err := checkRun(opts, nil, w, len(t), true, r); err != nil {
 		return nil, err
 	}
-	env := newEnv(t, w, opts, false)
-	_, mask, done := env.Reset()
-	for !done {
+	kept, _, err := drive(context.Background(), t, w, opts, func(_ []float64, mask []bool) int {
 		legal := legal(mask)
-		a := legal[r.Intn(len(legal))]
-		_, mask, _, done = env.Step(a)
-	}
-	return env.Kept(), nil
+		return legal[r.Intn(len(legal))]
+	}, nil)
+	return kept, err
 }
 
 // SimplifyFixedAction runs the MDP always taking the given action when it
@@ -80,16 +97,13 @@ func SimplifyFixedAction(t traj.Trajectory, w int, opts Options, action int) ([]
 	if action < 0 || action >= opts.NumActions() {
 		return nil, fmt.Errorf("core: fixed action %d out of range [0, %d)", action, opts.NumActions())
 	}
-	env := newEnv(t, w, opts, false)
-	_, mask, done := env.Reset()
-	for !done {
-		a := action
-		if !mask[a] {
-			a = legal(mask)[0]
+	kept, _, err := drive(context.Background(), t, w, opts, func(_ []float64, mask []bool) int {
+		if !mask[action] {
+			return legal(mask)[0]
 		}
-		_, mask, _, done = env.Step(a)
-	}
-	return env.Kept(), nil
+		return action
+	}, nil)
+	return kept, err
 }
 
 // checkRun validates the preconditions every entry point into the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"rlts/internal/rl"
 	"rlts/internal/traj"
 )
@@ -35,15 +37,16 @@ func TraceGreedy(p *rl.Policy, t traj.Trajectory, w int, opts Options) (*Decisio
 		return nil, err
 	}
 	tr := &DecisionTrace{StateSize: opts.StateSize(), NumActions: opts.NumActions()}
-	env := newEnv(t, w, opts, false)
-	state, mask, done := env.Reset()
-	for !done {
+	kept, _, err := drive(context.Background(), t, w, opts, func(state []float64, mask []bool) int {
+		return p.Act(state, mask, false, nil)
+	}, func(state []float64, mask []bool, a int) {
 		tr.States = append(tr.States, state...)
 		tr.Masks = append(tr.Masks, append([]bool(nil), mask...))
-		a := p.Act(state, mask, false, nil)
 		tr.Actions = append(tr.Actions, a)
-		state, mask, _, done = env.Step(a)
+	})
+	if err != nil {
+		return nil, err
 	}
-	tr.Kept = env.Kept()
+	tr.Kept = kept
 	return tr, nil
 }
