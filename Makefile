@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test check check-golden check-diff check-stream check-fleet check-bound check-dirty bench-rollout bench-obs bench-batch bench-fast bench-load
+.PHONY: test check check-golden check-diff check-stream check-fleet check-bound check-dirty check-reach check-perfbench bench-rollout bench-obs bench-batch bench-fast bench-load
 
 test:
 	$(GO) test ./...
@@ -58,13 +58,24 @@ check-bound:
 # deepens the differentials.
 check-dirty:
 	CHECK_SCALE=$${CHECK_SCALE:-4} $(GO) test -race -count=1 -run 'TestRepair' ./internal/check
-	$(GO) test -race -count=1 -run 'TestRepair|TestResumeRepairer|TestValidateDuplicateTime|TestDownsampleDirtyTail|TestCleanFloorsMinPoints' ./internal/traj
+	$(GO) test -race -count=1 -run 'TestRepair|TestResumeRepairer|TestValidateDuplicateTime' ./internal/traj
 	$(GO) test -race -count=1 -run 'TestDirty|TestFamilies|TestEveryFamilyRepairs|TestCorrupt|TestCompose|TestOutlierInStop|TestDupOfOutlier' ./internal/gen
 	$(GO) test -race -count=1 -run 'TestSimplifyRepair|TestBatchRepair|TestStreamRepair|TestStreamRejectCodes|TestSpillEnvelopeV1|TestPointsErrorCode' ./internal/server
 
-# Full gate: vet + build + race-detector test run (exercises the parallel
-# trainer and evaluation paths) + a fuzz smoke pass over every fuzz
-# target (override the per-target budget with FUZZTIME=30s).
+# Reachability gate: every non-test function is linked by an entry binary
+# or named on scripts/reach.allow, and no allowlist line is stale.
+check-reach:
+	sh scripts/reach.sh
+
+# perfbench smoke: a 2 s run of each benchmark workload must finish within
+# five minutes with every answer correct and no failed operation.
+check-perfbench:
+	sh scripts/perfbench_smoke.sh
+
+# Full gate: vet + build + reachability + race-detector test run
+# (exercises the parallel trainer and evaluation paths) + pillars +
+# perfbench smoke + a fuzz smoke pass over every fuzz target (override the
+# per-target budget with FUZZTIME=30s).
 check:
 	sh scripts/check.sh
 

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Full verification gate: vet, build, the test suite under the race
-# detector (which exercises the parallel trainer and the parallel
-# evaluation harness), a benchmark smoke pass over the metrics hot paths,
-# a live /metrics scrape against a real server process, and a short fuzz
-# smoke pass over every fuzz target. This is what `make check` runs.
+# Full verification gate: vet, build, the reachability gate, the test
+# suite under the race detector (which exercises the parallel trainer and
+# the parallel evaluation harness), a benchmark smoke pass over the
+# metrics hot paths, a live /metrics scrape against a real server
+# process, a short run of each perfbench workload, and a short fuzz smoke
+# pass over every fuzz target. This is what `make check` runs.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -27,6 +28,13 @@ go build ./...
 # would otherwise pass this gate. It builds offline.
 echo "== perfbench builds =="
 (cd perfbench && go vet .)
+
+# Reachability: every non-test function must be linked by an entry binary
+# (each package main, perfbench, or package rlts's exported API) or be
+# named on scripts/reach.allow with its reason, and no allowlist line may
+# name a linked or missing function. See DESIGN.md §9.5.
+echo "== reachability =="
+sh scripts/reach.sh
 echo "== go test -race =="
 go test -race ./...
 
@@ -112,7 +120,7 @@ go test -race -count=1 -run 'TestBounded|TestBudgetConflict' ./internal/server
 # reject codes). Same CHECK_SCALE knob deepens the sweeps.
 echo "== dirty-ingest repair pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
 CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestRepair' ./internal/check
-go test -race -count=1 -run 'TestRepair|TestResumeRepairer|TestValidateDuplicateTime|TestDownsampleDirtyTail|TestCleanFloorsMinPoints' ./internal/traj
+go test -race -count=1 -run 'TestRepair|TestResumeRepairer|TestValidateDuplicateTime' ./internal/traj
 go test -race -count=1 -run 'TestDirty|TestFamilies|TestEveryFamilyRepairs|TestCorrupt|TestCompose|TestOutlierInStop|TestDupOfOutlier' ./internal/gen
 go test -race -count=1 -run 'TestSimplifyRepair|TestBatchRepair|TestStreamRepair|TestStreamRejectCodes|TestSpillEnvelopeV1|TestPointsErrorCode' ./internal/server
 
@@ -206,12 +214,17 @@ wait "$SERVER_PID" 2>/dev/null || true
 trap - EXIT
 echo "scrape check: OK"
 
+# perfbench smoke: a 2 s run of each benchmark workload, built from this
+# checkout, must finish within five minutes with every answer correct and
+# no failed operation.
+echo "== perfbench smoke =="
+sh scripts/perfbench_smoke.sh
+
 # FUZZTIME can be raised for a deeper run; 10s per target keeps the gate
 # fast while still shaking out regressions in the parsers and handlers.
 FUZZTIME="${FUZZTIME:-10s}"
 echo "== fuzz smoke ($FUZZTIME per target) =="
 go test ./internal/traj -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime "$FUZZTIME"
-go test ./internal/traj -run '^$' -fuzz '^FuzzReadPLT$' -fuzztime "$FUZZTIME"
 go test ./internal/traj -run '^$' -fuzz '^FuzzFromPoints$' -fuzztime "$FUZZTIME"
 go test ./internal/traj -run '^$' -fuzz '^FuzzRepair$' -fuzztime "$FUZZTIME"
 go test ./internal/traj -run '^$' -fuzz '^FuzzDecodeRepairState$' -fuzztime "$FUZZTIME"
