@@ -1,8 +1,6 @@
-// Package codec holds the little-endian primitives of the persisted
-// binary formats: the streamer state (internal/core), the repair state
-// (internal/traj) and the spill envelope that carries both
-// (internal/server). It imports none of them, so all three share one
-// bounds-checked reader.
+// Package codec holds the little-endian primitives shared by the
+// persisted formats: the streamer state (core), the repair state (traj)
+// and the spill envelope that carries both (server).
 package codec
 
 import (
@@ -24,9 +22,9 @@ func AppendPoint(b []byte, p geo.Point) []byte {
 }
 
 // Reader is a bounds-checked little-endian cursor over Buf from Off: a
-// read past the end, or of a negative length, sets Err and returns zeros
-// instead of panicking, so a decoder can read a whole header and check
-// Err once. After the first error every read returns zeros.
+// read past the end, or of a negative length, sets Err, and from then on
+// every read returns zeros, so a decoder can read a whole header and
+// check Err once.
 type Reader struct {
 	Buf []byte
 	Off int

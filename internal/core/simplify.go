@@ -46,11 +46,10 @@ func SimplifyCtx(ctx context.Context, p *rl.Policy, t traj.Trajectory, w int, op
 	return kept, nil
 }
 
-// drive is the decision loop every entry point into the scanning MDP
-// runs: Reset, then choose an action and Step until the episode is done,
-// checking ctx every ctxCheckEvery steps. observe, when not nil, sees
-// each decision's state, mask and chosen action before the step. It
-// returns the kept indices and the number of decisions.
+// drive is the one decision loop of the scanning MDP: Reset, then choose
+// and Step until done, checking ctx every ctxCheckEvery steps. observe,
+// if not nil, sees each decision before its step. It returns the kept
+// indices and the number of decisions.
 func drive(ctx context.Context, t traj.Trajectory, w int, opts Options,
 	choose func(state []float64, mask []bool) int,
 	observe func(state []float64, mask []bool, a int)) ([]int, int, error) {

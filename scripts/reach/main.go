@@ -1,27 +1,24 @@
 // Command reach lists the functions of a Go module that no entry binary
-// links. It builds every package main of the module, each extra module
-// directory named by -extra and, with -api, a generated main that takes
-// every exported function and method of one package; all without
-// inlining, so a called function keeps its own symbol. It reads the
-// linked text symbols with `go tool nm` and parses every non-test func
-// with go/parser. A function that is neither linked nor on the allowlist
-// is reported, and so is an allowlist line that names a function that is
-// linked or no longer exists: either makes the exit status 1.
+// links. The entries are every package main of the module, the nested
+// modules named by -extra and, with -api, a generated main that takes
+// every exported function and method of one package. They are built
+// without inlining, so a called function keeps its own symbol, and read
+// with `go tool nm`. A non-test func that is neither linked nor on the
+// allowlist is reported, and so is an allowlist line that names a linked
+// or missing function; either makes the exit status 1.
 //
 //	go run ./scripts/reach -allow scripts/reach.allow -extra perfbench -api rlts .
 //
-// An allowlist line is `<function or package> <reason>`, the reason
-// being test-support or reference. A function is named as the linker
-// names it: pkg.F, pkg.T.M or pkg.(*T).M, type parameters left out.
+// An allowlist line is `<function or package> <reason>`, the reason being
+// test-support or reference. A function is named as the linker names it,
+// type arguments left out: pkg.F, pkg.T.M or pkg.(*T).M.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/parser"
 	"go/token"
 	"os"
@@ -32,39 +29,30 @@ import (
 	"strings"
 )
 
-// fn is one non-test func declaration.
-type fn struct {
-	pkg  string // import path
-	main bool   // declared in a package main
-	name string // linker name without type parameters
-	pos  string // file:line relative to the module root
-	n    int    // lines from func to its closing brace
-}
-
-// pkgInfo is one package of the module.
-type pkgInfo struct {
-	path, dir string
-	main      bool
-	fns       []fn
-	api       []string // exported funcs and methods as Go expressions
-}
-
 var reasons = map[string]bool{"test-support": true, "reference": true}
 
+// pkg is one package of the module: its non-test funcs, by linker name,
+// with their positions, and the expressions that take its exported funcs
+// and methods from a package that imports it as api.
+type pkg struct {
+	path, dir string
+	main      bool
+	fns       map[string]string
+	api       []string
+}
+
+type allowLine struct {
+	name string
+	line int
+}
+
 func main() {
-	allow := flag.String("allow", "", "allowlist file")
+	allow := flag.String("allow", "", "allowlist file (required)")
 	extra := flag.String("extra", "", "comma-separated nested module directories whose main is an entry")
 	api := flag.String("api", "", "import path of a package whose exported API is an entry")
 	flag.Parse()
-	root := "."
-	if flag.NArg() > 0 {
-		root = flag.Arg(0)
-	}
-	var extras []string
-	if *extra != "" {
-		extras = strings.Split(*extra, ",")
-	}
-	report, err := run(root, *allow, extras, *api)
+	extras := strings.FieldsFunc(*extra, func(r rune) bool { return r == ',' })
+	report, err := run(flag.Arg(0), *allow, extras, *api)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reach:", err)
 		os.Exit(2)
@@ -78,168 +66,101 @@ func main() {
 }
 
 // run returns one line per unreachable function and per stale allowlist
-// line; nil means the module passes.
+// line; an empty report means the module passes.
 func run(root, allowFile string, extras []string, api string) ([]string, error) {
-	root, err := filepath.Abs(root)
+	allow, err := readAllow(allowFile)
 	if err != nil {
 		return nil, err
 	}
-	mod, err := modulePath(root)
+	if root, err = filepath.Abs(root); err != nil {
+		return nil, err
+	}
+	pkgs, err := scan(root)
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := scan(root, mod)
+	linked, err := link(root, pkgs, extras, api)
 	if err != nil {
 		return nil, err
 	}
-	linked, err := linkedSymbols(root, pkgs, extras, api)
-	if err != nil {
-		return nil, err
+	allowed := map[string]bool{}
+	for _, a := range allow {
+		allowed[a.name] = true
 	}
-
-	byPkg := map[string][]fn{}
-	byName := map[string]bool{}
-	var dead []fn
-	for _, p := range pkgs {
-		for _, f := range p.fns {
-			byName[f.name] = true
-			set := linked[""]
-			if f.main {
-				set = linked[p.path]
-			}
-			if !isLinked(set, f) {
-				dead = append(dead, f)
-				byPkg[f.pkg] = append(byPkg[f.pkg], f)
-			}
-		}
-	}
-	isPkg := map[string]bool{}
+	var report []string
+	isPkg, isFn, deadIn := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for _, p := range pkgs {
 		isPkg[p.path] = true
-	}
-
-	allowed := map[string]bool{}
-	var report []string
-	if allowFile != "" {
-		lines, err := readAllow(allowFile)
-		if err != nil {
-			return nil, err
-		}
-		for _, l := range lines {
-			switch {
-			case isPkg[l.name]:
-				if len(byPkg[l.name]) == 0 {
-					report = append(report, fmt.Sprintf("stale %s:%d: every function of %s is linked", allowFile, l.line, l.name))
+		for name, pos := range p.fns {
+			isFn[name] = true
+			if !linked[name] {
+				deadIn[p.path] = true
+				if !allowed[name] && !allowed[p.path] {
+					report = append(report, fmt.Sprintf("unreachable %s (%s)", name, pos))
 				}
-			case !byName[l.name]:
-				report = append(report, fmt.Sprintf("stale %s:%d: no function or package %s", allowFile, l.line, l.name))
-			case !containsName(dead, l.name):
-				report = append(report, fmt.Sprintf("stale %s:%d: %s is linked", allowFile, l.line, l.name))
 			}
-			allowed[l.name] = true
 		}
 	}
-	var out []string
-	for _, f := range dead {
-		if !allowed[f.name] && !allowed[f.pkg] {
-			out = append(out, fmt.Sprintf("unreachable %s (%s, %d lines)", f.name, f.pos, f.n))
+	sort.Strings(report)
+	for _, a := range allow {
+		switch {
+		case !isPkg[a.name] && !isFn[a.name]:
+			report = append(report, fmt.Sprintf("stale %s:%d: no function or package %s", allowFile, a.line, a.name))
+		case isFn[a.name] && linked[a.name], isPkg[a.name] && !deadIn[a.name]:
+			report = append(report, fmt.Sprintf("stale %s:%d: %s is linked", allowFile, a.line, a.name))
 		}
 	}
-	sort.Strings(out)
-	return append(out, report...), nil
+	return report, nil
 }
 
-func containsName(fns []fn, name string) bool {
-	for _, f := range fns {
-		if f.name == name {
-			return true
-		}
-	}
-	return false
-}
-
-func isLinked(set map[string]bool, f fn) bool {
-	if strings.HasSuffix(f.name, ".init") {
-		return set[f.name+".0"] || set[f.name]
-	}
-	if set[f.name] {
-		return true
-	}
-	// A value-receiver method reached only through an interface or a
-	// pointer links as the (*T).M wrapper around T.M.
-	recv, meth, ok := strings.Cut(strings.TrimPrefix(f.name, f.pkg+"."), ".")
-	return ok && !strings.HasPrefix(recv, "(") && set[f.pkg+".(*"+recv+")."+meth]
-}
-
-func modulePath(root string) (string, error) {
-	b, err := os.ReadFile(filepath.Join(root, "go.mod"))
+// scan parses the non-test files of every package `go list ./...` finds
+// under root, which leaves out testdata, nested modules and directories
+// that start with . or _.
+func scan(root string) ([]*pkg, error) {
+	out, err := goCmd(root, "list", "-f", "{{.ImportPath}}\t{{.Name}}\t{{.Dir}}\t{{join .GoFiles \" \"}}", "./...")
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
-		}
-	}
-	return "", fmt.Errorf("%s/go.mod names no module", root)
-}
-
-// scan parses the non-test files of every package in the module, leaving
-// out testdata, nested modules and directories that start with . or _.
-func scan(root, mod string) ([]*pkgInfo, error) {
-	var pkgs []*pkgInfo
-	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if dir != root {
-			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-		}
-		bp, err := build.ImportDir(dir, 0)
-		if err != nil {
-			if _, ok := err.(*build.NoGoError); ok {
-				return nil
-			}
-			return err
-		}
-		rel, _ := filepath.Rel(root, dir)
-		p := &pkgInfo{path: path.Join(mod, filepath.ToSlash(rel)), dir: dir, main: bp.Name == "main"}
-		fset := token.NewFileSet()
-		for _, file := range bp.GoFiles {
-			af, err := parser.ParseFile(fset, filepath.Join(dir, file), nil, 0)
+	var pkgs []*pkg
+	fset := token.NewFileSet()
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		f := strings.Split(line, "\t")
+		p := &pkg{path: f[0], main: f[1] == "main", dir: f[2], fns: map[string]string{}}
+		for _, file := range strings.Fields(f[3]) {
+			af, err := parser.ParseFile(fset, filepath.Join(p.dir, file), nil, 0)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			for _, decl := range af.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name != "_" {
-					p.add(fset, root, fd)
+			for _, d := range af.Decls {
+				// init runs whenever its package is linked, and a package
+				// none of whose other functions is linked shows anyway.
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name != "_" && fd.Name.Name != "init" {
+					pos := fset.Position(fd.Pos())
+					rel, _ := filepath.Rel(root, pos.Filename)
+					name, expr := linkerName(fd)
+					p.fns[p.path+"."+name] = fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)
+					if fd.Name.IsExported() && expr != "" {
+						p.api = append(p.api, expr)
+					}
 				}
 			}
 		}
 		pkgs = append(pkgs, p)
-		return nil
-	})
-	return pkgs, err
+	}
+	return pkgs, nil
 }
 
-func (p *pkgInfo) add(fset *token.FileSet, root string, fd *ast.FuncDecl) {
-	prefix := p.path
-	if p.main {
-		prefix = "main"
-	}
-	name, expr := fd.Name.Name, "api."+fd.Name.Name
+// linkerName returns fd's linker name within its package and, unless fd
+// is generic or a method of an unexported type, the expression that takes
+// it from a package that imports its own as api.
+func linkerName(fd *ast.FuncDecl) (name, expr string) {
+	name, expr = fd.Name.Name, "api."+fd.Name.Name
 	generic := fd.Type.TypeParams != nil
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
+	if fd.Recv != nil {
 		t := fd.Recv.List[0].Type
-		star := ""
-		if s, ok := t.(*ast.StarExpr); ok {
-			star, t = "*", s.X
+		star, isStar := t.(*ast.StarExpr)
+		if isStar {
+			t = star.X
 		}
 		switch x := t.(type) {
 		case *ast.IndexExpr:
@@ -248,145 +169,110 @@ func (p *pkgInfo) add(fset *token.FileSet, root string, fd *ast.FuncDecl) {
 			t, generic = x.X, true
 		}
 		recv := t.(*ast.Ident).Name
-		if star != "" {
-			name, expr = "(*"+recv+")."+name, "(*api."+recv+")."+name
-		} else {
-			name, expr = recv+"."+name, "api."+recv+"."+name
+		name, expr = recv+"."+name, "api."+recv+"."+name
+		if isStar {
+			name, expr = "(*"+recv+")."+fd.Name.Name, "(*api."+recv+")."+fd.Name.Name
 		}
-		if !ast.IsExported(recv) {
-			expr = ""
-		}
+		generic = generic || !ast.IsExported(recv)
 	}
-	start, end := fset.Position(fd.Pos()), fset.Position(fd.End())
-	rel, _ := filepath.Rel(root, start.Filename)
-	p.fns = append(p.fns, fn{
-		pkg:  p.path,
-		main: p.main,
-		name: prefix + "." + name,
-		pos:  fmt.Sprintf("%s:%d", filepath.ToSlash(rel), start.Line),
-		n:    end.Line - start.Line + 1,
-	})
-	if fd.Name.IsExported() && expr != "" && !generic {
-		p.api = append(p.api, expr)
+	if generic {
+		expr = ""
 	}
+	return name, expr
 }
 
-// linkedSymbols builds every entry and returns its text symbols with
-// type parameters stripped: under "" the union over all entries, and
-// under each main package's import path that binary's own set, since
-// every main package links its functions as main.F.
-func linkedSymbols(root string, pkgs []*pkgInfo, extras []string, api string) (map[string]map[string]bool, error) {
+// link builds every entry into a temporary directory and returns the
+// linked text symbols with type arguments stripped. A package main links
+// its functions as main.F; they are renamed after the package.
+func link(root string, pkgs []*pkg, extras []string, api string) (map[string]bool, error) {
 	tmp, err := os.MkdirTemp("", "reach")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(tmp)
-
-	bins := map[string]string{} // binary -> main package import path, "" for the others
 	args := []string{"build", "-gcflags=all=-l", "-o", tmp + string(filepath.Separator)}
+	var targets []string
+	bins := map[string]string{} // binary -> import path of its package main
 	for _, p := range pkgs {
 		if p.main {
-			bin := filepath.Join(tmp, path.Base(p.path))
-			if _, dup := bins[bin]; dup {
-				return nil, fmt.Errorf("two main packages build to %s", path.Base(p.path))
+			targets = append(targets, p.dir)
+			bins[filepath.Join(tmp, path.Base(p.path))] = p.path
+		}
+		if p.path == api {
+			overlay, err := apiOverlay(root, tmp, p)
+			if err != nil {
+				return nil, err
 			}
-			bins[bin] = p.path
-			args = append(args, p.dir)
+			args = append(args, "-overlay", overlay)
+			targets = append(targets, filepath.Join(root, "_reachapi"))
+			bins[filepath.Join(tmp, "_reachapi")] = ""
 		}
 	}
-	if api != "" {
-		overlay, err := apiOverlay(root, tmp, pkgs, api)
-		if err != nil {
-			return nil, err
-		}
-		args = append(args[:1], append([]string{"-overlay", overlay}, args[1:]...)...)
-		args = append(args, filepath.Join(root, "_reachapi"))
-		bins[filepath.Join(tmp, "_reachapi")] = ""
-	}
-	if err := goCmd(root, args...); err != nil {
+	if _, err := goCmd(root, append(args, targets...)...); err != nil {
 		return nil, err
 	}
 	for i, dir := range extras {
-		bin := filepath.Join(tmp, fmt.Sprintf("extra%d", i))
-		if err := goCmd(filepath.Join(root, dir), "build", "-gcflags=all=-l", "-o", bin, "."); err != nil {
+		bin := filepath.Join(tmp, fmt.Sprintf("_extra%d", i))
+		if _, err := goCmd(filepath.Join(root, dir), "build", "-gcflags=all=-l", "-o", bin, "."); err != nil {
 			return nil, err
 		}
 		bins[bin] = ""
 	}
-
-	linked := map[string]map[string]bool{"": {}}
+	linked := map[string]bool{}
 	for bin, mainPkg := range bins {
-		out, err := exec.Command("go", "tool", "nm", bin).Output()
+		out, err := goCmd(root, "tool", "nm", bin)
 		if err != nil {
-			return nil, fmt.Errorf("go tool nm %s: %v", bin, err)
+			return nil, err
 		}
-		own := map[string]bool{}
-		sc := bufio.NewScanner(strings.NewReader(string(out)))
-		for sc.Scan() {
-			f := strings.Fields(sc.Text())
-			if len(f) < 3 || (f[len(f)-2] != "T" && f[len(f)-2] != "t") {
+		for _, line := range strings.Split(out, "\n") {
+			_, rest, _ := strings.Cut(strings.TrimSpace(line), " ")
+			kind, sym, _ := strings.Cut(rest, " ")
+			if kind != "T" && kind != "t" {
 				continue
 			}
-			sym := stripTypeArgs(f[len(f)-1])
-			linked[""][sym] = true
-			own[sym] = true
-		}
-		if mainPkg != "" {
-			linked[mainPkg] = own
+			sym = stripTypeArgs(sym)
+			if s, ok := strings.CutPrefix(sym, "main."); ok && mainPkg != "" {
+				sym = mainPkg + "." + s
+			}
+			linked[sym] = true
 		}
 	}
 	return linked, nil
 }
 
-// apiOverlay writes a main that references every exported function and
-// method of the api package, and an overlay that places it in the
-// module's _reachapi directory without writing into the tree.
-func apiOverlay(root, tmp string, pkgs []*pkgInfo, api string) (string, error) {
-	var p *pkgInfo
-	for _, q := range pkgs {
-		if q.path == api {
-			p = q
-		}
-	}
-	if p == nil {
-		return "", fmt.Errorf("no package %s in the module", api)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "package main\n\nimport api %q\n\nvar sink []any\n\nfunc main() {\n", api)
+// apiOverlay writes a main that takes every exported function and method
+// of p, and an overlay that places it in the module's _reachapi directory
+// without writing into the tree.
+func apiOverlay(root, tmp string, p *pkg) (string, error) {
+	src := fmt.Sprintf("package main\n\nimport api %q\n\nvar sink []any\n\nfunc main() {\n", p.path)
 	for _, e := range p.api {
-		fmt.Fprintf(&b, "\tsink = append(sink, %s)\n", e)
+		src += "\tsink = append(sink, " + e + ")\n"
 	}
-	b.WriteString("}\n")
-	src := filepath.Join(tmp, "reachapi.go")
-	if err := os.WriteFile(src, []byte(b.String()), 0o644); err != nil {
-		return "", err
+	file, overlay := filepath.Join(tmp, "reachapi.go"), filepath.Join(tmp, "overlay.json")
+	ov, err := json.Marshal(map[string]map[string]string{"Replace": {filepath.Join(root, "_reachapi", "main.go"): file}})
+	if err == nil {
+		err = os.WriteFile(file, []byte(src+"}\n"), 0o644)
 	}
-	ov, err := json.Marshal(map[string]map[string]string{
-		"Replace": {filepath.Join(root, "_reachapi", "main.go"): src},
-	})
-	if err != nil {
-		return "", err
+	if err == nil {
+		err = os.WriteFile(overlay, ov, 0o644)
 	}
-	overlay := filepath.Join(tmp, "overlay.json")
-	return overlay, os.WriteFile(overlay, ov, 0o644)
+	return overlay, err
 }
 
-func goCmd(dir string, args ...string) error {
+// goCmd runs the go command in dir and returns its standard output.
+func goCmd(dir string, args ...string) (string, error) {
 	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("go %s in %s: %v", strings.Join(args, " "), dir, err)
+	cmd.Dir, cmd.Stderr = dir, os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("go %s in %s: %v", strings.Join(args, " "), dir, err)
 	}
-	return nil
+	return string(out), nil
 }
 
 // stripTypeArgs drops every bracketed group, so that
 // pkg.(*List[go.shape.int]).Push reads pkg.(*List).Push.
 func stripTypeArgs(sym string) string {
-	if !strings.Contains(sym, "[") {
-		return sym
-	}
 	var b strings.Builder
 	depth := 0
 	for _, r := range sym {
@@ -402,27 +288,20 @@ func stripTypeArgs(sym string) string {
 	return b.String()
 }
 
-type allowLine struct {
-	name string
-	line int
-}
-
+// readAllow returns the allowlist's entries in line order.
 func readAllow(file string) ([]allowLine, error) {
 	b, err := os.ReadFile(file)
 	if err != nil {
 		return nil, err
 	}
-	var out []allowLine
+	var allow []allowLine
 	for i, line := range strings.Split(string(b), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+		if f := strings.Fields(line); len(f) > 0 && !strings.HasPrefix(f[0], "#") {
+			if len(f) != 2 || !reasons[f[1]] {
+				return nil, fmt.Errorf("%s:%d: want `<function or package> test-support|reference`, got %q", file, i+1, line)
+			}
+			allow = append(allow, allowLine{f[0], i + 1})
 		}
-		f := strings.Fields(line)
-		if len(f) != 2 || !reasons[f[1]] {
-			return nil, fmt.Errorf("%s:%d: want `<function or package> test-support|reference`, got %q", file, i+1, line)
-		}
-		out = append(out, allowLine{f[0], i + 1})
 	}
-	return out, nil
+	return allow, nil
 }

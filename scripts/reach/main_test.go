@@ -20,7 +20,7 @@ func TestReachFixture(t *testing.T) {
 		want      []string
 	}{
 		{"entries only", "", []string{
-			"unreachable fixture/lib.Unreachable (lib/lib.go:33, 1 lines)",
+			"unreachable fixture/lib.Unreachable (lib/lib.go:33)",
 			"stale " + allow + ":2: no function or package fixture/lib.Gone",
 		}},
 		// Taking the package's exported API as an entry links Unreachable
