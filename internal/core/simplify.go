@@ -10,7 +10,7 @@ import (
 )
 
 // ctxCheckEvery is how many MDP steps pass between context checks in
-// SimplifyCtx: frequent enough that cancellation lands within microseconds
+// drive: frequent enough that cancellation lands within microseconds
 // on any trajectory, rare enough to keep the per-step cost invisible next
 // to the policy forward pass.
 const ctxCheckEvery = 64

@@ -44,7 +44,7 @@ type Episode struct {
 	Keys    []int
 }
 
-// Progresser is an optional Env extension. When implemented, Rollout
+// Progresser is an optional Env extension. When implemented, the rollout
 // records ProgressKey before every step, and the trainer normalizes
 // returns across episodes at equal *progress* rather than equal step
 // index. This matters for MDPs whose actions advance the episode by
