@@ -6,4 +6,4 @@
 # exported function and method of package rlts. See DESIGN.md §9.5.
 set -e
 cd "$(dirname "$0")/.."
-go run ./scripts/reach -allow scripts/reach.allow -extra perfbench -api rlts .
+go run ./scripts/reach

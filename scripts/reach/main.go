@@ -1,13 +1,14 @@
-// Command reach lists the functions of a Go module that no entry binary
-// links. The entries are every package main of the module, the nested
-// modules named by -extra and, with -api, a generated main that takes
-// every exported function and method of one package. They are built
-// without inlining, so a called function keeps its own symbol, and read
-// with `go tool nm`. A non-test func that is neither linked nor on the
-// allowlist is reported, and so is an allowlist line that names a linked
-// or missing function; either makes the exit status 1.
+// Command reach lists the functions of this module that no entry binary
+// links. The entries are every package main of the module, the perfbench
+// module, and a generated main that takes every exported function and
+// method of package rlts, the library API. They are built without
+// inlining, so a called function keeps its own symbol, and read with
+// `go tool nm`. A non-test func that is neither linked nor on
+// scripts/reach.allow is reported, and so is an allowlist line that names
+// a linked or missing function; either makes the exit status 1. Run it
+// from the repository root:
 //
-//	go run ./scripts/reach -allow scripts/reach.allow -extra perfbench -api rlts .
+//	go run ./scripts/reach
 //
 // An allowlist line is `<function or package> <reason>`, the reason being
 // test-support or reference. A function is named as the linker names it,
@@ -16,7 +17,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -47,25 +47,20 @@ type allowLine struct {
 }
 
 func main() {
-	allow := flag.String("allow", "", "allowlist file (required)")
-	extra := flag.String("extra", "", "comma-separated nested module directories whose main is an entry")
-	api := flag.String("api", "", "import path of a package whose exported API is an entry")
-	flag.Parse()
-	extras := strings.FieldsFunc(*extra, func(r rune) bool { return r == ',' })
-	report, err := run(flag.Arg(0), *allow, extras, *api)
+	report, err := run(".", "scripts/reach.allow", []string{"perfbench"}, "rlts")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reach:", err)
 		os.Exit(2)
 	}
-	for _, line := range report {
-		fmt.Println(line)
-	}
 	if len(report) > 0 {
+		fmt.Println(strings.Join(report, "\n"))
 		os.Exit(1)
 	}
 }
 
-// run returns one line per unreachable function and per stale allowlist
+// run checks the module at root against allowFile, with the nested
+// modules extras and the exported API of package api as further entries.
+// It returns one line per unreachable function and per stale allowlist
 // line; an empty report means the module passes.
 func run(root, allowFile string, extras []string, api string) ([]string, error) {
 	allow, err := readAllow(allowFile)
