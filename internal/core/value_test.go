@@ -1,10 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"rlts/internal/buffer"
 	"rlts/internal/errm"
+	"rlts/internal/gen"
 	"rlts/internal/geo"
 	"rlts/internal/traj"
 )
@@ -94,5 +99,104 @@ func TestSimplifyRandomValidOutput(t *testing.T) {
 	}
 	if _, err := SimplifyRandom(tr, 1, DefaultOptions(errm.SED, Online), r); err == nil {
 		t.Error("W=1 accepted")
+	}
+}
+
+// TestEq12ValuesMatchRecompute drives newEnv's Reset and Step, the calls
+// drive makes, with random legal actions under RLTS+, RLTS-Skip+, RLTS++
+// and RLTS-Skip++ and every measure. At every decision it recomputes
+// each buffered interior point's Eq. 12 value from scratch, as
+// errm.SegmentError over its buffer neighbours, and requires bit
+// equality with the value the buffer stores, with the state's k lowest
+// values (and their padding and mask bits), and with the skip features:
+// for Skip+ the error of the segment a skip of s would create, for
+// Skip++ the s-th lowest value.
+func TestEq12ValuesMatchRecompute(t *testing.T) {
+	const n, w = 400, 40
+	profiles := []gen.Config{gen.Geolife(), gen.TDrive(), gen.Truck()}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	decisions := 0
+	for _, v := range []Variant{Plus, PlusPlus} {
+		for _, j := range []int{0, 2} {
+			for _, m := range errm.Measures {
+				opts := Options{Measure: m, Variant: v, K: 3, J: j}
+				k := opts.K
+				for pi, cfg := range profiles {
+					seed := int64(1 + pi)
+					tr := gen.New(cfg, seed).Trajectory(n)
+					env := newEnv(tr, w, opts, false)
+					var buf *buffer.Buffer
+					r := rand.New(rand.NewSource(seed))
+					state, mask, done := env.Reset()
+					for step := 0; !done; step++ {
+						switch e := env.(type) {
+						case *scanEnv:
+							buf = e.buf
+						case *fullEnv:
+							buf = e.buf
+						}
+						at := fmt.Sprintf("%s seed %d step %d", opts.Name()+"/"+m.String(), seed, step)
+						var vals []float64
+						for en := buf.Head().Next(); en != buf.Tail(); en = en.Next() {
+							want := errm.SegmentError(m, tr, en.Prev().Index, en.Next().Index)
+							if !same(en.Value(), want) {
+								t.Fatalf("%s: point %d stores %v, recompute %v", at, en.Index, en.Value(), want)
+							}
+							vals = append(vals, want)
+						}
+						sort.Float64s(vals)
+						var pad float64
+						if len(vals) > 0 {
+							pad = vals[min(len(vals), max(k, j))-1]
+						}
+						for a := 0; a < k; a++ {
+							want, legal := pad, a < len(vals)
+							if legal {
+								want = vals[a]
+							}
+							if !same(state[a], want) || mask[a] != legal {
+								t.Fatalf("%s: drop %d state %v mask %v, want %v %v", at, a, state[a], mask[a], want, legal)
+							}
+						}
+						tail := buf.Tail()
+						for s := 1; s <= j; s++ {
+							var want float64
+							var legal bool
+							if v == Plus {
+								legal = tail.Index+s < n
+								switch {
+								case legal:
+									want = errm.SegmentError(m, tr, tail.Prev().Index, tail.Index+s)
+								case s > 1:
+									want = state[k+s-2]
+								default:
+									want = pad
+								}
+							} else {
+								legal = s <= len(vals) && s <= buf.Size()-w
+								want = pad
+								if s <= len(vals) {
+									want = vals[s-1]
+								}
+							}
+							if !same(state[k+s-1], want) || mask[k+s-1] != legal {
+								t.Fatalf("%s: skip %d state %v mask %v, want %v %v", at, s, state[k+s-1], mask[k+s-1], want, legal)
+							}
+						}
+						decisions++
+						var legal []int
+						for a, ok := range mask {
+							if ok {
+								legal = append(legal, a)
+							}
+						}
+						state, mask, _, done = env.Step(legal[r.Intn(len(legal))])
+					}
+				}
+			}
+		}
+	}
+	if decisions == 0 {
+		t.Fatal("no decision checked")
 	}
 }
