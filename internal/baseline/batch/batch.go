@@ -8,7 +8,8 @@
 //	              are kept.
 //	BottomUp    — start from all points and repeatedly drop the point whose
 //	              removal introduces the smallest error,
-//	              O((n-W)(n' + log n)).
+//	              O((n-W)(n' + log n)): RLTS++ (internal/core) always
+//	              taking drop action 0.
 //	SpanSearch  — the DAD-specific binary search over error bounds with a
 //	              greedy maximal-span cover.
 package batch
@@ -18,7 +19,7 @@ import (
 	"fmt"
 	"sort"
 
-	"rlts/internal/buffer"
+	"rlts/internal/core"
 	"rlts/internal/errm"
 	"rlts/internal/traj"
 )
@@ -46,34 +47,13 @@ func allIndices(n int) []int {
 // segment its removal would create, over every original point in the
 // span).
 func BottomUp(t traj.Trajectory, w int, m errm.Measure) ([]int, error) {
-	n := len(t)
-	if err := checkArgs(n, w); err != nil {
+	if err := checkArgs(len(t), w); err != nil {
 		return nil, err
 	}
 	if !m.Valid() {
 		return nil, fmt.Errorf("batch: invalid measure %d", int(m))
 	}
-	if n <= w {
-		return allIndices(n), nil
-	}
-	buf := buffer.New(n)
-	for i := 0; i < n; i++ {
-		buf.Append(i, t[i])
-	}
-	for e := buf.Head().Next(); e != buf.Tail(); e = e.Next() {
-		buf.SetValue(e, errm.SegmentError(m, t, e.Prev().Index, e.Next().Index))
-	}
-	for buf.Size() > w {
-		d := buf.Min()
-		prev, next := buf.Drop(d)
-		if prev.Prev() != nil {
-			buf.SetValue(prev, errm.SegmentError(m, t, prev.Prev().Index, next.Index))
-		}
-		if next.Next() != nil {
-			buf.SetValue(next, errm.SegmentError(m, t, prev.Index, next.Next().Index))
-		}
-	}
-	return buf.Indices(), nil
+	return core.SimplifyFixedAction(t, w, core.Options{Measure: m, Variant: core.PlusPlus, K: 1}, 0)
 }
 
 // TopDown simplifies t to at most w points Douglas-Peucker style: starting

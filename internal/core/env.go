@@ -15,10 +15,14 @@ import (
 // unknown: no skip action can run past it.
 const unbounded = math.MaxInt
 
-// scanner is the per-point step of the scanning MDP, shared by its two
-// drivers: scanEnv, which scans a trajectory held in memory, and
-// Streamer, which is fed one point at a time. It owns the buffer and the
-// decision scratch; the drivers own the scan position, the budget and
+// scanner is the one value-and-drop step of every MDP: the fill (push),
+// the drop with neighbour repair (drop) and the drop entries of the state
+// (dropState). The scanning MDP has two drivers: scanEnv, which scans a
+// trajectory held in memory, and Streamer, which is fed one point at a
+// time. fullEnv, the ++ MDP, pushes the whole trajectory, builds its own
+// skip entries and drops through the same step, so Bottom-Up (RLTS++
+// always taking action 0) runs it too. The scanner owns the buffer and
+// the decision scratch; the drivers own the scan position, the budget and
 // what happens between decisions, and dispatch each action themselves —
 // a drop is drop(cand[a]), a skip un-appends the offered point with
 // buf.RemoveTail.
@@ -28,7 +32,7 @@ type scanner struct {
 	end  int             // index of the final point: len(t)-1, or unbounded on a stream
 
 	buf  *buffer.Buffer
-	cand []*buffer.Entry // the k cheapest droppable entries of the last buildState
+	cand []*buffer.Entry // the cheapest droppable entries, ascending, of the last state build
 
 	state []float64 // buildState scratch, reused every decision
 	mask  []bool    // buildState scratch, reused every decision
@@ -80,24 +84,11 @@ func (sc *scanner) buildState() ([]float64, []bool) {
 }
 
 // stateOf is buildState over a given ascending candidate list of at most
-// k droppable entries, which becomes sc.cand.
+// k droppable entries.
 func (sc *scanner) stateOf(cand []*buffer.Entry) ([]float64, []bool) {
 	k, j := sc.opts.K, sc.opts.J
-	sc.cand = cand
+	pad := sc.dropState(cand)
 	state, mask := sc.state, sc.mask
-	var pad float64
-	if len(sc.cand) > 0 {
-		pad = sc.cand[len(sc.cand)-1].Value()
-	}
-	for a := 0; a < k; a++ {
-		if a < len(sc.cand) {
-			state[a] = sc.cand[a].Value()
-			mask[a] = true
-		} else {
-			state[a] = pad
-			mask[a] = false
-		}
-	}
 	withFeatures := sc.opts.Variant != Online && len(state) == k+j
 	tail := sc.buf.Tail()
 	for s := 1; s <= j; s++ {
@@ -119,6 +110,27 @@ func (sc *scanner) stateOf(cand []*buffer.Entry) ([]float64, []bool) {
 		}
 	}
 	return state, mask
+}
+
+// dropState makes cand, ascending, the drop candidates and writes the k
+// drop entries of the state and the mask: the candidates' values, then
+// the last candidate's value (0 without any) as padding with its mask
+// bit off. It returns that padding value. Both MDPs' state builds start
+// here and add only their own skip entries.
+func (sc *scanner) dropState(cand []*buffer.Entry) float64 {
+	sc.cand = cand
+	var pad float64
+	if len(cand) > 0 {
+		pad = cand[len(cand)-1].Value()
+	}
+	for a := 0; a < sc.opts.K; a++ {
+		if a < len(cand) {
+			sc.state[a], sc.mask[a] = cand[a].Value(), true
+		} else {
+			sc.state[a], sc.mask[a] = pad, false
+		}
+	}
+	return pad
 }
 
 // drop removes d from the buffer and refreshes the values of its two
@@ -143,6 +155,67 @@ func (sc *scanner) drop(d *buffer.Entry) {
 	}
 }
 
+// episode holds what the two rl.Env implementations, scanEnv and
+// fullEnv, share: the scanner step, the budget W, the reward tracker
+// (built only when the environment is for training) and whether the
+// episode is over.
+type episode struct {
+	scanner
+	w       int
+	rewards bool
+	trk     *errm.Tracker
+	done    bool
+}
+
+func newEpisode(t traj.Trajectory, w int, opts Options, rewards bool) episode {
+	return episode{scanner: newScanner(opts, t, len(t)-1), w: w, rewards: rewards}
+}
+
+// start begins an episode. When the whole trajectory fits the budget
+// there is nothing to decide: the episode is over and start reports
+// true. Otherwise it pushes the first fill points into a fresh buffer
+// sized for capHint.
+func (e *episode) start(fill, capHint int) bool {
+	e.cand = nil
+	e.done = len(e.t) <= e.w
+	if e.done {
+		return true
+	}
+	e.buf = buffer.New(capHint)
+	for i := 0; i < fill; i++ {
+		e.push(i, e.t[i])
+	}
+	return false
+}
+
+// err is the error the reward tracks (Eq. 8), or 0 when the environment
+// computes no rewards.
+func (e *episode) err() float64 {
+	if !e.rewards {
+		return 0
+	}
+	return e.trk.Err()
+}
+
+// StateSize implements rl.Env.
+func (e *episode) StateSize() int { return e.opts.StateSize() }
+
+// NumActions implements rl.Env.
+func (e *episode) NumActions() int { return e.opts.NumActions() }
+
+// Kept returns the kept original indices after the episode finished.
+func (e *episode) Kept() []int {
+	if e.buf == nil {
+		// Degenerate episode: everything kept.
+		kept := make([]int, len(e.t))
+		for i := range kept {
+			kept[i] = i
+		}
+		return kept
+	}
+	return e.buf.Indices()
+}
+
 // scanEnv is the MDP of the scanning variants (RLTS, RLTS-Skip, RLTS+,
 // RLTS-Skip+): points are scanned one by one into a W-point buffer and each
 // scan forces a decision — drop one of the k cheapest buffered points
@@ -154,17 +227,12 @@ func (sc *scanner) drop(d *buffer.Entry) {
 // it again. Rewards (Eq. 8) are tracked incrementally with errm.Tracker
 // and are computed only when the environment is built for training.
 type scanEnv struct {
-	scanner
-	w       int
-	rewards bool
-
-	trk  *errm.Tracker
-	i    int // original index currently being scanned
-	done bool
+	episode
+	i int // original index currently being scanned
 }
 
 func newScanEnv(t traj.Trajectory, w int, opts Options, rewards bool) *scanEnv {
-	return &scanEnv{scanner: newScanner(opts, t, len(t)-1), w: w, rewards: rewards}
+	return &scanEnv{episode: newEpisode(t, w, opts, rewards)}
 }
 
 // CloneEnv implements rl.EnvCloner: the trajectory is shared read-only,
@@ -174,33 +242,17 @@ func (e *scanEnv) CloneEnv() rl.Env {
 	return newScanEnv(e.t, e.w, e.opts, e.rewards)
 }
 
-// StateSize implements rl.Env.
-func (e *scanEnv) StateSize() int { return e.opts.StateSize() }
-
-// NumActions implements rl.Env.
-func (e *scanEnv) NumActions() int { return e.opts.NumActions() }
-
 // Reset implements rl.Env: it refills the buffer with the first W points
 // and scans the (W+1)-th, returning the first decision state.
 func (e *scanEnv) Reset() ([]float64, []bool, bool) {
-	e.done = false
-	e.cand = nil
-	if len(e.t) <= e.w {
-		// Nothing to drop: the whole trajectory fits the budget.
-		e.done = true
+	if e.start(e.w, e.w+1) {
 		return nil, nil, true
-	}
-	e.buf = buffer.New(e.w + 1)
-	for i := 0; i < e.w; i++ {
-		e.push(i, e.t[i])
 	}
 	if e.rewards {
 		e.trk = errm.NewTracker(e.opts.Measure, e.t)
 		for i := 1; i < e.w; i++ {
 			e.trk.ExtendTo(i)
 		}
-	} else {
-		e.trk = nil
 	}
 	e.i = e.w
 	return e.scan()
@@ -226,10 +278,7 @@ func (e *scanEnv) Step(action int) ([]float64, []bool, float64, bool) {
 		panic("core: Step on finished episode")
 	}
 	k := e.opts.K
-	var before float64
-	if e.rewards {
-		before = e.trk.Err()
-	}
+	before := e.err()
 	switch {
 	case action < 0 || action >= e.opts.NumActions():
 		panic(fmt.Sprintf("core: action %d out of range", action))
@@ -255,10 +304,7 @@ func (e *scanEnv) Step(action int) ([]float64, []bool, float64, bool) {
 		}
 		e.i += s
 	}
-	var reward float64
-	if e.rewards {
-		reward = before - e.trk.Err()
-	}
+	reward := before - e.err()
 	state, mask, done := e.scan()
 	return state, mask, reward, done
 }
@@ -267,18 +313,5 @@ func (e *scanEnv) Step(action int) ([]float64, []bool, float64, bool) {
 // skipped different numbers of points align at equal trajectory
 // positions, which is what makes their returns comparable.
 func (e *scanEnv) ProgressKey() int { return e.i }
-
-// Kept returns the kept original indices after the episode finished.
-func (e *scanEnv) Kept() []int {
-	if e.buf == nil {
-		// Degenerate episode: everything kept.
-		kept := make([]int, len(e.t))
-		for i := range kept {
-			kept[i] = i
-		}
-		return kept
-	}
-	return e.buf.Indices()
-}
 
 var _ rl.Env = (*scanEnv)(nil)

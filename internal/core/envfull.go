@@ -21,22 +21,11 @@ import (
 // and expose the j-th lowest value as the corresponding state feature.
 // DESIGN.md records this interpretation.
 type fullEnv struct {
-	opts    Options
-	t       traj.Trajectory
-	w       int
-	rewards bool
-
-	buf  *buffer.Buffer
-	trk  *errm.Tracker
-	cand []*buffer.Entry
-	done bool
-
-	state []float64 // buildState scratch, reused every step
-	mask  []bool    // buildState scratch, reused every step
+	episode
 }
 
 func newFullEnv(t traj.Trajectory, w int, opts Options, rewards bool) *fullEnv {
-	return &fullEnv{opts: opts, t: t, w: w, rewards: rewards}
+	return &fullEnv{newEpisode(t, w, opts, rewards)}
 }
 
 // CloneEnv implements rl.EnvCloner: the trajectory is shared read-only,
@@ -45,82 +34,38 @@ func (e *fullEnv) CloneEnv() rl.Env {
 	return newFullEnv(e.t, e.w, e.opts, e.rewards)
 }
 
-// StateSize implements rl.Env.
-func (e *fullEnv) StateSize() int { return e.opts.StateSize() }
-
-// NumActions implements rl.Env.
-func (e *fullEnv) NumActions() int { return e.opts.NumActions() }
-
-// Reset implements rl.Env: it loads the entire trajectory into the buffer
-// and values every interior point.
+// Reset implements rl.Env: it pushes the entire trajectory into the
+// buffer, which values every interior point.
 func (e *fullEnv) Reset() ([]float64, []bool, bool) {
-	e.done = false
-	e.cand = nil
-	n := len(e.t)
-	if n <= e.w {
-		e.done = true
+	if e.start(len(e.t), len(e.t)) {
 		return nil, nil, true
 	}
-	e.buf = buffer.New(n)
-	for i := 0; i < n; i++ {
-		e.buf.Append(i, e.t[i])
-	}
-	m := e.opts.Measure
-	for en := e.buf.Head().Next(); en != e.buf.Tail(); en = en.Next() {
-		e.buf.SetValue(en, errm.SegmentError(m, e.t, en.Prev().Index, en.Next().Index))
-	}
 	if e.rewards {
-		e.trk = errm.NewFullTracker(m, e.t)
-	} else {
-		e.trk = nil
+		e.trk = errm.NewFullTracker(e.opts.Measure, e.t)
 	}
 	state, mask := e.buildState()
 	return state, mask, false
 }
 
+// buildState offers the max(k, j) lowest values: the first k as drop
+// actions, and the s-th as the feature of the skip action that drops the
+// s lowest, legal while s points remain to be dropped.
 func (e *fullEnv) buildState() ([]float64, []bool) {
 	k, j := e.opts.K, e.opts.J
-	need := k
-	if j > need {
-		need = j
-	}
-	e.cand = e.buf.KLowest(need)
-	if e.state == nil {
-		e.state = make([]float64, e.opts.StateSize())
-		e.mask = make([]bool, e.opts.NumActions())
-	}
-	state, mask := e.state, e.mask
-	var pad float64
-	if len(e.cand) > 0 {
-		pad = e.cand[len(e.cand)-1].Value()
-	}
-	for a := 0; a < k; a++ {
-		if a < len(e.cand) {
-			state[a] = e.cand[a].Value()
-			mask[a] = true
-		} else {
-			state[a] = pad
-			mask[a] = false
-		}
-	}
+	pad := e.dropState(e.buf.KLowest(max(k, j)))
 	budget := e.buf.Size() - e.w // how many more points must be dropped
-	withFeatures := len(state) == k+j
 	for s := 1; s <= j; s++ {
-		legal := s <= len(e.cand) && s <= budget
-		mask[k+s-1] = legal
-		if withFeatures {
-			if s <= len(e.cand) {
-				state[k+s-1] = e.cand[s-1].Value()
-			} else {
-				state[k+s-1] = pad
-			}
+		e.mask[k+s-1] = s <= len(e.cand) && s <= budget
+		e.state[k+s-1] = pad
+		if s <= len(e.cand) {
+			e.state[k+s-1] = e.cand[s-1].Value()
 		}
 	}
 	// A single drop must always be possible while the episode runs.
 	if budget > 0 && len(e.cand) == 0 {
 		panic("core: no droppable candidates with budget remaining")
 	}
-	return state, mask
+	return e.state, e.mask
 }
 
 // Step implements rl.Env.
@@ -129,10 +74,7 @@ func (e *fullEnv) Step(action int) ([]float64, []bool, float64, bool) {
 		panic("core: Step on finished episode")
 	}
 	k := e.opts.K
-	var before float64
-	if e.rewards {
-		before = e.trk.Err()
-	}
+	before := e.err()
 	var todo []*buffer.Entry
 	switch {
 	case action < 0 || action >= e.opts.NumActions():
@@ -149,23 +91,13 @@ func (e *fullEnv) Step(action int) ([]float64, []bool, float64, bool) {
 		}
 		todo = e.cand[:s]
 	}
-	m := e.opts.Measure
 	for _, d := range todo {
-		prev, next := e.buf.Drop(d)
+		e.drop(d)
 		if e.rewards {
 			e.trk.Drop(d.Index)
 		}
-		if prev.Prev() != nil {
-			e.buf.SetValue(prev, errm.SegmentError(m, e.t, prev.Prev().Index, next.Index))
-		}
-		if next.Next() != nil {
-			e.buf.SetValue(next, errm.SegmentError(m, e.t, prev.Index, next.Next().Index))
-		}
 	}
-	var reward float64
-	if e.rewards {
-		reward = before - e.trk.Err()
-	}
+	reward := before - e.err()
 	if e.buf.Size() <= e.w {
 		e.done = true
 		return nil, nil, reward, true
@@ -178,18 +110,6 @@ func (e *fullEnv) Step(action int) ([]float64, []bool, float64, bool) {
 // so far. Multi-drop skip actions advance it by more than one, so episodes
 // align at equal remaining-buffer sizes.
 func (e *fullEnv) ProgressKey() int { return len(e.t) - e.buf.Size() }
-
-// Kept returns the kept original indices after the episode finished.
-func (e *fullEnv) Kept() []int {
-	if e.buf == nil {
-		kept := make([]int, len(e.t))
-		for i := range kept {
-			kept[i] = i
-		}
-		return kept
-	}
-	return e.buf.Indices()
-}
 
 var _ rl.Env = (*fullEnv)(nil)
 
