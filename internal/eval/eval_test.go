@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -165,6 +166,48 @@ func TestBellmanExperimentShape(t *testing.T) {
 	}
 	if bellman > rlts+1e-9 {
 		t.Errorf("Bellman SED %v worse than RLTS+ %v — exact algorithm beaten", bellman, rlts)
+	}
+}
+
+// TestBoundedNoteNamesFewestKept holds the bounded experiment's note to
+// its own rows: for every dataset it must name an SED backend whose kept
+// share is the smallest of that dataset's SED rows.
+func TestBoundedNoteNamesFewestKept(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipped in -short")
+	}
+	tb, err := ExpBounded(quickCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	note := tb.Notes[len(tb.Notes)-1]
+	fewest := map[string]float64{}
+	for _, row := range tb.Rows {
+		if row[2] != "SED" {
+			continue
+		}
+		v, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "%"), 64)
+		if err != nil {
+			t.Fatalf("bad cell %q", row[3])
+		}
+		if cur, ok := fewest[row[0]]; !ok || v < cur {
+			fewest[row[0]] = v
+		}
+	}
+	if len(fewest) != 3 {
+		t.Fatalf("SED rows for %d datasets, want 3", len(fewest))
+	}
+	for ds, v := range fewest {
+		named := false
+		for _, row := range tb.Rows {
+			if row[0] == ds && row[2] == "SED" && row[3] == fmt.Sprintf("%.1f%%", v) &&
+				strings.Contains(note, ds+" "+row[1]+" "+row[3]) {
+				named = true
+			}
+		}
+		if !named {
+			t.Errorf("note %q does not name %s's fewest-kept SED row (%.1f%%)", note, ds, v)
+		}
 	}
 }
 
