@@ -1,13 +1,15 @@
 GO ?= go
 
-.PHONY: test check check-golden check-diff check-stream check-fleet check-bound check-dirty check-reach check-perfbench bench-rollout bench-obs bench-batch bench-fast bench-load
+.PHONY: test check check-golden check-diff check-batch check-fast check-stream check-fleet check-bound check-dirty check-reach check-perfbench bench-rollout bench-obs bench-batch bench-fast bench-load
 
 test:
 	$(GO) test ./...
 
 # Golden fixtures: persisted-format bytes (StreamerState v2, spill
 # envelopes, RepairState, TRJ1, training checkpoint) round-trip
-# byte-identically and every decision path reproduces its pinned digest.
+# byte-identically, and every decision path, Bottom-Up's kept sets
+# (TestGoldenBottomUp), training over the six MDPs (TestGoldenTrain) and
+# every measure's float64 bits reproduce their pinned digests.
 check-golden:
 	$(GO) test -count=1 -run 'TestGolden' ./internal/core ./internal/server ./internal/check ./internal/traj ./internal/storage ./internal/rl
 
@@ -18,6 +20,28 @@ check-golden:
 # deeper soak runs (default 1; the gate uses 4).
 check-diff:
 	CHECK_SCALE=$${CHECK_SCALE:-4} $(GO) test -race -count=1 ./internal/check
+
+# Batch-engine differential: BatchEngine, which runs its items through
+# Simplify's own decision loop, is bitwise identical to per-item Simplify
+# at every batch size and in both inference modes over the adversarial
+# generator set, plus the engine tests in internal/core and the batch
+# route's sharding invariance in internal/server, race-enabled.
+# CHECK_SCALE deepens the differential.
+check-batch:
+	CHECK_SCALE=$${CHECK_SCALE:-4} $(GO) test -race -count=1 -run 'TestBatchEngineDifferential' ./internal/check
+	$(GO) test -race -count=1 -run 'TestBatchEngine' ./internal/core
+	$(GO) test -race -count=1 -run 'TestSimplifyBatch' ./internal/server
+
+# FastMath tolerance pillar: the fused approximate kernel against the
+# exact path on real decision states (abs/rel bounds on every Probs
+# output, argmax stability on every adversarial family, end-to-end
+# greedy kept-index equality), plus the kernel contract tests in
+# internal/nn (dense tanh sweep, special values, fusion tolerance, the
+# once-per-network fold and its invalidation), race-enabled. CHECK_SCALE
+# deepens the state coverage.
+check-fast:
+	CHECK_SCALE=$${CHECK_SCALE:-4} $(GO) test -race -count=1 -run 'TestFastMathTolerance|TestFastCloneIsolation' ./internal/check
+	$(GO) test -race -count=1 -run 'TestFastTanh|TestForwardBatchFastTolerance|TestForwardVectorZeroAlloc|TestKernelClone' ./internal/nn
 
 # Durable session-store pillar: the spill/rehydrate bit-identity
 # differential, the state codec totality tests, and the server-level

@@ -44,18 +44,20 @@ go test -race ./...
 # reproduce them), and every decision path — Simplify, BatchEngine,
 # Streamer, resumed Streamer, the fast kernels; pretrained, seeded Skip
 # and seeded ++ policies; greedy and sampled — must reproduce its pinned
-# digest, as must the float64 bits of every measure
-# (TestGoldenMeasureBits). A change that alters a persisted format, forks
-# one decision or moves one measure's last bit fails here by name.
-# Fixtures are never regenerated to make this stage pass.
+# digest, as must Bottom-Up's kept sets (TestGoldenBottomUp), training
+# over the six MDPs (TestGoldenTrain) and the float64 bits of every
+# measure (TestGoldenMeasureBits). A change that alters a persisted
+# format, forks one decision or moves one measure's last bit fails here
+# by name. Fixtures are never regenerated to make this stage pass. Each
+# pillar below runs its Makefile target, where its tests are listed once.
 echo "== golden fixtures =="
-go test -count=1 -run 'TestGolden' ./internal/core ./internal/server ./internal/check ./internal/traj ./internal/storage ./internal/rl
+make check-golden
 
 # The differential/metamorphic harness runs in the suite above at scale 1;
 # the gate gives it a deeper, dedicated pass so oracle drift can't hide
 # behind a fast default. Deterministic seeds: a failure here reproduces.
 echo "== differential harness (internal/check, CHECK_SCALE=${CHECK_SCALE:-4}) =="
-CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 ./internal/check
+make check-diff
 
 # Batch-engine differential: BatchEngine, which runs its items through
 # Simplify's own decision loop, must be bitwise identical to per-item
@@ -64,9 +66,7 @@ CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 ./internal/check
 # the batch route's sharding invariance in internal/server. Scaled by
 # the same CHECK_SCALE knob.
 echo "== batch-engine differential (CHECK_SCALE=${CHECK_SCALE:-4}) =="
-CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestBatchEngineDifferential' ./internal/check
-go test -race -count=1 -run 'TestBatchEngine' ./internal/core
-go test -race -count=1 -run 'TestSimplifyBatch' ./internal/server
+make check-batch
 
 # FastMath tolerance pillar: the fused approximate kernel against the
 # exact path on real decision states — abs/rel bounds on every Probs
@@ -76,8 +76,7 @@ go test -race -count=1 -run 'TestSimplifyBatch' ./internal/server
 # its invalidation) in internal/nn. Same CHECK_SCALE knob deepens the
 # state coverage.
 echo "== fastmath tolerance pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
-CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestFastMathTolerance|TestFastCloneIsolation' ./internal/check
-go test -race -count=1 -run 'TestFastTanh|TestForwardBatchFastTolerance|TestForwardVectorZeroAlloc|TestKernelClone' ./internal/nn
+make check-fast
 
 # Durable session store: the spill/rehydrate differential (a streamer
 # serialized through the binary codec at adversarial cut points must
@@ -85,9 +84,7 @@ go test -race -count=1 -run 'TestFastTanh|TestForwardBatchFastTolerance|TestForw
 # restart bit-identity, corrupt-file quarantine, injected disk failure,
 # Close racing live traffic — all under the race detector.
 echo "== stream spill/rehydrate pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
-CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestSpillRehydrateDifferential' ./internal/check
-go test -race -count=1 -run 'TestStreamer(Resume|State)|TestDecodeStreamerState|TestResumeStreamer|TestExportRestore|TestRestore' ./internal/core ./internal/buffer
-go test -race -count=1 -run 'TestStream(Restart|LRU|Spill|CloseSpilled|Traversal)|TestServerCloseRacesStreamTraffic' ./internal/server
+make check-stream
 
 # Fleet budget pillar: the allocator must distribute exactly the global
 # budget deterministically regardless of member ordering, and a rebalance
@@ -96,9 +93,7 @@ go test -race -count=1 -run 'TestStream(Restart|LRU|Spill|CloseSpilled|Traversal
 # suite adds the HTTP lifecycle and the spill/restart survival of fleet
 # records (allocations rehydrate bit-identically; see TestFleetSurvivesRestart).
 echo "== fleet budget pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
-CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestFleetAllocateDifferential|TestFleetRebalanceBudgetInvariant' ./internal/check
-go test -race -count=1 ./internal/fleet
-go test -race -count=1 -run 'TestFleet|TestStreamList' ./internal/server
+make check-fleet
 
 # Error-bounded pillar: CISED/OPERB kept sets re-scored by the exact
 # oracle on every adversarial family (including the overflow-probing
@@ -107,9 +102,7 @@ go test -race -count=1 -run 'TestFleet|TestStreamList' ./internal/server
 # package suites add the degenerate-input contract and the bound=eps
 # HTTP routing. Same CHECK_SCALE knob deepens the sweep.
 echo "== error-bounded pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
-CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestBoundedOnePass' ./internal/check
-go test -race -count=1 -run 'TestBounded|TestSearchBudget' ./internal/baseline/online ./internal/minsize
-go test -race -count=1 -run 'TestBounded|TestBudgetConflict' ./internal/server
+make check-bound
 
 # Dirty-ingest pillar: repair output must always satisfy the strict
 # FromPoints contract (every corruption family x every profile x every
@@ -119,10 +112,7 @@ go test -race -count=1 -run 'TestBounded|TestBudgetConflict' ./internal/server
 # batch, stream, spill-envelope v2 restart bit-identity, classified
 # reject codes). Same CHECK_SCALE knob deepens the sweeps.
 echo "== dirty-ingest repair pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
-CHECK_SCALE="${CHECK_SCALE:-4}" go test -race -count=1 -run 'TestRepair' ./internal/check
-go test -race -count=1 -run 'TestRepair|TestResumeRepairer|TestValidateDuplicateTime' ./internal/traj
-go test -race -count=1 -run 'TestDirty|TestFamilies|TestEveryFamilyRepairs|TestCorrupt|TestCompose|TestOutlierInStop|TestDupOfOutlier' ./internal/gen
-go test -race -count=1 -run 'TestSimplifyRepair|TestBatchRepair|TestStreamRepair|TestStreamRejectCodes|TestSpillEnvelopeV1|TestPointsErrorCode' ./internal/server
+make check-dirty
 
 # Crash-restart smoke with the real binary: boot with a spill dir, open a
 # session and push half a stream, SIGTERM (the drain path spills it),
