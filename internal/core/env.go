@@ -188,9 +188,9 @@ func (e *episode) start(fill, capHint int) bool {
 	return false
 }
 
-// err is the error the reward tracks (Eq. 8), or 0 when the environment
-// computes no rewards.
-func (e *episode) err() float64 {
+// trackedErr is the error the reward tracks (Eq. 8), or 0 when the
+// environment computes no rewards.
+func (e *episode) trackedErr() float64 {
 	if !e.rewards {
 		return 0
 	}
@@ -278,7 +278,7 @@ func (e *scanEnv) Step(action int) ([]float64, []bool, float64, bool) {
 		panic("core: Step on finished episode")
 	}
 	k := e.opts.K
-	before := e.err()
+	before := e.trackedErr()
 	switch {
 	case action < 0 || action >= e.opts.NumActions():
 		panic(fmt.Sprintf("core: action %d out of range", action))
@@ -304,7 +304,7 @@ func (e *scanEnv) Step(action int) ([]float64, []bool, float64, bool) {
 		}
 		e.i += s
 	}
-	reward := before - e.err()
+	reward := before - e.trackedErr()
 	state, mask, done := e.scan()
 	return state, mask, reward, done
 }

@@ -74,7 +74,7 @@ func (e *fullEnv) Step(action int) ([]float64, []bool, float64, bool) {
 		panic("core: Step on finished episode")
 	}
 	k := e.opts.K
-	before := e.err()
+	before := e.trackedErr()
 	var todo []*buffer.Entry
 	switch {
 	case action < 0 || action >= e.opts.NumActions():
@@ -97,7 +97,7 @@ func (e *fullEnv) Step(action int) ([]float64, []bool, float64, bool) {
 			e.trk.Drop(d.Index)
 		}
 	}
-	reward := before - e.err()
+	reward := before - e.trackedErr()
 	if e.buf.Size() <= e.w {
 		e.done = true
 		return nil, nil, reward, true

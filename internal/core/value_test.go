@@ -125,16 +125,16 @@ func TestEq12ValuesMatchRecompute(t *testing.T) {
 					seed := int64(1 + pi)
 					tr := gen.New(cfg, seed).Trajectory(n)
 					env := newEnv(tr, w, opts, false)
-					var buf *buffer.Buffer
 					r := rand.New(rand.NewSource(seed))
 					state, mask, done := env.Reset()
+					var buf *buffer.Buffer
+					switch e := env.(type) {
+					case *scanEnv:
+						buf = e.buf
+					case *fullEnv:
+						buf = e.buf
+					}
 					for step := 0; !done; step++ {
-						switch e := env.(type) {
-						case *scanEnv:
-							buf = e.buf
-						case *fullEnv:
-							buf = e.buf
-						}
 						at := fmt.Sprintf("%s seed %d step %d", opts.Name()+"/"+m.String(), seed, step)
 						var vals []float64
 						for en := buf.Head().Next(); en != buf.Tail(); en = en.Next() {
