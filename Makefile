@@ -7,7 +7,8 @@ test:
 
 # Golden fixtures: persisted-format bytes (StreamerState v2, spill
 # envelopes, RepairState, TRJ1, training checkpoint) round-trip
-# byte-identically, and every decision path, Bottom-Up's kept sets
+# byte-identically, every route's response bytes reproduce their pinned
+# digests (TestGoldenResponses), and every decision path, Bottom-Up's kept sets
 # (TestGoldenBottomUp), training over the six MDPs (TestGoldenTrain) and
 # every measure's float64 bits reproduce their pinned digests.
 check-golden:
@@ -32,16 +33,21 @@ check-batch:
 	$(GO) test -race -count=1 -run 'TestBatchEngine' ./internal/core
 	$(GO) test -race -count=1 -run 'TestSimplifyBatch' ./internal/server
 
-# FastMath tolerance pillar: the fused approximate kernel against the
-# exact path on real decision states (abs/rel bounds on every Probs
-# output, argmax stability on every adversarial family, end-to-end
-# greedy kept-index equality), plus the kernel contract tests in
-# internal/nn (dense tanh sweep, special values, fusion tolerance, the
-# once-per-network fold and its invalidation), race-enabled. CHECK_SCALE
+# Certified-inference pillar: the fused bounded forward against the exact
+# path on real decision states (abs/rel bounds on its probabilities,
+# argmax and certified-decision equality on every adversarial family,
+# end-to-end greedy kept-index equality, the refold after every write),
+# the kernel tests in internal/nn (the proof of the certificate's tanh
+# constant and the math.Tanh sample check, dense tanh sweep, special
+# values, every logit within its bound, the once-per-network fold and
+# its invalidation) and the certificate tests in internal/rl (Act equal
+# to the exact decision on the fuzz seeds, the forced near-tie fallback,
+# Act on a master across a training batch), race-enabled. CHECK_SCALE
 # deepens the state coverage.
 check-fast:
-	CHECK_SCALE=$${CHECK_SCALE:-4} $(GO) test -race -count=1 -run 'TestFastMathTolerance|TestFastCloneIsolation' ./internal/check
-	$(GO) test -race -count=1 -run 'TestFastTanh|TestForwardBatchFastTolerance|TestForwardVectorZeroAlloc|TestKernelClone' ./internal/nn
+	CHECK_SCALE=$${CHECK_SCALE:-4} $(GO) test -race -count=1 -run 'TestFastMathTolerance|TestFastForwardIsolation' ./internal/check
+	$(GO) test -race -count=1 -run 'TestFastTanh|TestTanhLibError|TestForwardBatchFastTolerance|TestForwardVectorZeroAlloc|TestKernelClone' ./internal/nn
+	$(GO) test -race -count=1 -run 'FuzzActCertified|TestActNearTieFallsBack|TestActOnMasterAcrossTraining' ./internal/rl
 
 # Durable session-store pillar: the spill/rehydrate bit-identity
 # differential, the state codec totality tests, and the server-level
@@ -113,17 +119,17 @@ bench-obs:
 	$(GO) test ./internal/obs -run '^$$' -bench . -benchmem
 
 # Regenerate the inference throughput baseline behind batch serving
-# (BENCH_batch.json): exact vs fast forward and Simplify, per-core
-# scaling of sharded Simplify workers and a short sustained-load pair.
+# (BENCH_batch.json): exact vs bounded forward, certified Simplify with
+# its fallback share, per-core scaling of sharded Simplify workers and a
+# short sustained-load run.
 bench-batch:
 	sh scripts/bench_batch.sh
 
-# FastMath kernel micro benches: FastTanh vs math.Tanh and the fused
+# Fused-forward micro benches: FastTanh vs math.Tanh and the bounded
 # vector forward against the exact one.
 bench-fast:
 	$(GO) test ./internal/nn -run '^$$' -bench 'FastTanh|MathTanh|ForwardSingle' -benchmem
 
-# Sustained-load serving benchmark (exact + fastmath), 10s per mode;
-# LOAD_DURATION overrides.
+# Sustained-load serving benchmark, 10s; LOAD_DURATION overrides.
 bench-load:
 	sh scripts/bench_load.sh

@@ -1,12 +1,13 @@
 package main
 
 // The -batch sweep: the inference baseline behind batch serving. It times
-// the policy forward with the exact and the FastMath kernels, sequential
-// core.Simplify (the decision loop every route runs) with each kernel,
-// its per-core scaling when items are sharded over workers as the batch
-// route shards them, and two short sustained-load runs, and writes the
-// numbers as the BENCH_batch.json baseline. The fast numbers hold the
-// measured contract of DESIGN.md §13.
+// the exact policy forward against the fused bounded one
+// (nn.Network.ForwardBounded), sequential core.Simplify (the decision
+// loop every route runs, on certified decisions) with the share of
+// decisions that fell back to the exact forward, its per-core scaling
+// when items are sharded over workers as the batch route shards them,
+// and a short sustained-load run, and writes the numbers as the
+// BENCH_batch.json baseline.
 
 import (
 	"bufio"
@@ -48,14 +49,14 @@ type batchBaseline struct {
 	Forward struct {
 		Spec            string  `json:"spec"`
 		ExactNsPerState float64 `json:"exact_ns_per_state"`
-		FastNsPerState  float64 `json:"fast_ns_per_state"`
-		Speedup         float64 `json:"speedup_fast_vs_exact"`
+		FastNsPerState  float64 `json:"bounded_ns_per_state"`
+		Speedup         float64 `json:"speedup_bounded_vs_exact"`
 	} `json:"forward"`
 	Simplify struct {
-		Dataset         string  `json:"dataset"`
-		ExactNsPerPoint float64 `json:"exact_ns_per_point"`
-		FastNsPerPoint  float64 `json:"fast_ns_per_point"`
-		Speedup         float64 `json:"speedup_fast_vs_exact"`
+		Dataset       string  `json:"dataset"`
+		NsPerPoint    float64 `json:"ns_per_point"`
+		Decisions     int     `json:"decisions"`
+		FallbackShare float64 `json:"fallback_share"`
 	} `json:"simplify"`
 	FastContract struct {
 		TanhMaxAbsError  float64 `json:"tanh_max_abs_error"`
@@ -90,31 +91,29 @@ func runBatchSweep(out string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fp := p.Clone()
-	fp.SetKernel(nn.KernelFast)
 
 	var b batchBaseline
 	b.Description = "Baseline for policy inference behind batch serving: the exact vs " +
-		"FastMath vector forward, sequential core.Simplify with each kernel, its " +
-		"per-core scaling over sharded workers, and a short sustained-load pair. " +
-		"Regenerate with scripts/bench_batch.sh."
+		"the fused bounded vector forward, sequential core.Simplify on certified " +
+		"decisions with its exact-fallback share, its per-core scaling over sharded " +
+		"workers, and a short sustained-load run. Regenerate with scripts/bench_batch.sh."
 	b.Machine.CPU = cpuModel()
 	b.Machine.NumCPU = runtime.NumCPU()
 	b.Machine.GoMaxProcs = runtime.GOMAXPROCS(0)
 	b.Machine.Note = "Forward and simplify rows are single-thread. Batch serving runs " +
 		"each trajectory through the same sequential decision loop as core.Simplify and " +
 		"gets its throughput from sharding items over workers, each on its own policy " +
-		"clone; per_core_scaling measures that. The fast forward replaces math.Tanh " +
+		"clone; per_core_scaling measures that. The bounded forward replaces math.Tanh " +
 		"with FastTanh and runs one matmul over weights with the batch-norm affine " +
-		"folded in once per policy clone (DESIGN.md §13). At the paper's policy size " +
-		"env stepping dominates a decision, so the simplify-level gain is smaller " +
-		"than the forward-level one."
+		"folded in once per policy clone, and bounds each logit's distance from the " +
+		"exact one; Act takes its decision when the bounds prove it and re-runs the " +
+		"exact forward otherwise (DESIGN.md §13)."
 	b.FastContract.TanhMaxAbsError = nn.FastTanhMaxAbsError
 	b.FastContract.ProbsMaxAbsError = nn.FastProbsMaxAbsError
 	b.FastContract.ProbsMaxRelError = nn.FastProbsMaxRelError
 
-	// Forward: one spec, the serving-default policy shape; same weights
-	// and states, the only delta is the kernel selection on the clone.
+	// Forward: one spec, the serving-default policy shape; same network
+	// and states through each forward.
 	const nStates = 64
 	in := opts.StateSize()
 	b.Forward.Spec = fmt.Sprintf("in=%d hidden=[%d] out=%d batchnorm+tanh", in, hidden, opts.NumActions())
@@ -122,14 +121,16 @@ func runBatchSweep(out string, seed int64) error {
 	for i := range states {
 		states[i] = r.NormFloat64()
 	}
-	forward := func(p *rl.Policy) float64 {
-		return measure(nStates, func() {
-			for s := 0; s < nStates; s++ {
-				p.Net.Forward(states[s*in:(s+1)*in], false)
-			}
-		})
-	}
-	exactNs, fastNs := forward(p), forward(fp)
+	exactNs := measure(nStates, func() {
+		for s := 0; s < nStates; s++ {
+			p.Net.Forward(states[s*in:(s+1)*in], false)
+		}
+	})
+	fastNs := measure(nStates, func() {
+		for s := 0; s < nStates; s++ {
+			p.Net.ForwardBounded(states[s*in : (s+1)*in])
+		}
+	})
 	b.Forward.ExactNsPerState = round2(exactNs)
 	b.Forward.FastNsPerState = round2(fastNs)
 	b.Forward.Speedup = round2(exactNs / fastNs)
@@ -151,19 +152,22 @@ func runBatchSweep(out string, seed int64) error {
 		items[i] = core.BatchItem{T: t, W: w}
 		points += len(t)
 	}
-	simplify := func(p *rl.Policy) float64 {
-		return measure(points, func() {
-			for _, it := range items {
-				if _, err := core.Simplify(p, it.T, it.W, opts, false, nil); err != nil {
-					panic(err)
-				}
-			}
-		})
+	p.TakeFallbacks()
+	for _, it := range items {
+		dt, err := core.TraceGreedy(p, it.T, it.W, opts)
+		if err != nil {
+			return err
+		}
+		b.Simplify.Decisions += len(dt.Actions)
 	}
-	exactNs, fastNs = simplify(p), simplify(fp)
-	b.Simplify.ExactNsPerPoint = round2(exactNs)
-	b.Simplify.FastNsPerPoint = round2(fastNs)
-	b.Simplify.Speedup = round2(exactNs / fastNs)
+	b.Simplify.FallbackShare = float64(p.TakeFallbacks()) / float64(b.Simplify.Decisions)
+	b.Simplify.NsPerPoint = round2(measure(points, func() {
+		for _, it := range items {
+			if _, err := core.Simplify(p, it.T, it.W, opts, false, nil); err != nil {
+				panic(err)
+			}
+		}
+	}))
 
 	// Per-core scaling: honest provenance for the multi-core numbers — on
 	// a single-core machine this table has exactly one row and says so.
@@ -171,18 +175,14 @@ func runBatchSweep(out string, seed int64) error {
 		return err
 	}
 
-	// Short sustained-load runs, exact then fast, so the serving numbers
-	// live next to the numbers they are built from. The standalone
-	// `rlts-bench -load` runs longer and with custom shapes.
-	for _, fast := range []bool{false, true} {
-		sum, err := runLoad(loadConfig{
-			Duration: 3 * time.Second, Fast: fast, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		b.SustainedLoad = append(b.SustainedLoad, *sum)
+	// A short sustained-load run, so the serving numbers live next to the
+	// numbers they are built from. The standalone `rlts-bench -load` runs
+	// longer and with custom shapes.
+	sum, err := runLoad(loadConfig{Duration: 3 * time.Second, Seed: seed})
+	if err != nil {
+		return err
 	}
+	b.SustainedLoad = append(b.SustainedLoad, *sum)
 
 	enc, err := json.MarshalIndent(&b, "", "  ")
 	if err != nil {
@@ -196,8 +196,8 @@ func runBatchSweep(out string, seed int64) error {
 	if err := os.WriteFile(out, enc, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("batch sweep written to %s (forward exact %.0f / fast %.0f ns/state, simplify exact %.0f / fast %.0f ns/point)\n",
-		out, b.Forward.ExactNsPerState, b.Forward.FastNsPerState, b.Simplify.ExactNsPerPoint, b.Simplify.FastNsPerPoint)
+	fmt.Printf("batch sweep written to %s (forward exact %.0f / bounded %.0f ns/state, simplify %.0f ns/point, %.2g fallback share)\n",
+		out, b.Forward.ExactNsPerState, b.Forward.FastNsPerState, b.Simplify.NsPerPoint, b.Simplify.FallbackShare)
 	return nil
 }
 

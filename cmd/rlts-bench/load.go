@@ -6,9 +6,7 @@ package main
 // hammers POST /v1/simplify/batch from concurrent clients for a fixed
 // wall-clock window — measuring what an operator actually gets:
 // trajectories simplified per second end to end (JSON decode, validation,
-// engine sharding, JSON encode) and request latency percentiles. With
-// -load-fast the clients opt into the FastMath kernels (?fast=1), so an
-// exact/fast pair of runs isolates the kernel contribution under load.
+// engine sharding, JSON encode) and request latency percentiles.
 
 import (
 	"bytes"
@@ -38,7 +36,6 @@ type loadConfig struct {
 	Conc     int           // concurrent clients (default 4*GOMAXPROCS)
 	Items    int           // trajectories per batch request (default 64)
 	Points   int           // points per trajectory (default 100)
-	Fast     bool          // request the FastMath kernels (?fast=1)
 	Seed     int64
 }
 
@@ -60,7 +57,6 @@ func (c loadConfig) normalized() loadConfig {
 
 // loadSummary is the published result of one sustained-load run.
 type loadSummary struct {
-	Mode            string  `json:"mode"` // "exact" or "fast"
 	DurationS       float64 `json:"duration_s"`
 	Concurrency     int     `json:"concurrency"`
 	ItemsPerRequest int     `json:"items_per_request"`
@@ -101,9 +97,6 @@ func runLoad(cfg loadConfig) (*loadSummary, error) {
 		return nil, err
 	}
 	url := srv.URL + "/v1/simplify/batch"
-	if cfg.Fast {
-		url += "?fast=1"
-	}
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        cfg.Conc,
 		MaxIdleConnsPerHost: cfg.Conc,
@@ -145,7 +138,6 @@ func runLoad(cfg loadConfig) (*loadSummary, error) {
 	elapsed := time.Since(start)
 
 	sum := &loadSummary{
-		Mode:            modeName(cfg.Fast),
 		DurationS:       round2(elapsed.Seconds()),
 		Concurrency:     cfg.Conc,
 		ItemsPerRequest: cfg.Items,
@@ -201,13 +193,6 @@ func loadRequestBody(trained *core.Trained, cfg loadConfig) ([]byte, error) {
 	return json.Marshal(&req)
 }
 
-func modeName(fast bool) string {
-	if fast {
-		return "fast"
-	}
-	return "exact"
-}
-
 // runLoadBench is the `rlts-bench -load` entry point: one sustained run,
 // written as JSON to out ("-"/"" = stdout) with a one-line summary on
 // stderr.
@@ -222,8 +207,8 @@ func runLoadBench(out string, cfg loadConfig) error {
 		return err
 	}
 	enc = append(enc, '\n')
-	fmt.Fprintf(os.Stderr, "sustained load (%s): %.0f trajectories/s, %.0f req/s, p50 %.2fms p99 %.2fms, %d errors\n",
-		sum.Mode, sum.TrajPerSec, sum.RequestsPerSec, sum.LatencyP50Ms, sum.LatencyP99Ms, sum.Errors)
+	fmt.Fprintf(os.Stderr, "sustained load: %.0f trajectories/s, %.0f req/s, p50 %.2fms p99 %.2fms, %d errors\n",
+		sum.TrajPerSec, sum.RequestsPerSec, sum.LatencyP50Ms, sum.LatencyP99Ms, sum.Errors)
 	if out == "" || out == "-" {
 		_, err = os.Stdout.Write(enc)
 		return err

@@ -34,13 +34,11 @@ func main() {
 		logJSON = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		batch   = flag.Bool("batch", false, "run the inference throughput sweep behind batch serving instead of an experiment")
 		batchTo = flag.String("batch-out", "", "write the -batch sweep as JSON to this file (default: stdout)")
-		fastK   = flag.Bool("fast", false, "evaluate trained policies on the FastMath kernels (bounded approximation, see DESIGN.md §13)")
 		load    = flag.Bool("load", false, "run the sustained-load serving benchmark instead of an experiment")
 		loadDur = flag.Duration("load-duration", 10*time.Second, "sustained-load measurement window")
 		loadCC  = flag.Int("load-conc", 0, "sustained-load concurrent clients (0 = 4*GOMAXPROCS)")
 		loadIt  = flag.Int("load-items", 64, "trajectories per sustained-load batch request")
 		loadPts = flag.Int("load-points", 100, "points per sustained-load trajectory")
-		loadFst = flag.Bool("load-fast", false, "sustained-load clients request the FastMath kernels (?fast=1)")
 		loadTo  = flag.String("load-out", "", "write the -load summary as JSON to this file (default: stdout)")
 	)
 	flag.Parse()
@@ -55,7 +53,7 @@ func main() {
 	if *load {
 		err := runLoadBench(*loadTo, loadConfig{
 			Duration: *loadDur, Conc: *loadCC, Items: *loadIt,
-			Points: *loadPts, Fast: *loadFst, Seed: *seed,
+			Points: *loadPts, Seed: *seed,
 		})
 		if err != nil {
 			fail(err)
@@ -83,7 +81,6 @@ func main() {
 	}
 	ctx := eval.NewContext(s, *seed, logSink)
 	ctx.Workers = *workers
-	ctx.FastKernel = *fastK
 
 	exps := eval.Experiments()
 	if *exp != "all" {

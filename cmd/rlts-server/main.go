@@ -55,7 +55,6 @@ func main() {
 		shards     = flag.Int("shards", server.DefaultStreamShards, "lock shards for the streaming session store")
 		fleetEvery = flag.Duration("fleet-rebalance", 0, "rebalance every fleet's budget allocation on this cadence (0 = only on explicit POST .../rebalance)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		noFast     = flag.Bool("disable-fast", false, "refuse ?fast=1 FastMath kernels; every request runs exact")
 		logJSON    = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		verbose    = flag.Bool("v", false, "log every request (Debug level)")
 	)
@@ -84,7 +83,6 @@ func main() {
 		StreamShards:        *shards,
 		FleetRebalanceEvery: *fleetEvery,
 		EnablePprof:         *pprofOn,
-		DisableFast:         *noFast,
 		Logger:              logger,
 	}
 	sv := server.NewWith(policies, cfg)

@@ -165,6 +165,11 @@ func (b *Buffer) KLowest(k int) []*Entry {
 		return nil
 	}
 	out := b.kout[:0]
+	if k == 1 {
+		// The root is the minimum: no frontier to walk.
+		b.kout = append(out, b.heap[0])
+		return b.kout
+	}
 	// Frontier of heap positions ordered by value; the heap property
 	// guarantees the next smallest is always on the frontier.
 	frontier := append(b.kfrontier[:0], 0)

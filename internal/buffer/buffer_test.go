@@ -242,6 +242,10 @@ func TestRandomOpsProperty(t *testing.T) {
 					return false
 				}
 			}
+			// KLowest(1) is the heap root, the entry Min returns.
+			if one := b.KLowest(1); len(b.heap) > 0 && (len(one) != 1 || one[0] != b.Min()) {
+				return false
+			}
 		}
 		return true
 	}

@@ -16,6 +16,7 @@ import (
 	"rlts/internal/core"
 	"rlts/internal/errm"
 	"rlts/internal/gen"
+	"rlts/internal/nn"
 	"rlts/internal/rl"
 	"rlts/internal/traj"
 	"rlts/pretrained"
@@ -36,11 +37,11 @@ import (
 // core.BatchEngine run over all three trajectories with item i sampling
 // from seed 100+i as the other paths do (batch), a Streamer fed the
 // whole trajectory (stream), or a Streamer exported, re-encoded and
-// resumed at the midpoint (resume). The embedded policies' FastClones
-// add greedy rows through Simplify (fast) and a BatchEngine (fastbatch),
-// and fastprobs hashes the raw float64 bits of the fast Probs over every
-// state core.TraceGreedy visits, which pins the fused arithmetic itself.
-// Every batch row must equal its simplify row.
+// resumed at the midpoint (resume). For the embedded policies,
+// fastprobs hashes the raw float64 bits of the masked softmax of
+// nn.Network.ForwardBounded's logits over every state core.TraceGreedy
+// visits, which pins the fused arithmetic itself. Every batch row must
+// equal its simplify row.
 func TestGoldenDecisions(t *testing.T) {
 	tests := []struct {
 		Name   string
@@ -103,43 +104,27 @@ func TestGoldenDecisions(t *testing.T) {
 		{"skip/SED/sampled/simplify", "467c562498f09f06978e92df446276f78f7be57c47c879e93a46c0164f4a78ad"},
 		{"skip/SED/sampled/stream", "962ea7f8fd6963cdb630739a7e1a6609972b43d98ab2c94425014cc63ae3363e"},
 		{"online/DAD/greedy/batch", "9d785d3292ef9174051dc6f1ed237f2f4b344318a93cf5f42dabb7f987af8f6e"},
-		{"online/DAD/greedy/fast", "9d785d3292ef9174051dc6f1ed237f2f4b344318a93cf5f42dabb7f987af8f6e"},
-		{"online/DAD/greedy/fastbatch", "9d785d3292ef9174051dc6f1ed237f2f4b344318a93cf5f42dabb7f987af8f6e"},
 		{"online/DAD/greedy/fastprobs", "3394ce8706290f30df961f00c0f8d04c9d9e0cd8a8dbc6f6136a23d1f9580824"},
 		{"online/DAD/sampled/batch", "4e7f72c997956699eaae08d54cd84f98c025c2575837af7a0435de349859dffc"},
 		{"online/PED/greedy/batch", "b8a85b248c5097e0bcb99ddbc7239881fdbfb7ad8d83112e441d266be883cc5b"},
-		{"online/PED/greedy/fast", "b8a85b248c5097e0bcb99ddbc7239881fdbfb7ad8d83112e441d266be883cc5b"},
-		{"online/PED/greedy/fastbatch", "b8a85b248c5097e0bcb99ddbc7239881fdbfb7ad8d83112e441d266be883cc5b"},
 		{"online/PED/greedy/fastprobs", "cf6b69ce5e4a0b19bba397fa653f4a214c95ff72a41e425973c04d62e30f7ed8"},
 		{"online/PED/sampled/batch", "8700219cf9a1244294e5f9f825525e9454129b4edbdb2700f805a14c3dcea096"},
 		{"online/SAD/greedy/batch", "47bfae6b40e9bfca7e477b4e6f966edc19e8f31f2b556024b059a134fcd1fe65"},
-		{"online/SAD/greedy/fast", "47bfae6b40e9bfca7e477b4e6f966edc19e8f31f2b556024b059a134fcd1fe65"},
-		{"online/SAD/greedy/fastbatch", "47bfae6b40e9bfca7e477b4e6f966edc19e8f31f2b556024b059a134fcd1fe65"},
 		{"online/SAD/greedy/fastprobs", "eeaba9e783494f19d1a7dbce39e051a3b29c6b6257d53233a0b11b76557c9129"},
 		{"online/SAD/sampled/batch", "2decaad061a464a021d23e32c884a13cfe0c8887d5cd02b692286e1685569b21"},
 		{"online/SED/greedy/batch", "a733b62d3849a2e493cf46d584aabbfdd61caa5d8190cce4253f226141c4d18d"},
-		{"online/SED/greedy/fast", "a733b62d3849a2e493cf46d584aabbfdd61caa5d8190cce4253f226141c4d18d"},
-		{"online/SED/greedy/fastbatch", "a733b62d3849a2e493cf46d584aabbfdd61caa5d8190cce4253f226141c4d18d"},
 		{"online/SED/greedy/fastprobs", "cbe1e218c8e1411e58601c66d1da7b5d4f93e8d0d0ce83beae43baa495815c37"},
 		{"online/SED/sampled/batch", "a8501f9ea4e5b998021cbcaae083ed14c534c7d0e639f1d6182f2b8afa02d262"},
 		{"plus/DAD/greedy/batch", "f7fffad0797d9715ea6043bb647b5107fffaa83c25cb3205615b69ca929e9cd4"},
-		{"plus/DAD/greedy/fast", "f7fffad0797d9715ea6043bb647b5107fffaa83c25cb3205615b69ca929e9cd4"},
-		{"plus/DAD/greedy/fastbatch", "f7fffad0797d9715ea6043bb647b5107fffaa83c25cb3205615b69ca929e9cd4"},
 		{"plus/DAD/greedy/fastprobs", "1d1bd124a0d9904220a55e7796feb2703ba45358117edfee6ff86fe0e7ce6bfb"},
 		{"plus/DAD/sampled/batch", "2c2f99b3268c921302aa2c47a2178ad3ad3beb6e7fb108c94bda63bf9fb570ea"},
 		{"plus/PED/greedy/batch", "64b127e95469bf430e61a523de501212c4f23e67b1a4231434182212fc2156a1"},
-		{"plus/PED/greedy/fast", "64b127e95469bf430e61a523de501212c4f23e67b1a4231434182212fc2156a1"},
-		{"plus/PED/greedy/fastbatch", "64b127e95469bf430e61a523de501212c4f23e67b1a4231434182212fc2156a1"},
 		{"plus/PED/greedy/fastprobs", "01fb3a182eab2602759ccb4138b44d5e727e10d3649449e4305d9bfd5812b2bd"},
 		{"plus/PED/sampled/batch", "7ae73ebde5639a52484c401355da621588829520a3faf6483d5ceda49555a21f"},
 		{"plus/SAD/greedy/batch", "52203a69ed9d59fd833aeaf0d0dab70812bec729b96fa409a5242c36ca2eb298"},
-		{"plus/SAD/greedy/fast", "52203a69ed9d59fd833aeaf0d0dab70812bec729b96fa409a5242c36ca2eb298"},
-		{"plus/SAD/greedy/fastbatch", "52203a69ed9d59fd833aeaf0d0dab70812bec729b96fa409a5242c36ca2eb298"},
 		{"plus/SAD/greedy/fastprobs", "bb14b3054458dd77a514832533405647b4754e5b7deee176e899cb48dc4c4635"},
 		{"plus/SAD/sampled/batch", "1b6ae4cb35ca4831be70518db2767dbb43c9a5d3f7e9be453c2272719c9a7c94"},
 		{"plus/SED/greedy/batch", "d5093808f71ac218c9972ee36cbd39b4ad2366f2caf2afdc9ba9d2796448ed95"},
-		{"plus/SED/greedy/fast", "d5093808f71ac218c9972ee36cbd39b4ad2366f2caf2afdc9ba9d2796448ed95"},
-		{"plus/SED/greedy/fastbatch", "d5093808f71ac218c9972ee36cbd39b4ad2366f2caf2afdc9ba9d2796448ed95"},
 		{"plus/SED/greedy/fastprobs", "bcf3ce9eb5965123c754ebfbf5d8e958d9800c31afc42f6d092d0fed2dd5a736"},
 		{"plus/SED/sampled/batch", "1c82d02eaf40d7055ff5c76330abd43e5f5031f755e2e0f883fbe1eb7e81d9f8"},
 		{"plusplus/DAD/greedy/batch", "f14c5888abf154aa04b3856d8089836655e33add77e223be77c892ea582f8331"},
@@ -222,16 +207,7 @@ func goldenDigests(t *testing.T) map[string]string {
 				t.Fatal(err)
 			}
 			tr := pp.Internal()
-			fast := tr.FastClone()
 			prefix := fmt.Sprintf("%s/%s/greedy/", goldenVariantName(v), m)
-			add(prefix+"fast", func(t2 traj.Trajectory, _ int64) []int {
-				kept, err := core.Simplify(fast.Policy, t2, goldenW, tr.Opts, false, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return kept
-			})
-			addAll(prefix+"fastbatch", goldenBatch(t, fast.Policy, tr.Opts, false, trs))
 			h := sha256.New()
 			var word [8]byte
 			for _, t2 := range trs {
@@ -241,7 +217,8 @@ func goldenDigests(t *testing.T) map[string]string {
 				}
 				for k := range dt.Actions {
 					state := dt.States[k*dt.StateSize : (k+1)*dt.StateSize]
-					for _, p := range fast.Policy.Probs(state, dt.Masks[k], false) {
+					logits, _ := tr.Policy.Net.ForwardBounded(state)
+					for _, p := range nn.MaskedSoftmaxInto(make([]float64, len(logits)), logits, dt.Masks[k]) {
 						binary.LittleEndian.PutUint64(word[:], math.Float64bits(p))
 						h.Write(word[:])
 					}

@@ -9,8 +9,9 @@ import (
 
 // Simplification metrics, registered in the process-wide obs registry.
 // Hot-path discipline: the MDP step loop and Streamer.Push never touch an
-// atomic per step — counts accumulate in plain locals/fields and flush as
-// a single atomic add per run (Simplify) or per snapshot (Streamer), so
+// atomic per step — counts accumulate in plain locals/fields (the
+// policy's fallback count in the policy) and flush as a single atomic
+// add per run (Simplify) or per snapshot (Streamer), so
 // the simplify/rollout benchmarks stay within noise of the uninstrumented
 // build.
 //
@@ -21,6 +22,7 @@ import (
 type coreMetricsSet struct {
 	simplifyRuns     *obs.Counter
 	simplifySteps    *obs.Counter
+	policyFallbacks  *obs.Counter
 	streamPoints     *obs.Counter
 	streamSkipped    *obs.Counter
 	streamBufferFill *obs.Histogram
@@ -58,6 +60,8 @@ func coreMetricsFor(reg *obs.Registry) *coreMetricsSet {
 			"Completed Simplify/SimplifyCtx invocations"),
 		simplifySteps: reg.Counter("rlts_simplify_steps_total",
 			"MDP steps executed by Simplify/SimplifyCtx"),
+		policyFallbacks: reg.Counter("rlts_policy_fallbacks_total",
+			"Policy decisions the certified fast forward left to the exact forward"),
 		streamPoints: reg.Counter("rlts_stream_points_total",
 			"Points pushed through core.Streamer instances"),
 		streamSkipped: reg.Counter("rlts_stream_skipped_points_total",

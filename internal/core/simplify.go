@@ -43,6 +43,7 @@ func SimplifyCtx(ctx context.Context, p *rl.Policy, t traj.Trajectory, w int, op
 	met := coreMetrics()
 	met.simplifyRuns.Inc()
 	met.simplifySteps.Add(uint64(steps))
+	met.policyFallbacks.Add(uint64(p.TakeFallbacks()))
 	return kept, nil
 }
 

@@ -274,8 +274,8 @@ func (s *Streamer) Snapshot() []geo.Point {
 	return pts
 }
 
-// FlushMetrics publishes the per-point counters accumulated since the
-// last flush to the obs registry. Snapshot flushes automatically; owners
+// FlushMetrics publishes the per-point counters and the policy's
+// fallback count accumulated since the last flush to the obs registry. Snapshot flushes automatically; owners
 // that retire a streamer without a final snapshot (the HTTP session
 // manager's TTL eviction) call it so no points go unaccounted.
 func (s *Streamer) FlushMetrics() {
@@ -286,5 +286,8 @@ func (s *Streamer) FlushMetrics() {
 	if s.unflushedSkipped > 0 {
 		s.met.streamSkipped.Add(uint64(s.unflushedSkipped))
 		s.unflushedSkipped = 0
+	}
+	if n := s.p.TakeFallbacks(); n > 0 {
+		s.met.policyFallbacks.Add(uint64(n))
 	}
 }

@@ -165,9 +165,9 @@ func trainBudget(n int, to TrainOptions) int {
 	return w
 }
 
-// Simplify applies the trained policy to t with budget w. sample defaults
-// to the paper's mode-dependent choice when sampleOverride is nil: the
-// online variant samples, the batch variants take the argmax.
+// Simplify applies the trained policy to t with budget w in the paper's
+// mode-dependent inference: the online variant samples (from r, or from
+// a source seeded 0 when r is nil), the batch variants take the argmax.
 func (tr *Trained) Simplify(t traj.Trajectory, w int, r *rand.Rand) ([]int, error) {
 	sample := tr.Opts.Variant == Online
 	if sample && r == nil {
@@ -185,18 +185,6 @@ func (tr *Trained) SimplifyGreedy(t traj.Trajectory, w int) ([]int, error) {
 // SimplifyGreedyCtx is SimplifyGreedy honoring a context for cancellation.
 func (tr *Trained) SimplifyGreedyCtx(ctx context.Context, t traj.Trajectory, w int) ([]int, error) {
 	return SimplifyCtx(ctx, tr.Policy, t, w, tr.Opts, false, nil)
-}
-
-// FastClone returns an independent copy of the trained policy with the
-// FastMath inference kernel selected (nn.KernelFast): fused approximate
-// forwards with the bounded divergence contract of nn/fastmath.go and
-// DESIGN.md §13. The original is untouched and stays exact. Serving and
-// eval build their fast paths from FastClones so the exact default can
-// never be contaminated.
-func (tr *Trained) FastClone() *Trained {
-	p := tr.Policy.Clone()
-	p.SetKernel(nn.KernelFast)
-	return &Trained{Opts: tr.Opts, Policy: p}
 }
 
 // savedTrained is the JSON wire format of a Trained policy.

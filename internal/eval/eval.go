@@ -126,13 +126,6 @@ type Context struct {
 	// training (0 = GOMAXPROCS, 1 = fully serial). Results are
 	// deterministic for any value.
 	Workers int
-	// FastKernel, when set, evaluates trained policies on their FastMath
-	// clones (core.Trained.FastClone): fused approximate kernels with the
-	// measured divergence bounds of DESIGN.md §13. Baselines are
-	// unaffected. Reported errors may differ from exact evaluation within
-	// those bounds (in practice they match: argmax decisions are stable
-	// across the adversarial families).
-	FastKernel bool
 
 	policies map[string]*core.Trained
 	datasets map[string][]traj.Trajectory
@@ -223,17 +216,6 @@ func (c *Context) runSet(a Algorithm, data []traj.Trajectory, wRatio float64, m 
 // errors are identical at every -workers setting, serial included.
 func (c *Context) rlts(tr *core.Trained) Algorithm {
 	return RLTSAlgorithmConcurrent(tr, c.Seed)
-}
-
-// runSetPolicy evaluates a trained policy honouring the context's worker
-// budget and kernel selection.
-func (c *Context) runSetPolicy(tr *core.Trained, data []traj.Trajectory, wRatio float64, m errm.Measure) (MeasureResult, error) {
-	if c.FastKernel {
-		// Worker clones inherit the fast kernel from the clone's policy,
-		// so the whole evaluation below runs the FastMath path.
-		tr = tr.FastClone()
-	}
-	return c.runSet(c.rlts(tr), data, wRatio, m)
 }
 
 // MeasureResult is one (algorithm, setting) cell: mean error and timing.

@@ -190,7 +190,7 @@ func ExpPolicy(c *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	learned, err := c.runSetPolicy(tr, data, wRatio, m)
+	learned, err := c.runSet(c.rlts(tr), data, wRatio, m)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +251,7 @@ func ExpK(c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.runSetPolicy(tr, data, 0.1, m)
+		res, err := c.runSet(c.rlts(tr), data, 0.1, m)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +276,7 @@ func ExpJ(c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.runSetPolicy(tr, data, 0.1, m)
+		res, err := c.runSet(c.rlts(tr), data, 0.1, m)
 		if err != nil {
 			return nil, err
 		}

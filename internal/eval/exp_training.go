@@ -92,7 +92,7 @@ func Fig8(c *Context) (*Table, error) {
 			return nil, err
 		}
 		cost := time.Since(start)
-		res, err := c.runSetPolicy(tr, evalSet, 0.1, m)
+		res, err := c.runSet(c.rlts(tr), evalSet, 0.1, m)
 		if err != nil {
 			return nil, err
 		}

@@ -2,15 +2,16 @@ package nn
 
 import "math"
 
-// FastMath inference kernels. The exact inference forward (KernelExact)
-// is bit-identical to the single-sample training forward, which caps its
+// Certified inference kernels. The exact inference forward is
+// bit-identical to the single-sample training forward, which caps its
 // speed: math.Tanh alone is roughly half the forward cost at the paper's
 // 20-unit policy, and bit-identity forbids approximating it or fusing
-// the Dense/BatchNorm/activation traversals. KernelFast is the explicit,
-// opt-in relaxation of that contract:
+// the Dense/BatchNorm/activation traversals. ForwardBounded runs the
+// fused approximation instead and returns, beside each logit, a bound
+// on its distance from the exact forward's logit on the same input:
 //
-//   - math.Tanh is replaced by FastTanh, a rational approximation with a
-//     published maximum absolute error (FastTanhMaxAbsError);
+//   - math.Tanh is replaced by FastTanh, a rational approximation whose
+//     error TestFastTanhBoundProof proves;
 //   - the frozen-BatchNorm normalization (x-mean)/sqrt(Var+Eps) followed
 //     by gamma*nv+beta is algebraically folded all the way into the
 //     Dense weights and bias, once per network (fastPlan), so the matmul
@@ -19,53 +20,26 @@ import "math"
 //     makes three (plus a divide per element), at the cost of
 //     reassociating the float64 operations.
 //
-// The divergence this buys is measured, not hoped: the tolerance pillar
-// in internal/check bounds the probability error of the fast path
-// against the exact path over every adversarial generator family and
-// asserts that greedy (argmax) decisions never change — the invariant
-// production callers actually rely on (DESIGN.md §13).
+// The bound is derived, not measured (DESIGN.md §13). With u = 2^-53
+// and κ = (2·in+16)·u, a pre-activation computed in folded order lies
+// within κ·(|s|(|b|+|mean|+‖W_o‖₁‖x‖∞)+|β|) of the exact order's, where
+// s = gamma/sqrt(Var+Eps); an input already off by e per element adds
+// ‖W'_o‖₁·e. tanh adds fastTanhBound and is 1-Lipschitz, and a
+// tanh output is off by at most 2 whatever its input. rl.Policy.Act
+// takes the fast decision only when these bounds cannot change it.
 //
-// KernelFast is inference-only. The fast forwards populate none of the
-// layer caches Backward consumes, so Network.Backward panics after a
-// fast forward rather than silently computing garbage gradients.
-// Training code never selects it; serving sets it on dedicated policy
-// clones (core.Trained.FastClone).
+// The fast forward is inference-only. It populates none of the layer
+// caches Backward consumes, so Network.Backward panics after it rather
+// than silently computing garbage gradients.
 
-// Kernel selects the arithmetic contract of a network's inference
-// forwards.
-type Kernel int
+// Refold tells the network that its weights or batch-norm statistics
+// were written in place: the next ForwardBounded folds them again.
+// Forward in training mode, UpdateStats, SetParams and SyncFrom do this
+// themselves; a caller that writes Param values or statistics directly
+// (an optimizer step) calls Refold before the next ForwardBounded.
+func (n *Network) Refold() { n.fast = nil }
 
-const (
-	// KernelExact is the default: every inference forward is
-	// bit-identical to the single-sample training forward.
-	KernelExact Kernel = iota
-	// KernelFast selects the fused approximate inference kernels: tanh
-	// via FastTanh, Dense+BatchNorm+activation fused into one traversal.
-	// Outputs carry a bounded approximation error; see the package notes
-	// above and DESIGN.md §13.
-	KernelFast
-)
-
-// String names the kernel for bench/serving provenance.
-func (k Kernel) String() string {
-	if k == KernelFast {
-		return "fast"
-	}
-	return "exact"
-}
-
-// SetKernel selects the inference kernel for this network. KernelExact
-// (the default) keeps every inference forward bit-identical to the
-// training forward; KernelFast enables the fused approximate kernels.
-// Training-mode forwards (train=true) always run exact. It also drops
-// the fused kernel's folded weights, so the next fast forward refolds
-// them from the current weights and statistics.
-func (n *Network) SetKernel(k Kernel) {
-	n.kernel = k
-	n.fast = nil
-}
-
-// Contract constants of the FastMath kernels, asserted continuously by
+// Published constants of the fast forward, asserted continuously by
 // internal/nn's dense-sweep test and internal/check's tolerance pillar.
 // They are published bounds with margin over the measured worst case,
 // not the measured values themselves (measured: tanh 4.4e-8 over a
@@ -76,8 +50,8 @@ const (
 	// finite x.
 	FastTanhMaxAbsError = 1e-7
 	// FastProbsMaxAbsError bounds the absolute error of any probability
-	// produced by a KernelFast Probs against the exact path
-	// on the same state, for the policy shapes this system trains
+	// taken from ForwardBounded's logits against the exact path's on
+	// the same state, for the policy shapes this system trains
 	// (paper-scale MLPs; the bound scales with the L1 norm of the output
 	// layer rows, see DESIGN.md §13).
 	FastProbsMaxAbsError = 1e-5
@@ -92,6 +66,23 @@ const (
 	// the absolute bound applies.
 	FastProbsRelFloor = 1e-9
 )
+
+// fastTanhBound is the tanh term E of the certificate. It bounds
+// |FastTanh(x) - tanh(x)| + tanhLibError for every finite x, where
+// tanh is the real function, so for any finite z and y
+//
+//	|FastTanh(z) - math.Tanh(y)| <= fastTanhBound + |z - y|
+//
+// (tanh is 1-Lipschitz). TestFastTanhBoundProof proves the bound; it is
+// not a sweep maximum.
+const fastTanhBound = FastTanhMaxAbsError
+
+// tanhLibError bounds |math.Tanh(x) - tanh(x)|. math.Tanh evaluates
+// 1 - 2/(exp(2|x|)+1) for |x| >= 0.625, within 2^-51 of tanh given an
+// exp within one ulp, and a rational fit (Cephes, peak relative error
+// 2.5e-16) below; 2^-49 leaves a factor of four. TestFastTanhBoundProof
+// checks it against a 256-bit tanh at sample points.
+const tanhLibError = 0x1p-49
 
 // fastTanhSat is the |x| beyond which FastTanh returns exactly ±1.
 // tanh(20) = 1 - ~8.2e-18, which rounds to 1.0 in float64, so the
@@ -159,11 +150,11 @@ const (
 	actReLU
 )
 
-// fastStage is one step of the KernelFast forward: either a Dense
+// fastStage is one step of the fast forward: either a Dense
 // [+ BatchNorm] [+ Tanh/ReLU] run fused into one matmul over folded
 // weights plus an activation pass, or (layer != nil) a layer outside
-// that pattern, which runs its exact Forward. None are produced by
-// NewMLP, but the Layer interface admits them.
+// that pattern, which runs its exact Forward and voids the bound. None
+// are produced by NewMLP, but the Layer interface admits them.
 type fastStage struct {
 	layer Layer
 
@@ -172,15 +163,24 @@ type fastStage struct {
 	b   []float64 // out, likewise
 	act fusedAct
 	y   []float64 // output scratch
+
+	// Certificate constants (see ForwardBounded), per output o: l1 is
+	// the folded row's L1 norm, rc is kappa*(|s|(|b|+|mean|)+|beta|)
+	// (kappa*|b| without batch-norm). l1Max and rcMax are their maxima.
+	// guardC+guardL*|x| bounds every magnitude the exact path forms in
+	// this stage, before its activation.
+	kappa          float64
+	l1, rc         []float64
+	l1Max, rcMax   float64
+	guardC, guardL float64
 }
 
 // fastPlan returns the network's fused stages, building them on first
-// use after a drop. The batch-norm fold is taken here, once per network,
-// not once per forward: SetKernel, a training-mode Forward, UpdateStats,
-// SetParams and SyncFrom drop the plan, since each can move the weights
-// or the statistics it was folded from. A caller that writes Param
-// values or BatchNorm statistics directly calls SetKernel again before
-// the next fast forward.
+// use after a drop. The batch-norm fold and the certificate constants
+// are taken here, once per network, not once per forward: Refold, a
+// training-mode Forward, UpdateStats, SetParams and SyncFrom drop the
+// plan, since each can move the weights or the statistics it was
+// folded from.
 func (n *Network) fastPlan() []fastStage {
 	if n.fast != nil {
 		return n.fast
@@ -193,12 +193,15 @@ func (n *Network) fastPlan() []fastStage {
 			continue
 		}
 		st := fastStage{in: d.In, w: d.W.Val, b: d.B.Val, y: make([]float64, d.Out)}
+		var bn *BatchNorm
 		j := i + 1
 		if j < len(n.Layers) {
-			if bn, ok := n.Layers[j].(*BatchNorm); ok {
+			if bn, ok = n.Layers[j].(*BatchNorm); ok {
 				checkLen("Dense fused batch-norm", bn.size, d.Out)
 				st.w, st.b = foldBatchNorm(d, bn)
 				j++
+			} else {
+				bn = nil
 			}
 		}
 		if j < len(n.Layers) {
@@ -211,21 +214,122 @@ func (n *Network) fastPlan() []fastStage {
 				j++
 			}
 		}
+		st.bounds(d, bn)
 		n.fast = append(n.fast, st)
 		i = j
 	}
 	return n.fast
 }
 
-// forwardFast is the KernelFast vector forward. It populates none of
-// the caches Backward needs, so the caller (Forward) marks the network
-// fast-dirty first. The result is the last stage's scratch, valid until
-// the next forward; after the first call it allocates nothing.
-func (n *Network) forwardFast(x []float64) []float64 {
-	for i := range n.fastPlan() {
-		x = n.fast[i].forward(x)
+// bounds computes the stage's certificate constants from the layers it
+// fuses (bn may be nil). A non-finite constant — from non-finite
+// weights or statistics, or a non-positive Var+Eps — makes the guard
+// fail, so every bound the stage takes part in is void.
+func (st *fastStage) bounds(d *Dense, bn *BatchNorm) {
+	in := d.In
+	st.kappa = float64(2*in+16) * 0x1p-53
+	st.l1 = make([]float64, d.Out)
+	st.rc = make([]float64, d.Out)
+	for o := range st.l1 {
+		var l1, raw float64
+		for i, v := range st.w[o*in : (o+1)*in] {
+			l1 += math.Abs(v)
+			raw += math.Abs(d.W.Val[o*in+i])
+		}
+		c0 := math.Abs(d.B.Val[o])
+		gc, gl := c0, raw
+		if bn != nil {
+			sigma := math.Sqrt(bn.Var[o] + bn.Eps)
+			s := bn.Gamma.Val[o] / sigma
+			beta := math.Abs(bn.Beta.Val[o])
+			c0 = math.Abs(s)*(c0+math.Abs(bn.Mean[o])) + beta
+			g := max(1, math.Abs(bn.Gamma.Val[o])) / sigma
+			gc = g*(gc+math.Abs(bn.Mean[o])) + beta
+			gl = g * raw
+		}
+		st.l1[o], st.rc[o] = l1, st.kappa*c0
+		st.l1Max, st.rcMax = max(st.l1Max, l1), max(st.rcMax, st.rc[o])
+		st.guardC, st.guardL = max(st.guardC, gc), max(st.guardL, gl)
 	}
-	return x
+}
+
+// ForwardBounded runs x through the fused fast forward and returns its
+// logits with a per-logit bound: |logits[k] - Forward(x, false)[k]| <=
+// bound[k]. Every bound is +Inf when none can be given: a non-finite
+// input, weight or statistic, a magnitude near overflow, or a layer
+// outside the fused pattern. Both slices are network scratch, valid
+// until the next forward; after the first call nothing is allocated.
+//
+// Per stage, with input magnitude X = ‖x‖∞ and input error e per
+// element (0 for the network input), pre-activation o is off by at most
+// l1[o]·(e(1+κ) + κ(X+e)) + rc[o]; see the package notes. The guard
+// keeps every exact-path magnitude below 2^1000, so the rounding model
+// behind κ holds. A tanh output adds fastTanhBound and is never off by
+// more than 2.
+func (n *Network) ForwardBounded(x []float64) (logits, bound []float64) {
+	plan := n.fastPlan()
+	n.fastPass = true
+	mag, err := normInf(x), 0.0
+	ok := mag <= math.MaxFloat64
+	last := len(plan) - 1
+	for i := range plan {
+		st := &plan[i]
+		if ok && (st.layer != nil || !(st.guardC+st.guardL*(mag+err) < 0x1p1000)) {
+			ok = false
+		}
+		a := err*(1+st.kappa) + st.kappa*(mag+err)
+		x = st.forward(x)
+		if !ok {
+			continue
+		}
+		if i == last {
+			if len(n.bound) != len(x) {
+				n.bound = make([]float64, len(x))
+			}
+			for o, l1 := range st.l1 {
+				n.bound[o] = st.act.widen(l1*a + st.rc[o])
+			}
+			break
+		}
+		err = st.act.widen(st.l1Max*a + st.rcMax)
+		if st.act == actTanh {
+			mag = 1
+		} else {
+			mag = normInf(x)
+		}
+	}
+	if len(n.bound) != len(x) {
+		n.bound = make([]float64, len(x))
+	}
+	if !ok {
+		for o := range n.bound {
+			n.bound[o] = math.Inf(1)
+		}
+	}
+	return x, n.bound
+}
+
+// widen carries a pre-activation error bound through the activation:
+// ReLU is 1-Lipschitz and identical in both forwards; tanh adds
+// fastTanhBound, and two tanh outputs are never more than 2 apart.
+func (a fusedAct) widen(d float64) float64 {
+	if a == actTanh {
+		return min(d+fastTanhBound, 2)
+	}
+	return d
+}
+
+// normInf returns max |v|, or +Inf when v holds a NaN or an infinity.
+func normInf(v []float64) float64 {
+	var m float64
+	for _, x := range v {
+		a := math.Abs(x)
+		if !(a <= math.MaxFloat64) {
+			return math.Inf(1)
+		}
+		m = max(m, a)
+	}
+	return m
 }
 
 // forward computes y = act(W'x + b') in two passes instead of the exact
@@ -283,8 +387,8 @@ func (st *fastStage) forward(x []float64) []float64 {
 //
 // The division happens once per feature per fold instead of once per
 // element per forward. Folding reassociates the float64 ops (the scale
-// multiplies distribute into each product); the divergence is covered
-// by the same measured contract as the rest of the fast path.
+// multiplies distribute into each product); ForwardBounded's κ term
+// covers the divergence.
 func foldBatchNorm(d *Dense, bn *BatchNorm) (w, b []float64) {
 	w = make([]float64, len(d.W.Val))
 	b = make([]float64, d.Out)

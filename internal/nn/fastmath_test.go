@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -112,9 +113,9 @@ func TestFastTanhVecMatchesScalar(t *testing.T) {
 	}
 }
 
-// fastNet builds a warmed-up paper-shape network and returns it with its
-// KernelFast twin (same weights and statistics, fast kernel selected).
-func fastNet(t *testing.T, spec MLPSpec, seed int64) (*Network, *Network) {
+// fastNet builds a warmed-up paper-shape network: 50 training-mode
+// forwards move its batch-norm statistics off their initial values.
+func fastNet(t *testing.T, spec MLPSpec, seed int64) *Network {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	net, err := NewMLP(spec, r)
@@ -124,17 +125,16 @@ func fastNet(t *testing.T, spec MLPSpec, seed int64) (*Network, *Network) {
 	for i := 0; i < 50; i++ {
 		net.Forward(randStates(r, 1, spec.In), true)
 	}
-	fast := CloneMLP(spec, net)
-	fast.SetKernel(KernelFast)
-	return net, fast
+	return net
 }
 
-// TestForwardBatchFastTolerance bounds the fast forward against the
+// TestForwardBatchFastTolerance bounds the fused forward against the
 // exact one, row by row, across architectures (with and without
 // batch-norm, tanh and relu, multi-hidden), and asserts that stacks
 // without batch-norm or tanh match exactly — fusion only reassociates
 // the batch-norm affine, so relu and plain Dense stacks carry no
-// approximation at all unless batch-norm is present.
+// approximation at all unless batch-norm is present. Every logit also
+// lies within its certificate bound.
 func TestForwardBatchFastTolerance(t *testing.T) {
 	specs := []MLPSpec{
 		{In: 3, Hidden: []int{20}, Out: 3, BatchNorm: true, Activation: "tanh"},
@@ -146,14 +146,14 @@ func TestForwardBatchFastTolerance(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(99))
 	for _, spec := range specs {
-		net, fast := fastNet(t, spec, 21)
+		net := fastNet(t, spec, 21)
 		exactRelu := !spec.BatchNorm && spec.Activation != "tanh"
 		for _, b := range []int{1, 3, 16, 64} {
 			x := randStates(r, b, spec.In)
 			for row := 0; row < b; row++ {
 				xr := x[row*spec.In : (row+1)*spec.In]
-				exact := net.Forward(xr, false)
-				got := fast.Forward(xr, false)
+				exact := append([]float64(nil), net.Forward(xr, false)...)
+				got, bound := net.ForwardBounded(xr)
 				// Logit error compounds through at most two tanh layers
 				// and the output affine; 1e-4 is ~3 orders of magnitude
 				// of margin for these widths.
@@ -165,6 +165,9 @@ func TestForwardBatchFastTolerance(t *testing.T) {
 					if exactRelu && got[i] != exact[i] {
 						t.Fatalf("%+v row %d logit %d: fast %v != exact %v without batch-norm", spec, row, i, got[i], exact[i])
 					}
+					if !(math.Abs(got[i]-exact[i]) <= bound[i]) {
+						t.Fatalf("%+v row %d logit %d: |fast-exact| = %g above its bound %g", spec, row, i, math.Abs(got[i]-exact[i]), bound[i])
+					}
 				}
 			}
 		}
@@ -174,77 +177,88 @@ func TestForwardBatchFastTolerance(t *testing.T) {
 // TestForwardVectorZeroAlloc is the satellite regression test for the
 // non-batch serving hot path: a warmed-up inference Forward — Dense,
 // BatchNorm and Tanh all reusing their layer-owned buffers — allocates
-// nothing per call, in both kernels.
+// nothing per call, and neither does ForwardBounded.
 func TestForwardVectorZeroAlloc(t *testing.T) {
 	spec := MLPSpec{In: 5, Hidden: []int{20}, Out: 5, BatchNorm: true, Activation: "tanh"}
-	net, fast := fastNet(t, spec, 6)
+	net := fastNet(t, spec, 6)
 	r := rand.New(rand.NewSource(9))
 	x := randStates(r, 1, spec.In)
-	for name, n := range map[string]*Network{"exact": net, "fast": fast} {
-		n.Forward(x, false) // warm layer buffers / fused scratch
-		allocs := testing.AllocsPerRun(10, func() {
-			n.Forward(x, false)
-		})
-		if allocs != 0 {
-			t.Fatalf("%s Forward allocates %.1f per call, want 0", name, allocs)
+	for name, fwd := range map[string]func(){
+		"exact":   func() { net.Forward(x, false) },
+		"bounded": func() { net.ForwardBounded(x) },
+	} {
+		fwd() // warm layer buffers / fused scratch
+		if allocs := testing.AllocsPerRun(10, fwd); allocs != 0 {
+			t.Fatalf("%s forward allocates %.1f per call, want 0", name, allocs)
 		}
 	}
 }
 
-// TestKernelCloneAndGuards pins the plumbing: clones inherit the kernel,
-// training-mode forwards stay exact (and keep updating statistics), and
-// Backward refuses to run after a fast forward instead of producing
+// TestKernelCloneAndGuards pins the fold's plumbing: every write to the
+// weights or statistics — SetParams, SyncFrom, UpdateStats, a
+// training-mode Forward, or a direct write followed by Refold — makes
+// the next ForwardBounded refold, bit-identical to a fresh clone's;
+// training-mode forwards stay exact and keep updating statistics; and
+// Backward refuses to run after ForwardBounded instead of producing
 // silently wrong gradients.
 func TestKernelCloneAndGuards(t *testing.T) {
 	spec := MLPSpec{In: 3, Hidden: []int{8}, Out: 3, BatchNorm: true, Activation: "tanh"}
-	_, fast := fastNet(t, spec, 77)
-	if got := CloneMLP(spec, fast).kernel; got != KernelFast {
-		t.Fatalf("CloneMLP dropped the kernel: got %v", got)
-	}
-
-	// Training-mode forward on a fast network still runs the exact layer
-	// path (statistics move; Backward works afterwards).
+	net := fastNet(t, spec, 77)
 	var bn *BatchNorm
-	for _, l := range fast.Layers {
+	for _, l := range net.Layers {
 		if b, ok := l.(*BatchNorm); ok {
 			bn = b
 		}
 	}
 	r := rand.New(rand.NewSource(3))
-	fast.Forward(randStates(r, 1, spec.In), false) // fold the current statistics
-	before := append([]float64(nil), bn.Mean...)
-	out := fast.Forward(randStates(r, 1, spec.In), true)
-	moved := false
-	for i := range before {
-		if bn.Mean[i] != before[i] {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("training-mode forward on a KernelFast network did not update statistics")
-	}
-	fast.Backward(make([]float64, len(out))) // must not panic after an exact pass
-
-	// The training-mode forward moved the statistics the fast kernel
-	// folds into its weights: the next fast forward must refold, and so
-	// equal a freshly built fast clone bit for bit.
+	other := fastNet(t, spec, 78)
 	x := randStates(r, 1, spec.In)
-	got := append([]float64(nil), fast.Forward(x, false)...)
-	want := CloneMLP(spec, fast).Forward(x, false)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fast forward after a statistics update: logit %d = %v, fresh fast clone %v", i, got[i], want[i])
+	for _, w := range []struct {
+		name  string
+		write func()
+	}{
+		{"training Forward", func() {
+			before := append([]float64(nil), bn.Mean...)
+			net.Forward(randStates(r, 1, spec.In), true)
+			if slices.Equal(before, bn.Mean) {
+				t.Fatal("training-mode forward did not update statistics")
+			}
+		}},
+		{"UpdateStats", func() { net.UpdateStats(randStates(r, 1, spec.In)) }},
+		{"SetParams", func() {
+			ps := net.FlattenParams(nil)
+			for i := range ps {
+				ps[i] *= 1.01
+			}
+			net.SetParams(ps)
+		}},
+		{"SyncFrom", func() { net.SyncFrom(other) }},
+		{"direct write + Refold", func() {
+			net.Params()[0].Val[0] += 0.25
+			net.Refold()
+		}},
+	} {
+		net.ForwardBounded(x) // fold the current weights and statistics
+		w.write()
+		logits, bound := net.ForwardBounded(x)
+		got := append(append([]float64(nil), logits...), bound...)
+		logits, bound = CloneMLP(spec, net).ForwardBounded(x)
+		want := append(append([]float64(nil), logits...), bound...)
+		if !slices.Equal(got, want) {
+			t.Fatalf("ForwardBounded logits and bounds after %s = %v, fresh clone's %v", w.name, got, want)
 		}
 	}
 
-	// Inference forward flips to the fast kernel; Backward must refuse.
-	fast.Forward(randStates(r, 1, spec.In), false)
+	out := net.Forward(randStates(r, 1, spec.In), true)
+	net.Backward(make([]float64, len(out))) // must not panic after an exact pass
+
+	net.ForwardBounded(randStates(r, 1, spec.In))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Backward after a fast forward did not panic")
+			t.Fatal("Backward after ForwardBounded did not panic")
 		}
 	}()
-	fast.Backward(make([]float64, spec.Out))
+	net.Backward(make([]float64, spec.Out))
 }
 
 func BenchmarkFastTanh(b *testing.B) {
@@ -297,27 +311,34 @@ func randStates(r *rand.Rand, b, in int) []float64 {
 	return x
 }
 
-// benchForwardSingle times the vector inference forward over 64 states
-// of a warmed-up serving-shape network under kernel k.
-func benchForwardSingle(b *testing.B, k Kernel) {
+// benchForwardSingle times fwd over 64 states of a warmed-up
+// serving-shape network.
+func benchForwardSingle(b *testing.B, fwd func(n *Network, x []float64) []float64) {
 	r := rand.New(rand.NewSource(1))
 	spec := MLPSpec{In: 5, Hidden: []int{20}, Out: 5, BatchNorm: true, Activation: "tanh"}
 	net, _ := NewMLP(spec, r)
 	for i := 0; i < 200; i++ {
 		net.Forward(randStates(r, 1, spec.In), true)
 	}
-	net.SetKernel(k)
 	x := randStates(r, 64, spec.In)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		for row := 0; row < 64; row++ {
-			benchSink = net.Forward(x[row*spec.In:(row+1)*spec.In], false)
+			benchSink = fwd(net, x[row*spec.In:(row+1)*spec.In])
 		}
 	}
 }
 
-func BenchmarkForwardSingle(b *testing.B)     { benchForwardSingle(b, KernelExact) }
-func BenchmarkForwardSingleFast(b *testing.B) { benchForwardSingle(b, KernelFast) }
+func BenchmarkForwardSingle(b *testing.B) {
+	benchForwardSingle(b, func(n *Network, x []float64) []float64 { return n.Forward(x, false) })
+}
+
+func BenchmarkForwardSingleFast(b *testing.B) {
+	benchForwardSingle(b, func(n *Network, x []float64) []float64 {
+		logits, _ := n.ForwardBounded(x)
+		return logits
+	})
+}
 
 var benchSink []float64
 

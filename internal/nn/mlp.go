@@ -123,16 +123,16 @@ func LoadMLP(r io.Reader) (MLPSpec, *Network, error) {
 	return sv.Spec, net, nil
 }
 
-// CloneMLP deep-copies a network built by NewMLP (used to snapshot the
-// best policy seen during training). The clone inherits the source's
-// kernel selection, so fast-kernel serving clones stay fast through
-// pool refills and worker fan-out.
+// CloneMLP deep-copies the weights and batch-norm statistics of a
+// network built by NewMLP (used to snapshot the best policy seen during
+// training and to give each concurrent caller its own policy). The
+// clone shares no scratch with the source and folds its own fused plan
+// on its first ForwardBounded.
 func CloneMLP(spec MLPSpec, net *Network) *Network {
 	c, err := NewMLP(spec, rand.New(rand.NewSource(0)))
 	if err != nil {
 		panic(err) // spec was already validated when net was built
 	}
-	c.kernel = net.kernel
 	src, dst := net.Params(), c.Params()
 	for i := range src {
 		copy(dst[i].Val, src[i].Val)

@@ -44,21 +44,17 @@ type Network struct {
 
 	params    []*Param    // lazily built flat view of all layer parameters
 	normDepth int         // 1 + index of last BatchNorm layer; 0 = unknown, -1 = none
-	kernel    Kernel      // inference kernel selection; see fastmath.go
-	fast      []fastStage // KernelFast plan with the folded weights; nil until built or after a drop
-	fastPass  bool        // last forward ran the fast kernel: Backward must refuse
+	fast      []fastStage // fused plan with the folded weights; nil until built or after a drop
+	bound     []float64   // ForwardBounded's bound scratch
+	fastPass  bool        // last forward was ForwardBounded: Backward must refuse
 }
 
 // Forward runs x through all layers. train selects training-time behaviour
-// (e.g. batch-norm statistics updates, which also drop the fast kernel's
-// folded weights). Inference forwards (train=false) honor the selected
-// kernel: with KernelFast they run the fused approximate path (see
-// fastmath.go) and leave no caches for Backward.
+// (e.g. batch-norm statistics updates, which also drop the fused
+// forward's folded weights). Every Forward is exact: an inference
+// forward (train=false) is bit-identical to a training one on the same
+// weights and statistics.
 func (n *Network) Forward(x []float64, train bool) []float64 {
-	if !train && n.kernel == KernelFast {
-		n.fastPass = true
-		return n.forwardFast(x)
-	}
 	n.fastPass = false
 	if train {
 		n.fast = nil
@@ -71,12 +67,12 @@ func (n *Network) Forward(x []float64, train bool) []float64 {
 
 // Backward propagates the gradient of the loss w.r.t. the network output
 // back through all layers, accumulating parameter gradients. It refuses
-// to run after a KernelFast forward: the fast kernels populate none of
-// the layer caches Backward consumes, so the gradients would be silently
+// to run after ForwardBounded: the fused forward populates none of the
+// layer caches Backward consumes, so the gradients would be silently
 // wrong rather than approximate.
 func (n *Network) Backward(grad []float64) {
 	if n.fastPass {
-		panic("nn: Backward after a KernelFast forward (fast kernels are inference-only)")
+		panic("nn: Backward after ForwardBounded (the fused forward is inference-only)")
 	}
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		grad = n.Layers[i].Backward(grad)

@@ -23,6 +23,8 @@ type Policy struct {
 
 	probs []float64 // forward scratch shared by probsInto callers
 	grad  []float64 // backward scratch for accumulateStep/accumulateEntropy
+
+	fallbacks int // Act decisions the fast forward could not certify, since the last TakeFallbacks
 }
 
 // NewPolicy builds a policy network for the given state and action sizes
@@ -70,28 +72,112 @@ func (p *Policy) probsInto(state []float64, mask []bool, train bool) []float64 {
 
 // Act selects an action for state: sampled from the distribution when
 // sample is true (the paper's online-mode inference), greedy argmax
-// otherwise (batch-mode inference).
+// otherwise (batch-mode inference). A sampled decision consumes exactly
+// one r.Float64().
+//
+// The decision is always the exact forward's. Act first runs the fused
+// fast forward (nn.Network.ForwardBounded), whose per-logit bounds say
+// how far each logit can be from the exact one; when no logits within
+// those bounds could change the decision, the fast decision is returned.
+// Otherwise Act runs the exact forward on the same state and decides
+// with the same draw, and counts a fallback.
 func (p *Policy) Act(state []float64, mask []bool, sample bool, r *rand.Rand) int {
+	var u float64
+	if sample {
+		u = r.Float64()
+	}
+	logits, bound := p.Net.ForwardBounded(state)
+	if a, ok := p.certified(logits, bound, mask, sample, u); ok {
+		return a
+	}
+	p.fallbacks++
 	probs := p.probsInto(state, mask, false)
 	if sample {
-		return SampleAction(probs, r)
+		return sampleAt(probs, u)
 	}
 	return GreedyAction(probs)
 }
 
-// Clone returns an independent deep copy of the policy, inheriting the
-// source's inference-kernel selection (nn.CloneMLP carries it over).
+// certifyMargin is the absolute gap a greedy decision must clear beyond
+// the logit bounds: the exact winner then leads every other legal logit
+// by more than 1e-12, so its softmax probability is strictly the largest
+// and GreedyAction's first-index tie-break is never reached.
+const certifyMargin = 1e-12
+
+// certified returns the decision the exact forward would take, if the
+// fast logits and their bounds prove it. Greedy: the top legal fast
+// logit beats every other legal logit by more than the sum of their
+// bounds plus certifyMargin. Sampled: u lies farther than D from every
+// legal running sum of the fast probabilities up to the one it selects,
+// in SampleAction's order, where D bounds the distance between the fast
+// and exact running sums — expm1(2·max bound) from the logits plus the
+// rounding of both softmaxes and sums. A non-finite logit or bound
+// certifies nothing.
+func (p *Policy) certified(logits, bound []float64, mask []bool, sample bool, u float64) (int, bool) {
+	top, bmax := -1, 0.0
+	for i, z := range logits {
+		if mask != nil && !mask[i] {
+			continue
+		}
+		if !(math.Abs(z) <= math.MaxFloat64 && bound[i] <= math.MaxFloat64) {
+			return 0, false
+		}
+		if top < 0 || z > logits[top] {
+			top = i
+		}
+		bmax = max(bmax, bound[i])
+	}
+	if top < 0 {
+		return 0, false
+	}
+	if !sample {
+		for i, z := range logits {
+			if i != top && (mask == nil || mask[i]) && !(logits[top]-z > bound[top]+bound[i]+certifyMargin) {
+				return 0, false
+			}
+		}
+		return top, true
+	}
+	if p.probs == nil {
+		p.probs = make([]float64, len(logits))
+	}
+	var probs []float64
+	if mask == nil {
+		probs = nn.SoftmaxInto(p.probs, logits)
+	} else {
+		probs = nn.MaskedSoftmaxInto(p.probs, logits, mask)
+	}
+	d := math.Expm1(2*bmax)*(1+0x1p-30) + float64(8*len(probs)+32)*0x1p-53
+	var acc float64
+	for i, pi := range probs {
+		if mask != nil && !mask[i] {
+			continue
+		}
+		acc += pi
+		if u < acc-d {
+			return i, true
+		}
+		if u <= acc+d {
+			return 0, false
+		}
+	}
+	return 0, false
+}
+
+// TakeFallbacks returns how many Act decisions ran the exact forward
+// since the last call, and resets the count. Drivers flush it into the
+// rlts_policy_fallbacks_total counter once per run.
+func (p *Policy) TakeFallbacks() int {
+	n := p.fallbacks
+	p.fallbacks = 0
+	return n
+}
+
+// Clone returns an independent deep copy of the policy: the same
+// weights and statistics, with its own forward scratch.
 func (p *Policy) Clone() *Policy {
 	return &Policy{Spec: p.Spec, Net: nn.CloneMLP(p.Spec, p.Net)}
 }
-
-// SetKernel selects the inference kernel of the policy network:
-// nn.KernelExact (the default, bit-identical to training forwards) or
-// nn.KernelFast (fused approximate kernels with the bounded error
-// contract of nn/fastmath.go). Fast policies are inference-only — the
-// network panics on Backward after a fast forward — so training code
-// must never select it.
-func (p *Policy) SetKernel(k nn.Kernel) { p.Net.SetKernel(k) }
 
 // Save writes the policy to w in the nn JSON format.
 func (p *Policy) Save(w io.Writer) error { return nn.SaveMLP(w, p.Spec, p.Net) }

@@ -136,7 +136,12 @@ func (e *Episode) returnsInto(dst []float64, gamma float64) []float64 {
 
 // SampleAction draws an action index from the probability vector.
 func SampleAction(probs []float64, r *rand.Rand) int {
-	u := r.Float64()
+	return sampleAt(probs, r.Float64())
+}
+
+// sampleAt is SampleAction at the uniform draw u: the first action whose
+// running probability sum exceeds u.
+func sampleAt(probs []float64, u float64) int {
 	var acc float64
 	last := 0
 	for i, p := range probs {

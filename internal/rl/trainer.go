@@ -545,6 +545,9 @@ func (g *engine) runBatch(env Env, res *TrainResult) {
 	g.preParams = g.master.Net.FlattenParams(g.preParams)
 	g.adam.Snapshot(&g.preAdam)
 	g.adam.Step(float64(steps))
+	// The step wrote the master's weights in place: a fused plan folded
+	// before it (an Act on the master) would certify against old weights.
+	g.master.Net.Refold()
 	if !g.master.Net.ParamsFinite() {
 		g.master.Net.SetParams(g.preParams)
 		if err := g.adam.Restore(&g.preAdam); err != nil {

@@ -87,7 +87,7 @@ type batchItemResult struct {
 
 type batchResponse struct {
 	Algorithm string            `json:"algorithm"`
-	Mode      string            `json:"mode"` // "exact" or "fast" — the kernels that ran
+	Mode      string            `json:"mode"` // always modeExact
 	Failed    int               `json:"failed"`
 	Items     []batchItemResult `json:"items"`
 }
@@ -136,7 +136,7 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 		aerr.write(w)
 		return
 	}
-	p, mode := s.policy(req.Algorithm, m, fastRequested(r))
+	p := s.policy(req.Algorithm, m)
 	if p == nil {
 		httpError(w, http.StatusBadRequest, codeUnknownAlgorithm,
 			"batch simplification serves trained policies only; no policy for algorithm %q with measure %s",
@@ -230,5 +230,5 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	met.failures.Add(uint64(failed))
-	writeJSON(w, &batchResponse{Algorithm: p.Opts.Name(), Mode: mode, Failed: failed, Items: results})
+	writeJSON(w, &batchResponse{Algorithm: p.Opts.Name(), Mode: modeExact, Failed: failed, Items: results})
 }

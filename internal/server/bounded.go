@@ -75,7 +75,7 @@ func (s *Server) runBounded(ctx context.Context, algo string, t traj.Trajectory,
 	default:
 		// A registered policy name runs the Min-Size search over that
 		// policy; anything else is unknown.
-		if p, _ := s.policy(algo, m, false); p != nil {
+		if p := s.policy(algo, m); p != nil {
 			return s.searchBudget(ctx, p, t, bound, m)
 		}
 		return "", nil, fmt.Errorf("server: unknown bounded algorithm %q (want cised, operb, minsize, auto or a policy name with a matching measure)", algo)

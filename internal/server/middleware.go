@@ -109,11 +109,6 @@ type Config struct {
 	// concurrently (each worker owns a policy clone, so results are
 	// identical regardless). 0 means GOMAXPROCS, negative means 1.
 	BatchWorkers int
-	// DisableFast removes the FastMath serving path: no fast policy
-	// registry is built, ?fast=1 requests run the exact kernels, and
-	// responses report mode "exact". For operators who want the bitwise
-	// reproducibility contract with no opt-out, at any request's whim.
-	DisableFast bool
 	// FleetRebalanceEvery, when positive, rebalances every fleet's
 	// allocation on this cadence (see fleet.go) so member budgets track
 	// the streams as they grow. Zero or negative disables the janitor;

@@ -24,7 +24,8 @@ import (
 // with the random session id replaced by a fixed token) against a server
 // holding the eight embedded policies. A change to any response byte —
 // a field, a float digit, a decision, an error message — fails the row
-// naming the route.
+// naming the route. A ?fast=1 request must answer its plain twin's bytes
+// exactly: policy decisions are the exact forward's on every request.
 func TestGoldenResponses(t *testing.T) {
 	tests := []struct {
 		Name   string
@@ -32,27 +33,18 @@ func TestGoldenResponses(t *testing.T) {
 	}{
 		{"algorithms", "20b6ce25af94a56fbbf12429a6b79563f75a625decb94014a2da3a3910a9f546"},
 		{"batch", "85ec105ae4c67c4b42e605eefef11b04bd04c50b20d670b2aa4ea14c48e20942"},
-		{"batch/fast", "2cfd3c2baa596fb8d1b4dc292afbf318cd6bad890df138fe503ec629dde092eb"},
 		{"simplify/bellman", "1f793d39060d382e2889d0f63a68a95a7674171ba35fb0f18c8f942ee7f2f773"},
 		{"simplify/bottom-up", "c0f6917aabdf643fd64fe4c7fff7068a9170cd6ee533c7320d3a9695787aeb12"},
 		{"simplify/bound", "8fc7f451cd06483be4ea92874f7065ec5f981ae7920073cc4a9e9c97d8fc84da"},
 		{"simplify/repair", "922fc969684092ff7c0695fbecadcee3301a8ad0d10191d7ed1d44761b0466b6"},
 		{"simplify/rlts+/DAD", "2c8e8bdedb9a9a97b4d9e633a3b1e2735848e2066d47e8d79b3f8de1d2e78cc5"},
-		{"simplify/rlts+/DAD/fast", "90fccdb9cc6492fcbcd07c126a1aae22e9d17533ac72b0e2276dc8a45e9f437b"},
 		{"simplify/rlts+/PED", "440761633f7aceef7602e4a8bc17c9fe8107b9971439b16ef32051052541839e"},
-		{"simplify/rlts+/PED/fast", "4aa2324d826f67662bcde3ad8acb7f85231c505a99c6cb6b0074ff2879439563"},
 		{"simplify/rlts+/SAD", "41467308485b1f3b5dcea2c3d9bce1c6a1329e369bfb6c06c44837f0456821ce"},
-		{"simplify/rlts+/SAD/fast", "4074bc2962a949ebded3c75eb3decf1676b3a9d21b5dfbe9ccbb47258a1f5844"},
 		{"simplify/rlts+/SED", "10ecd06f7ce7167196664577049221a5a1b82ce635fe5e656da5bd6ed63567b8"},
-		{"simplify/rlts+/SED/fast", "95fa99c21796af9734630fcc89a0c7fbf7f19962eec6c04cb6787e4b0b031927"},
 		{"simplify/rlts/DAD", "597967e2c3a12634f0a251ec05a233202651beac6eb47c7b659ff0a93e548447"},
-		{"simplify/rlts/DAD/fast", "cbacaf5d5e6b42884ed461216e3fd68b1a24ff3041998c7d279886b09b5379a3"},
 		{"simplify/rlts/PED", "9c4a26ce83db3ea6932b80854c4ef864524c167a5b570e2fcf2c645f67c7053f"},
-		{"simplify/rlts/PED/fast", "d9f283825bd7d71501f2d67561887b69488f40ab49cea0e7980b6d30f747d626"},
 		{"simplify/rlts/SAD", "d9fb6e4e3eac89d19d033c1b8f33b516dc01ae271444d38f310ef88bfea9a61e"},
-		{"simplify/rlts/SAD/fast", "67e1cba64c0f1494c4b7bf3398d30ca7532f8edaf839e7b6792188e4946d0d49"},
 		{"simplify/rlts/SED", "0d5aab9ad2f60b5d0bc9d8cf246dbf0077eeb81b24e1935d71444559bbcb1590"},
-		{"simplify/rlts/SED/fast", "aca7817102c57286d45fa11953f63f79fef806dffdef53d94aadda9e9e030dc7"},
 		{"simplify/span-search", "a0dd004c7111bd6a67c1ddc18a786fec32028135fc6e6009e05fd46128ddb7ce"},
 		{"simplify/squish", "27f6f28262e03dc3f56849cd74fd25a284f3a4f769044872b96a87dcee1cb47d"},
 		{"simplify/squish-e", "1857abaf9351b733b444f7b639777c9f1675e51e7801ed2ea8597dca5cb29f80"},
@@ -120,6 +112,12 @@ func goldenResponses(t *testing.T) map[string]string {
 			t.Fatalf("%s: status %d: %s", name, code, b)
 		}
 		out[name] = digest(fmt.Sprintf("%d\n", code), string(b))
+		if !strings.HasPrefix(url, "/v1/simplify") || method != http.MethodPost {
+			return
+		}
+		if fc, fb := serve(method, url+"?fast=1", body); fc != code || string(fb) != string(b) {
+			t.Errorf("%s: ?fast=1 answered %d %s, want its exact twin %d %s", name, fc, fb, code, b)
+		}
 	}
 
 	pts := points(gen.New(gen.Truck(), 2026).Trajectory(240))
@@ -129,7 +127,6 @@ func goldenResponses(t *testing.T) map[string]string {
 		m := p.Opts.Measure.String()
 		req := map[string]interface{}{"algorithm": name, "measure": m, "w": 24, "points": pts}
 		row("simplify/"+name+"/"+m, http.MethodPost, "/v1/simplify", req)
-		row("simplify/"+name+"/"+m+"/fast", http.MethodPost, "/v1/simplify?fast=1", req)
 	}
 	for _, algo := range []string{"sttrace", "squish", "squish-e", "top-down", "bottom-up", "bellman", "span-search", "uniform"} {
 		row("simplify/"+algo, http.MethodPost, "/v1/simplify",
@@ -151,7 +148,6 @@ func goldenResponses(t *testing.T) map[string]string {
 	items = append(items, map[string]interface{}{"points": pts[:1]})
 	batch := map[string]interface{}{"algorithm": "rlts+", "measure": "SED", "w": 16, "items": items}
 	row("batch", http.MethodPost, "/v1/simplify/batch", batch)
-	row("batch/fast", http.MethodPost, "/v1/simplify/batch?fast=1", batch)
 
 	for _, sample := range []bool{false, true} {
 		code, b := serve(http.MethodPost, "/v1/stream",

@@ -39,9 +39,11 @@
 //	{"algorithm": "RLTS+", "mode": "exact", "kept": 50, "of": 500,
 //	 "error": 3.21, "points": [[x, y, t], ...]}
 //
-// POST /v1/simplify and /v1/simplify/batch accept ?fast=1 to run policy
-// inference on the FastMath kernels (see fast.go and DESIGN.md §13); the
-// response's "mode" field reports which kernels actually ran.
+// Policy decisions are always the exact forward's: rl.Policy.Act takes
+// a fused fast forward's decision only when a per-logit bound proves it
+// equal (DESIGN.md §13). The response's "mode" field is always "exact",
+// and a ?fast=1 parameter, once an opt-in approximate mode, is accepted
+// and changes nothing.
 //
 // Failures come back as typed JSON errors — {"error": message, "code":
 // machine-readable-code} — with the conventional status: 400 for invalid
@@ -93,15 +95,17 @@ const (
 	codeInternal         = "internal"
 )
 
+// modeExact is every simplify response's "mode" field: policy decisions
+// are the exact forward's on every request.
+const modeExact = "exact"
+
 // Server routes simplification requests to registered algorithms.
 type Server struct {
 	mux        *http.ServeMux
 	cfg        Config
 	policies   map[string]*core.Trained // lower-case name -> policy
-	fast       map[string]*core.Trained // FastClones under the same keys (see fast.go)
 	simp       *policyPools
 	batchMet   *batchMetricsSet
-	fastReq    *obs.Counter
 	boundUnmet *obs.Counter
 	repairMet  *repairMetrics
 	streams    *streamManager
@@ -121,12 +125,7 @@ func NewWith(policies []*core.Trained, cfg Config) *Server {
 	for _, p := range policies {
 		s.policies[policyKey(p.Opts.Name(), p.Opts.Measure)] = p
 	}
-	if !s.cfg.DisableFast {
-		s.fast = fastPolicies(s.policies)
-	}
 	s.simp = newPolicyPools()
-	s.fastReq = s.cfg.Metrics.Counter("rlts_fast_requests_total",
-		"Policy runs served with the FastMath kernels (?fast=1)")
 	s.boundUnmet = s.cfg.Metrics.Counter("rlts_bound_unmet_total",
 		"Error-bounded responses whose oracle-re-scored error exceeded the requested bound")
 	s.repairMet = newRepairMetrics(s.cfg.Metrics)
@@ -244,7 +243,7 @@ func (r *pointsRequest) bodyFields() []bodyField {
 
 type simplifyResponse struct {
 	Algorithm string            `json:"algorithm"`
-	Mode      string            `json:"mode"` // "exact" or "fast" — the kernels that ran
+	Mode      string            `json:"mode"` // always modeExact
 	Kept      int               `json:"kept"`
 	Of        int               `json:"of"`
 	Error     float64           `json:"error"`
@@ -302,19 +301,9 @@ func policyKey(algo string, m errm.Measure) string {
 }
 
 // policy looks up the registered policy serving algo under m (nil when
-// none does). With fast set and FastMath enabled it returns the policy's
-// FastClone instead; mode reports which kernels will run. The clone pools
-// key on the returned pointer, so fast and exact runs draw from disjoint
-// pools and a clone never changes kernels mid-life.
-func (s *Server) policy(algo string, m errm.Measure, fast bool) (p *core.Trained, mode string) {
-	key := policyKey(algo, m)
-	if fast {
-		if fp, ok := s.fast[key]; ok {
-			s.fastReq.Inc()
-			return fp, modeFast
-		}
-	}
-	return s.policies[key], modeExact
+// none does).
+func (s *Server) policy(algo string, m errm.Measure) *core.Trained {
+	return s.policies[policyKey(algo, m)]
 }
 
 // wirePoints renders t's kept points in the [x, y, t] wire form.
@@ -389,7 +378,7 @@ func (s *Server) handleSimplify(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, codeInvalidBudget, "%v", berr)
 			return
 		}
-		resp.Algorithm, kept, resp.Mode, err = s.run(r.Context(), algo, t, b, m, fastRequested(r))
+		resp.Algorithm, kept, err = s.run(r.Context(), algo, t, b, m)
 	}
 	if err != nil {
 		writeRunError(w, err)
@@ -426,51 +415,49 @@ func writeRunError(w http.ResponseWriter, err error) {
 	}
 }
 
-// run dispatches to a policy or a baseline, reporting the kernel mode
-// that ran alongside the result. Policies execute on an exclusive pooled
-// clone (the registered instance's forward scratch is not concurrent-safe
-// under MaxConcurrent-way parallelism) — from the fast registry when the
-// request opted in and FastMath is enabled, the exact one otherwise. The
-// context cancels the policy scan mid-trajectory; the heuristic baselines
-// run to completion (they are bounded by MaxPoints, and bellman
-// additionally by its own size cap) and have no fast variant.
-func (s *Server) run(ctx context.Context, algo string, t traj.Trajectory, w int, m errm.Measure, fast bool) (string, []int, string, error) {
-	if p, mode := s.policy(algo, m, fast); p != nil {
+// run dispatches to a policy or a baseline. Policies execute on an
+// exclusive pooled clone (the registered instance's forward scratch is
+// not concurrent-safe under MaxConcurrent-way parallelism). The context
+// cancels the policy scan mid-trajectory; the heuristic baselines run to
+// completion (they are bounded by MaxPoints, and bellman additionally by
+// its own size cap).
+func (s *Server) run(ctx context.Context, algo string, t traj.Trajectory, w int, m errm.Measure) (string, []int, error) {
+	if p := s.policy(algo, m); p != nil {
 		c := s.simp.get(p)
 		kept, err := c.SimplifyGreedyCtx(ctx, t, w)
 		s.simp.put(p, c)
-		return p.Opts.Name(), kept, mode, err
+		return p.Opts.Name(), kept, err
 	}
 	switch algo {
 	case "sttrace":
 		kept, err := baseOnline.STTrace(t, w, m)
-		return "STTrace", kept, modeExact, err
+		return "STTrace", kept, err
 	case "squish":
 		kept, err := baseOnline.SQUISH(t, w, m)
-		return "SQUISH", kept, modeExact, err
+		return "SQUISH", kept, err
 	case "squish-e", "squishe":
 		kept, err := baseOnline.SQUISHE(t, w, m)
-		return "SQUISH-E", kept, modeExact, err
+		return "SQUISH-E", kept, err
 	case "top-down", "topdown":
 		kept, err := baseBatch.TopDown(t, w, m)
-		return "Top-Down", kept, modeExact, err
+		return "Top-Down", kept, err
 	case "bottom-up", "bottomup", "":
 		kept, err := baseBatch.BottomUp(t, w, m)
-		return "Bottom-Up", kept, modeExact, err
+		return "Bottom-Up", kept, err
 	case "bellman":
 		if len(t) > 2000 {
-			return "", nil, modeExact, fmt.Errorf("server: bellman is cubic; refusing %d points (max 2000)", len(t))
+			return "", nil, fmt.Errorf("server: bellman is cubic; refusing %d points (max 2000)", len(t))
 		}
 		kept, err := baseBatch.Bellman(t, w, m)
-		return "Bellman", kept, modeExact, err
+		return "Bellman", kept, err
 	case "span-search", "spansearch":
 		kept, err := baseBatch.SpanSearch(t, w)
-		return "Span-Search", kept, modeExact, err
+		return "Span-Search", kept, err
 	case "uniform":
 		kept, err := baseOnline.Uniform(t, w)
-		return "Uniform", kept, modeExact, err
+		return "Uniform", kept, err
 	}
-	return "", nil, modeExact, fmt.Errorf("server: unknown algorithm %q (policies need a matching measure)", algo)
+	return "", nil, fmt.Errorf("server: unknown algorithm %q (policies need a matching measure)", algo)
 }
 
 type statsResponse struct {

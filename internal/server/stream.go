@@ -288,7 +288,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	if algo == "" {
 		algo = "rlts"
 	}
-	p, _ := s.policy(algo, m, false)
+	p := s.policy(algo, m)
 	if p == nil {
 		httpError(w, http.StatusBadRequest, codeUnknownAlgorithm,
 			"no policy registered for %q with measure %s", algo, m)

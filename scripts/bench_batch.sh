@@ -2,11 +2,11 @@
 # Regenerates BENCH_batch.json: the inference throughput baseline behind
 # batch serving.
 #
-# The sweep times the exact and the FastMath vector forward, sequential
-# core.Simplify with each kernel, the per-core scaling of Simplify
-# workers sharding one item set, and a short sustained-load pair. The
-# file records throughput only; the machine block carries the provenance
-# a reader needs to judge the numbers.
+# The sweep times the exact and the bounded vector forward, sequential
+# core.Simplify on certified decisions with its exact-fallback share, the
+# per-core scaling of Simplify workers sharding one item set, and a short
+# sustained-load run. The file records throughput only; the machine block
+# carries the provenance a reader needs to judge the numbers.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -22,5 +22,5 @@ if [ "$MAXPROCS" = 1 ]; then
 	echo '########################################################################' >&2
 fi
 go run ./cmd/rlts-bench -batch -batch-out BENCH_batch.json
-echo "== kernel micro benches (exact vs fast forward, fastmath tanh) =="
+echo "== forward micro benches (exact vs bounded forward, FastTanh) =="
 go test ./internal/nn -run '^$' -bench 'ForwardSingle|FastTanh' -benchmem

@@ -42,11 +42,12 @@ go test -race ./...
 # RepairState, TRJ1 and training-checkpoint bytes must decode and
 # re-encode byte-identically (and the recipes that wrote them must still
 # reproduce them), and every decision path — Simplify, BatchEngine,
-# Streamer, resumed Streamer, the fast kernels; pretrained, seeded Skip
-# and seeded ++ policies; greedy and sampled — must reproduce its pinned
-# digest, as must Bottom-Up's kept sets (TestGoldenBottomUp), training
-# over the six MDPs (TestGoldenTrain) and the float64 bits of every
-# measure (TestGoldenMeasureBits). A change that alters a persisted
+# Streamer, resumed Streamer; pretrained, seeded Skip and seeded ++
+# policies; greedy and sampled — must reproduce its pinned digest, as
+# must the fused forward's probabilities (the fastprobs rows), every
+# route's response bytes (TestGoldenResponses), Bottom-Up's kept sets
+# (TestGoldenBottomUp), training over the six MDPs (TestGoldenTrain) and
+# the float64 bits of every measure (TestGoldenMeasureBits). A change that alters a persisted
 # format, forks one decision or moves one measure's last bit fails here
 # by name. Fixtures are never regenerated to make this stage pass. Each
 # pillar below runs its Makefile target, where its tests are listed once.
@@ -68,13 +69,17 @@ make check-diff
 echo "== batch-engine differential (CHECK_SCALE=${CHECK_SCALE:-4}) =="
 make check-batch
 
-# FastMath tolerance pillar: the fused approximate kernel against the
-# exact path on real decision states — abs/rel bounds on every Probs
-# output, argmax stability on every adversarial family, end-to-end greedy
-# kept-index equality — plus the kernel-level contract tests (dense tanh
-# sweep, special values, fusion tolerance, the once-per-network fold and
-# its invalidation) in internal/nn. Same CHECK_SCALE knob deepens the
-# state coverage.
+# Certified-inference pillar: the fused bounded forward against the
+# exact path on real decision states — abs/rel bounds on its
+# probabilities, argmax equality and certified decisions equal to the
+# exact ones on every adversarial family, end-to-end greedy kept-index
+# equality — plus the kernel-level tests in internal/nn (the proof of the
+# certificate's tanh constant, the dense tanh sweep and special values,
+# every logit within its bound, the once-per-network fold and its
+# invalidation) and the certificate tests in internal/rl (Act equal to
+# the exact decision on the fuzz seeds, the forced near-tie fallback,
+# Act on a master across a training batch). Same CHECK_SCALE knob
+# deepens the state coverage.
 echo "== fastmath tolerance pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
 make check-fast
 
@@ -219,6 +224,7 @@ go test ./internal/traj -run '^$' -fuzz '^FuzzFromPoints$' -fuzztime "$FUZZTIME"
 go test ./internal/traj -run '^$' -fuzz '^FuzzRepair$' -fuzztime "$FUZZTIME"
 go test ./internal/traj -run '^$' -fuzz '^FuzzDecodeRepairState$' -fuzztime "$FUZZTIME"
 go test ./internal/core -run '^$' -fuzz '^FuzzDecodeStreamerState$' -fuzztime "$FUZZTIME"
+go test ./internal/rl -run '^$' -fuzz '^FuzzActCertified$' -fuzztime "$FUZZTIME"
 go test ./internal/errm -run '^$' -fuzz '^FuzzSegmentError$' -fuzztime "$FUZZTIME"
 go test ./internal/storage -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME"
 go test ./internal/server -run '^$' -fuzz '^FuzzSimplifyHandler$' -fuzztime "$FUZZTIME"
