@@ -23,7 +23,6 @@ import (
 	"rlts/internal/core"
 	"rlts/internal/errm"
 	"rlts/internal/gen"
-	"rlts/internal/nn"
 	"rlts/internal/rl"
 )
 
@@ -58,11 +57,6 @@ type batchBaseline struct {
 		Decisions     int     `json:"decisions"`
 		FallbackShare float64 `json:"fallback_share"`
 	} `json:"simplify"`
-	FastContract struct {
-		TanhMaxAbsError  float64 `json:"tanh_max_abs_error"`
-		ProbsMaxAbsError float64 `json:"probs_max_abs_error"`
-		ProbsMaxRelError float64 `json:"probs_max_rel_error"`
-	} `json:"fastmath_contract"`
 	SustainedLoad []loadSummary `json:"sustained_load,omitempty"`
 }
 
@@ -108,9 +102,6 @@ func runBatchSweep(out string, seed int64) error {
 		"folded in once per policy clone, and bounds each logit's distance from the " +
 		"exact one; Act takes its decision when the bounds prove it and re-runs the " +
 		"exact forward otherwise (DESIGN.md §13)."
-	b.FastContract.TanhMaxAbsError = nn.FastTanhMaxAbsError
-	b.FastContract.ProbsMaxAbsError = nn.FastProbsMaxAbsError
-	b.FastContract.ProbsMaxRelError = nn.FastProbsMaxRelError
 
 	// Forward: one spec, the serving-default policy shape; same network
 	// and states through each forward.
@@ -151,23 +142,19 @@ func runBatchSweep(out string, seed int64) error {
 		}
 		items[i] = core.BatchItem{T: t, W: w}
 		points += len(t)
+		b.Simplify.Decisions += len(t) - w // RLTS+ decides once per point past the first W
 	}
 	p.TakeFallbacks()
-	for _, it := range items {
-		dt, err := core.TraceGreedy(p, it.T, it.W, opts)
-		if err != nil {
-			return err
-		}
-		b.Simplify.Decisions += len(dt.Actions)
-	}
-	b.Simplify.FallbackShare = float64(p.TakeFallbacks()) / float64(b.Simplify.Decisions)
+	runs := 0
 	b.Simplify.NsPerPoint = round2(measure(points, func() {
+		runs++
 		for _, it := range items {
 			if _, err := core.Simplify(p, it.T, it.W, opts, false, nil); err != nil {
 				panic(err)
 			}
 		}
 	}))
+	b.Simplify.FallbackShare = float64(p.TakeFallbacks()) / float64(runs*b.Simplify.Decisions)
 
 	// Per-core scaling: honest provenance for the multi-core numbers — on
 	// a single-core machine this table has exactly one row and says so.

@@ -2,86 +2,45 @@ package nn
 
 import "math"
 
-// Certified inference kernels. The exact inference forward is
-// bit-identical to the single-sample training forward, which caps its
-// speed: math.Tanh alone is roughly half the forward cost at the paper's
-// 20-unit policy, and bit-identity forbids approximating it or fusing
-// the Dense/BatchNorm/activation traversals. ForwardBounded runs the
-// fused approximation instead and returns, beside each logit, a bound
-// on its distance from the exact forward's logit on the same input:
-//
-//   - math.Tanh is replaced by FastTanh, a rational approximation whose
-//     error TestFastTanhBoundProof proves;
-//   - the frozen-BatchNorm normalization (x-mean)/sqrt(Var+Eps) followed
-//     by gamma*nv+beta is algebraically folded all the way into the
-//     Dense weights and bias, once per network (fastPlan), so the matmul
-//     pass carries no affine work at all; the activation then runs once
-//     over the cache-hot logits. Two traversals where the exact path
-//     makes three (plus a divide per element), at the cost of
-//     reassociating the float64 operations.
-//
-// The bound is derived, not measured (DESIGN.md §13). With u = 2^-53
-// and κ = (2·in+16)·u, a pre-activation computed in folded order lies
-// within κ·(|s|(|b|+|mean|+‖W_o‖₁‖x‖∞)+|β|) of the exact order's, where
-// s = gamma/sqrt(Var+Eps); an input already off by e per element adds
-// ‖W'_o‖₁·e. tanh adds fastTanhBound and is 1-Lipschitz, and a
-// tanh output is off by at most 2 whatever its input. rl.Policy.Act
-// takes the fast decision only when these bounds cannot change it.
-//
-// The fast forward is inference-only. It populates none of the layer
-// caches Backward consumes, so Network.Backward panics after it rather
-// than silently computing garbage gradients.
+// The fused forward behind certified inference (DESIGN.md §13):
+// FastTanh for math.Tanh and the frozen batch-norm affine folded into
+// the Dense weights once per network, with a bound on each logit's
+// distance from the exact forward's. Inference-only: Backward panics
+// after it.
 
-// Refold tells the network that its weights or batch-norm statistics
-// were written in place: the next ForwardBounded folds them again.
-// Forward in training mode, UpdateStats, SetParams and SyncFrom do this
-// themselves; a caller that writes Param values or statistics directly
-// (an optimizer step) calls Refold before the next ForwardBounded.
+// Refold drops the fused plan after an in-place write to the weights or
+// batch-norm statistics (an optimizer step), so the next ForwardBounded
+// folds them again. Training-mode Forward, UpdateStats, SetParams and
+// SyncFrom drop it themselves.
 func (n *Network) Refold() { n.fast = nil }
 
-// Published constants of the fast forward, asserted continuously by
-// internal/nn's dense-sweep test and internal/check's tolerance pillar.
-// They are published bounds with margin over the measured worst case,
-// not the measured values themselves (measured: tanh 4.4e-8 over a
-// 4M-point sweep of [-20, 20]; probs abs 1.1e-7 and rel 1.3e-6 over the
-// adversarial families at the harness seeds).
+// Published bounds of the fused forward, with margin over the measured
+// worst case (tanh 2.57e-8 over a 4M-point sweep of [-20, 20]; probs abs
+// 2.3e-8 and rel 1.3e-7 over the adversarial families), asserted by
+// internal/nn's sweep and internal/check's tolerance pillar.
 const (
 	// FastTanhMaxAbsError bounds |FastTanh(x) - math.Tanh(x)| over all
 	// finite x.
 	FastTanhMaxAbsError = 1e-7
 	// FastProbsMaxAbsError bounds the absolute error of any probability
-	// taken from ForwardBounded's logits against the exact path's on
-	// the same state, for the policy shapes this system trains
-	// (paper-scale MLPs; the bound scales with the L1 norm of the output
-	// layer rows, see DESIGN.md §13).
+	// taken from ForwardBounded's logits against the exact one, for
+	// paper-scale policies (it scales with the output rows' L1 norm).
 	FastProbsMaxAbsError = 1e-5
 	// FastProbsMaxRelError bounds the relative error of any such
-	// probability (equivalently ~FastProbsMaxRelError/epsilon ULPs: the
-	// ULP distance of two positive float64s within relative distance r
-	// is at most r/2^-52 plus one). Probabilities below
-	// FastProbsRelFloor are exempt — softmax tails lose absolute
-	// precision faster than any approximation contract can promise.
+	// probability of at least FastProbsRelFloor; softmax tails below it
+	// get only the absolute bound.
 	FastProbsMaxRelError = 1e-4
-	// FastProbsRelFloor is the probability magnitude below which only
-	// the absolute bound applies.
-	FastProbsRelFloor = 1e-9
+	FastProbsRelFloor    = 1e-9
 )
 
-// fastTanhBound is the tanh term E of the certificate. It bounds
-// |FastTanh(x) - tanh(x)| + tanhLibError for every finite x, where
-// tanh is the real function, so for any finite z and y
-//
-//	|FastTanh(z) - math.Tanh(y)| <= fastTanhBound + |z - y|
-//
-// (tanh is 1-Lipschitz). TestFastTanhBoundProof proves the bound; it is
-// not a sweep maximum.
+// fastTanhBound is the certificate's tanh term E: TestFastTanhBoundProof
+// proves |FastTanh(x) - tanh(x)| + tanhLibError <= E for every finite x,
+// tanh the real function, so |FastTanh(z) - math.Tanh(y)| <= E + |z-y|.
 const fastTanhBound = FastTanhMaxAbsError
 
-// tanhLibError bounds |math.Tanh(x) - tanh(x)|. math.Tanh evaluates
-// 1 - 2/(exp(2|x|)+1) for |x| >= 0.625, within 2^-51 of tanh given an
-// exp within one ulp, and a rational fit (Cephes, peak relative error
-// 2.5e-16) below; 2^-49 leaves a factor of four. TestFastTanhBoundProof
-// checks it against a 256-bit tanh at sample points.
+// tanhLibError bounds |math.Tanh(x) - tanh(x)|: its exp branch is within
+// 2^-51 given an exp within one ulp, its rational branch is Cephes'
+// (peak relative error 2.5e-16). TestTanhLibError samples it.
 const tanhLibError = 0x1p-49
 
 // fastTanhSat is the |x| beyond which FastTanh returns exactly ±1.
@@ -120,25 +79,13 @@ const (
 // inputs neither trap nor produce error above the bound, and
 // FastTanh(-x) == -FastTanh(x) exactly (the rational form is odd and
 // the clamps are symmetric).
+//
+// It is the served kernel fastTanhVec on one element, so what the tests
+// prove of FastTanh holds for every fused forward.
 func FastTanh(x float64) float64 {
-	if x != x { // NaN
-		return x
-	}
-	if x >= fastTanhSat {
-		return 1
-	}
-	if x <= -fastTanhSat {
-		return -1
-	}
-	if x > fastTanhClamp {
-		x = fastTanhClamp
-	} else if x < -fastTanhClamp {
-		x = -fastTanhClamp
-	}
-	x2 := x * x
-	p := x * (tanhA1 + x2*(tanhA3+x2*(tanhA5+x2*(tanhA7+x2*(tanhA9+x2*(tanhA11+x2*tanhA13))))))
-	q := tanhB0 + x2*(tanhB2+x2*(tanhB4+x2*tanhB6))
-	return p / q
+	v := [1]float64{x}
+	fastTanhVec(v[:])
+	return v[0]
 }
 
 // fusedAct names the activation folded into a fused Dense kernel.
@@ -150,7 +97,7 @@ const (
 	actReLU
 )
 
-// fastStage is one step of the fast forward: either a Dense
+// fastStage is one step of the fused forward: either a Dense
 // [+ BatchNorm] [+ Tanh/ReLU] run fused into one matmul over folded
 // weights plus an activation pass, or (layer != nil) a layer outside
 // that pattern, which runs its exact Forward and voids the bound. None
@@ -164,15 +111,13 @@ type fastStage struct {
 	act fusedAct
 	y   []float64 // output scratch
 
-	// Certificate constants (see ForwardBounded), per output o: l1 is
-	// the folded row's L1 norm, rc is kappa*(|s|(|b|+|mean|)+|beta|)
-	// (kappa*|b| without batch-norm). l1Max and rcMax are their maxima.
-	// guardC+guardL*|x| bounds every magnitude the exact path forms in
-	// this stage, before its activation.
+	// Certificate constants (see ForwardBounded), per output: the folded
+	// row L1 norm and kappa*(|s|(|b|+|mean|)+|beta|); guardC+guardL*|x|
+	// bounds every magnitude the exact path forms in the stage.
 	kappa          float64
 	l1, rc         []float64
-	l1Max, rcMax   float64
 	guardC, guardL float64
+	err            []float64 // per-output bound scratch
 }
 
 // fastPlan returns the network's fused stages, building them on first
@@ -196,12 +141,10 @@ func (n *Network) fastPlan() []fastStage {
 		var bn *BatchNorm
 		j := i + 1
 		if j < len(n.Layers) {
-			if bn, ok = n.Layers[j].(*BatchNorm); ok {
+			if bn, _ = n.Layers[j].(*BatchNorm); bn != nil {
 				checkLen("Dense fused batch-norm", bn.size, d.Out)
 				st.w, st.b = foldBatchNorm(d, bn)
 				j++
-			} else {
-				bn = nil
 			}
 		}
 		if j < len(n.Layers) {
@@ -221,97 +164,67 @@ func (n *Network) fastPlan() []fastStage {
 	return n.fast
 }
 
-// bounds computes the stage's certificate constants from the layers it
-// fuses (bn may be nil). A non-finite constant — from non-finite
-// weights or statistics, or a non-positive Var+Eps — makes the guard
-// fail, so every bound the stage takes part in is void.
+// bounds computes the stage's certificate constants (bn may be nil). A
+// non-finite weight or statistic, or Var+Eps <= 0, makes the guard fail.
 func (st *fastStage) bounds(d *Dense, bn *BatchNorm) {
-	in := d.In
-	st.kappa = float64(2*in+16) * 0x1p-53
-	st.l1 = make([]float64, d.Out)
-	st.rc = make([]float64, d.Out)
+	st.kappa = float64(2*d.In+16) * 0x1p-53
+	st.l1, st.rc, st.err = make([]float64, d.Out), make([]float64, d.Out), make([]float64, d.Out)
 	for o := range st.l1 {
 		var l1, raw float64
-		for i, v := range st.w[o*in : (o+1)*in] {
+		for i, v := range st.w[o*d.In : (o+1)*d.In] {
 			l1 += math.Abs(v)
-			raw += math.Abs(d.W.Val[o*in+i])
+			raw += math.Abs(d.W.Val[o*d.In+i])
 		}
-		c0 := math.Abs(d.B.Val[o])
-		gc, gl := c0, raw
+		c0, gc, gl := math.Abs(d.B.Val[o]), math.Abs(d.B.Val[o]), raw
 		if bn != nil {
 			sigma := math.Sqrt(bn.Var[o] + bn.Eps)
-			s := bn.Gamma.Val[o] / sigma
-			beta := math.Abs(bn.Beta.Val[o])
-			c0 = math.Abs(s)*(c0+math.Abs(bn.Mean[o])) + beta
-			g := max(1, math.Abs(bn.Gamma.Val[o])) / sigma
-			gc = g*(gc+math.Abs(bn.Mean[o])) + beta
-			gl = g * raw
+			g, beta := max(1, math.Abs(bn.Gamma.Val[o]))/sigma, math.Abs(bn.Beta.Val[o])
+			c0 = math.Abs(bn.Gamma.Val[o]/sigma)*(c0+math.Abs(bn.Mean[o])) + beta
+			gc, gl = g*(gc+math.Abs(bn.Mean[o]))+beta, g*raw
 		}
 		st.l1[o], st.rc[o] = l1, st.kappa*c0
-		st.l1Max, st.rcMax = max(st.l1Max, l1), max(st.rcMax, st.rc[o])
 		st.guardC, st.guardL = max(st.guardC, gc), max(st.guardL, gl)
 	}
 }
 
-// ForwardBounded runs x through the fused fast forward and returns its
-// logits with a per-logit bound: |logits[k] - Forward(x, false)[k]| <=
-// bound[k]. Every bound is +Inf when none can be given: a non-finite
-// input, weight or statistic, a magnitude near overflow, or a layer
-// outside the fused pattern. Both slices are network scratch, valid
-// until the next forward; after the first call nothing is allocated.
+// ForwardBounded runs x through the fused forward and returns its logits
+// with a bound per logit: |logits[k] - Forward(x, false)[k]| <=
+// bound[k]. Both slices are network scratch, valid until the next
+// forward; nothing is allocated after the first call.
 //
-// Per stage, with input magnitude X = ‖x‖∞ and input error e per
-// element (0 for the network input), pre-activation o is off by at most
-// l1[o]·(e(1+κ) + κ(X+e)) + rc[o]; see the package notes. The guard
-// keeps every exact-path magnitude below 2^1000, so the rounding model
-// behind κ holds. A tanh output adds fastTanhBound and is never off by
-// more than 2.
+// With u = 2^-53 and kappa = (2·in+16)·u, a stage's pre-activation o in
+// folded order is within kappa·(|s|(|b|+|mean|+‖W_o‖₁‖x‖∞)+|beta|) of
+// the exact order's (s = gamma/sqrt(Var+Eps)), and an input off by e
+// per element adds ‖W'_o‖₁·e(1+kappa). A tanh adds fastTanhBound and
+// caps the error at 2; ReLU passes it through. The guard keeps every
+// exact-path magnitude below 2^1000 so this rounding model holds; a
+// stage that fails it, a non-finite input or a foreign layer makes
+// every later bound +Inf.
 func (n *Network) ForwardBounded(x []float64) (logits, bound []float64) {
 	plan := n.fastPlan()
 	n.fastPass = true
 	mag, err := normInf(x), 0.0
-	ok := mag <= math.MaxFloat64
-	last := len(plan) - 1
 	for i := range plan {
 		st := &plan[i]
-		if ok && (st.layer != nil || !(st.guardC+st.guardL*(mag+err) < 0x1p1000)) {
-			ok = false
-		}
+		ok := st.layer == nil && st.guardC+st.guardL*(mag+err) < 0x1p1000
 		a := err*(1+st.kappa) + st.kappa*(mag+err)
 		x = st.forward(x)
-		if !ok {
-			continue
+		if len(st.err) != len(x) {
+			st.err = make([]float64, len(x))
 		}
-		if i == last {
-			if len(n.bound) != len(x) {
-				n.bound = make([]float64, len(x))
+		mag, err = normInf(x), 0
+		for o := range st.err {
+			st.err[o] = math.Inf(1)
+			if ok {
+				st.err[o] = st.act.widen(st.l1[o]*a + st.rc[o])
 			}
-			for o, l1 := range st.l1 {
-				n.bound[o] = st.act.widen(l1*a + st.rc[o])
-			}
-			break
-		}
-		err = st.act.widen(st.l1Max*a + st.rcMax)
-		if st.act == actTanh {
-			mag = 1
-		} else {
-			mag = normInf(x)
+			err = max(err, st.err[o])
 		}
 	}
-	if len(n.bound) != len(x) {
-		n.bound = make([]float64, len(x))
-	}
-	if !ok {
-		for o := range n.bound {
-			n.bound[o] = math.Inf(1)
-		}
-	}
-	return x, n.bound
+	return x, plan[len(plan)-1].err
 }
 
-// widen carries a pre-activation error bound through the activation:
-// ReLU is 1-Lipschitz and identical in both forwards; tanh adds
-// fastTanhBound, and two tanh outputs are never more than 2 apart.
+// widen carries a pre-activation error bound through the activation.
 func (a fusedAct) widen(d float64) float64 {
 	if a == actTanh {
 		return min(d+fastTanhBound, 2)
@@ -323,11 +236,11 @@ func (a fusedAct) widen(d float64) float64 {
 func normInf(v []float64) float64 {
 	var m float64
 	for _, x := range v {
-		a := math.Abs(x)
-		if !(a <= math.MaxFloat64) {
+		if a := math.Abs(x); a <= math.MaxFloat64 {
+			m = max(m, a)
+		} else {
 			return math.Inf(1)
 		}
-		m = max(m, a)
 	}
 	return m
 }
@@ -409,7 +322,7 @@ func foldBatchNorm(d *Dense, bn *BatchNorm) (w, b []float64) {
 // fastTanhVec applies FastTanh element-wise in place. The rational
 // evaluation is open-coded so the hot loop carries no per-element call
 // overhead and the coefficients stay in registers;
-// TestFastTanhVecMatchesScalar pins it to FastTanh bit for bit.
+// TestFastTanhVecMatchesScalar pins it to the scalar form bit for bit.
 func fastTanhVec(v []float64) {
 	for i, x := range v {
 		if x != x { // NaN passes through

@@ -92,9 +92,32 @@ func TestFastTanhKernel(t *testing.T) {
 	}
 }
 
+// fastTanhScalar is the textbook scalar form of the rational fit:
+// range checks, clamp, then p/q.
+func fastTanhScalar(x float64) float64 {
+	if x != x { // NaN
+		return x
+	}
+	if x >= fastTanhSat {
+		return 1
+	}
+	if x <= -fastTanhSat {
+		return -1
+	}
+	if x > fastTanhClamp {
+		x = fastTanhClamp
+	} else if x < -fastTanhClamp {
+		x = -fastTanhClamp
+	}
+	x2 := x * x
+	p := x * (tanhA1 + x2*(tanhA3+x2*(tanhA5+x2*(tanhA7+x2*(tanhA9+x2*(tanhA11+x2*tanhA13))))))
+	q := tanhB0 + x2*(tanhB2+x2*(tanhB4+x2*tanhB6))
+	return p / q
+}
+
 // TestFastTanhVecMatchesScalar pins the open-coded kernel loop to the
-// scalar FastTanh bit for bit — the two are the same ops by
-// construction, and this keeps them that way.
+// scalar form bit for bit — the two are the same ops by construction,
+// and this keeps them that way.
 func TestFastTanhVecMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	xs := make([]float64, 0, 20_000)
@@ -106,9 +129,9 @@ func TestFastTanhVecMatchesScalar(t *testing.T) {
 	got := append([]float64(nil), xs...)
 	fastTanhVec(got)
 	for i, x := range xs {
-		want := FastTanh(x)
+		want := fastTanhScalar(x)
 		if got[i] != want && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
-			t.Fatalf("fastTanhVec(%g) = %v, FastTanh = %v", x, got[i], want)
+			t.Fatalf("fastTanhVec(%g) = %v, scalar form %v", x, got[i], want)
 		}
 	}
 }

@@ -60,7 +60,12 @@ func (p *Policy) Probs(state []float64, mask []bool, train bool) []float64 {
 // allocations per call, but the result is only valid until the next
 // forward on this policy.
 func (p *Policy) probsInto(state []float64, mask []bool, train bool) []float64 {
-	logits := p.Net.Forward(state, train)
+	return p.softmax(p.Net.Forward(state, train), mask)
+}
+
+// softmax writes the (masked) softmax of logits into the policy's
+// scratch buffer.
+func (p *Policy) softmax(logits []float64, mask []bool) []float64 {
 	if p.probs == nil {
 		p.probs = make([]float64, len(logits))
 	}
@@ -72,15 +77,11 @@ func (p *Policy) probsInto(state []float64, mask []bool, train bool) []float64 {
 
 // Act selects an action for state: sampled from the distribution when
 // sample is true (the paper's online-mode inference), greedy argmax
-// otherwise (batch-mode inference). A sampled decision consumes exactly
-// one r.Float64().
-//
-// The decision is always the exact forward's. Act first runs the fused
-// fast forward (nn.Network.ForwardBounded), whose per-logit bounds say
-// how far each logit can be from the exact one; when no logits within
-// those bounds could change the decision, the fast decision is returned.
-// Otherwise Act runs the exact forward on the same state and decides
-// with the same draw, and counts a fallback.
+// otherwise (batch-mode inference); a sampled decision consumes exactly
+// one r.Float64(). The decision is always the exact forward's: Act takes
+// the fused forward's decision when its logit bounds prove it, and
+// otherwise runs the exact forward with the same draw and counts a
+// fallback (DESIGN.md §13).
 func (p *Policy) Act(state []float64, mask []bool, sample bool, r *rand.Rand) int {
 	var u float64
 	if sample {
@@ -98,21 +99,14 @@ func (p *Policy) Act(state []float64, mask []bool, sample bool, r *rand.Rand) in
 	return GreedyAction(probs)
 }
 
-// certifyMargin is the absolute gap a greedy decision must clear beyond
-// the logit bounds: the exact winner then leads every other legal logit
-// by more than 1e-12, so its softmax probability is strictly the largest
-// and GreedyAction's first-index tie-break is never reached.
-const certifyMargin = 1e-12
-
-// certified returns the decision the exact forward would take, if the
-// fast logits and their bounds prove it. Greedy: the top legal fast
-// logit beats every other legal logit by more than the sum of their
-// bounds plus certifyMargin. Sampled: u lies farther than D from every
-// legal running sum of the fast probabilities up to the one it selects,
-// in SampleAction's order, where D bounds the distance between the fast
-// and exact running sums — expm1(2·max bound) from the logits plus the
-// rounding of both softmaxes and sums. A non-finite logit or bound
-// certifies nothing.
+// certified returns the exact forward's decision if the fused logits and
+// their bounds prove it. Greedy: the top legal logit leads every other
+// legal one by more than both bounds plus 1e-12, so the exact softmax's
+// top probability is strictly largest. Sampled: u lies farther than d
+// from every legal running sum of the fused probabilities up to the one
+// it selects, in SampleAction's order; d is expm1(2·max bound), the most
+// a running sum can move under those logit shifts, plus both softmaxes'
+// rounding.
 func (p *Policy) certified(logits, bound []float64, mask []bool, sample bool, u float64) (int, bool) {
 	top, bmax := -1, 0.0
 	for i, z := range logits {
@@ -132,21 +126,13 @@ func (p *Policy) certified(logits, bound []float64, mask []bool, sample bool, u 
 	}
 	if !sample {
 		for i, z := range logits {
-			if i != top && (mask == nil || mask[i]) && !(logits[top]-z > bound[top]+bound[i]+certifyMargin) {
+			if i != top && (mask == nil || mask[i]) && !(logits[top]-z > bound[top]+bound[i]+1e-12) {
 				return 0, false
 			}
 		}
 		return top, true
 	}
-	if p.probs == nil {
-		p.probs = make([]float64, len(logits))
-	}
-	var probs []float64
-	if mask == nil {
-		probs = nn.SoftmaxInto(p.probs, logits)
-	} else {
-		probs = nn.MaskedSoftmaxInto(p.probs, logits, mask)
-	}
+	probs := p.softmax(logits, mask)
 	d := math.Expm1(2*bmax)*(1+0x1p-30) + float64(8*len(probs)+32)*0x1p-53
 	var acc float64
 	for i, pi := range probs {
@@ -164,9 +150,8 @@ func (p *Policy) certified(logits, bound []float64, mask []bool, sample bool, u 
 	return 0, false
 }
 
-// TakeFallbacks returns how many Act decisions ran the exact forward
-// since the last call, and resets the count. Drivers flush it into the
-// rlts_policy_fallbacks_total counter once per run.
+// TakeFallbacks returns and resets the count of Act decisions that ran
+// the exact forward; drivers flush it once per run.
 func (p *Policy) TakeFallbacks() int {
 	n := p.fallbacks
 	p.fallbacks = 0

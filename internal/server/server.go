@@ -39,11 +39,8 @@
 //	{"algorithm": "RLTS+", "mode": "exact", "kept": 50, "of": 500,
 //	 "error": 3.21, "points": [[x, y, t], ...]}
 //
-// Policy decisions are always the exact forward's: rl.Policy.Act takes
-// a fused fast forward's decision only when a per-logit bound proves it
-// equal (DESIGN.md §13). The response's "mode" field is always "exact",
-// and a ?fast=1 parameter, once an opt-in approximate mode, is accepted
-// and changes nothing.
+// Policy decisions are always the exact forward's (DESIGN.md §13), so
+// "mode" is always "exact" and a ?fast=1 parameter changes nothing.
 //
 // Failures come back as typed JSON errors — {"error": message, "code":
 // machine-readable-code} — with the conventional status: 400 for invalid
