@@ -111,13 +111,13 @@ type fastStage struct {
 	act fusedAct
 	y   []float64 // output scratch
 
-	// Certificate constants (see ForwardBounded), per output: the folded
-	// row L1 norm and kappa*(|s|(|b|+|mean|)+|beta|); guardC+guardL*|x|
-	// bounds every magnitude the exact path forms in the stage.
-	kappa          float64
-	l1, rc         []float64
-	guardC, guardL float64
-	err            []float64 // per-output bound scratch
+	// Certificate constants (see ForwardBounded), per output and their
+	// maxima: the folded row L1 norm and kappa*(|s|(|b|+|mean|)+|beta|);
+	// guardC+guardL*|x| bounds every magnitude the exact path forms in
+	// the stage.
+	kappa                        float64
+	l1, rc                       []float64
+	l1Max, rcMax, guardC, guardL float64
 }
 
 // fastPlan returns the network's fused stages, building them on first
@@ -168,7 +168,7 @@ func (n *Network) fastPlan() []fastStage {
 // non-finite weight or statistic, or Var+Eps <= 0, makes the guard fail.
 func (st *fastStage) bounds(d *Dense, bn *BatchNorm) {
 	st.kappa = float64(2*d.In+16) * 0x1p-53
-	st.l1, st.rc, st.err = make([]float64, d.Out), make([]float64, d.Out), make([]float64, d.Out)
+	st.l1, st.rc = make([]float64, d.Out), make([]float64, d.Out)
 	for o := range st.l1 {
 		var l1, raw float64
 		for i, v := range st.w[o*d.In : (o+1)*d.In] {
@@ -183,6 +183,7 @@ func (st *fastStage) bounds(d *Dense, bn *BatchNorm) {
 			gc, gl = g*(gc+math.Abs(bn.Mean[o]))+beta, g*raw
 		}
 		st.l1[o], st.rc[o] = l1, st.kappa*c0
+		st.l1Max, st.rcMax = max(st.l1Max, l1), max(st.rcMax, st.rc[o])
 		st.guardC, st.guardL = max(st.guardC, gc), max(st.guardL, gl)
 	}
 }
@@ -196,32 +197,38 @@ func (st *fastStage) bounds(d *Dense, bn *BatchNorm) {
 // folded order is within kappa·(|s|(|b|+|mean|+‖W_o‖₁‖x‖∞)+|beta|) of
 // the exact order's (s = gamma/sqrt(Var+Eps)), and an input off by e
 // per element adds ‖W'_o‖₁·e(1+kappa). A tanh adds fastTanhBound and
-// caps the error at 2; ReLU passes it through. The guard keeps every
-// exact-path magnitude below 2^1000 so this rounding model holds; a
-// stage that fails it, a non-finite input or a foreign layer makes
-// every later bound +Inf.
+// caps the error at 2; ReLU passes it through. Hidden stages carry the
+// maximum over their outputs. The guard keeps every exact-path
+// magnitude below 2^1000 so this rounding model holds; a stage that
+// fails it, a non-finite input or a foreign layer makes every bound +Inf.
 func (n *Network) ForwardBounded(x []float64) (logits, bound []float64) {
 	plan := n.fastPlan()
 	n.fastPass = true
 	mag, err := normInf(x), 0.0
+	ok := true
 	for i := range plan {
 		st := &plan[i]
-		ok := st.layer == nil && st.guardC+st.guardL*(mag+err) < 0x1p1000
+		ok = ok && st.layer == nil && st.guardC+st.guardL*(mag+err) < 0x1p1000
 		a := err*(1+st.kappa) + st.kappa*(mag+err)
 		x = st.forward(x)
-		if len(st.err) != len(x) {
-			st.err = make([]float64, len(x))
-		}
-		mag, err = normInf(x), 0
-		for o := range st.err {
-			st.err[o] = math.Inf(1)
-			if ok {
-				st.err[o] = st.act.widen(st.l1[o]*a + st.rc[o])
+		if i < len(plan)-1 {
+			err, mag = st.act.widen(st.l1Max*a+st.rcMax), 1
+			if st.act != actTanh {
+				mag = normInf(x)
 			}
-			err = max(err, st.err[o])
+			continue
+		}
+		if len(n.bound) != len(x) {
+			n.bound = make([]float64, len(x))
+		}
+		for o := range n.bound {
+			n.bound[o] = math.Inf(1)
+			if ok {
+				n.bound[o] = st.act.widen(st.l1[o]*a + st.rc[o])
+			}
 		}
 	}
-	return x, plan[len(plan)-1].err
+	return x, n.bound
 }
 
 // widen carries a pre-activation error bound through the activation.
@@ -236,10 +243,12 @@ func (a fusedAct) widen(d float64) float64 {
 func normInf(v []float64) float64 {
 	var m float64
 	for _, x := range v {
-		if a := math.Abs(x); a <= math.MaxFloat64 {
-			m = max(m, a)
-		} else {
+		a := math.Abs(x)
+		if !(a <= math.MaxFloat64) {
 			return math.Inf(1)
+		}
+		if a > m {
+			m = a
 		}
 	}
 	return m

@@ -45,6 +45,7 @@ type Network struct {
 	params    []*Param    // lazily built flat view of all layer parameters
 	normDepth int         // 1 + index of last BatchNorm layer; 0 = unknown, -1 = none
 	fast      []fastStage // fused plan with the folded weights; nil until built or after a drop
+	bound     []float64   // ForwardBounded's bound scratch
 	fastPass  bool        // last forward was ForwardBounded: Backward must refuse
 }
 
