@@ -46,10 +46,10 @@ type batchBaseline struct {
 		PerCoreScaling []coreScalePoint `json:"per_core_scaling"`
 	} `json:"machine"`
 	Forward struct {
-		Spec            string  `json:"spec"`
-		ExactNsPerState float64 `json:"exact_ns_per_state"`
-		FastNsPerState  float64 `json:"bounded_ns_per_state"`
-		Speedup         float64 `json:"speedup_bounded_vs_exact"`
+		Spec              string  `json:"spec"`
+		ExactNsPerState   float64 `json:"exact_ns_per_state"`
+		BoundedNsPerState float64 `json:"bounded_ns_per_state"`
+		Speedup           float64 `json:"speedup_bounded_vs_exact"`
 	} `json:"forward"`
 	Simplify struct {
 		Dataset       string  `json:"dataset"`
@@ -123,7 +123,7 @@ func runBatchSweep(out string, seed int64) error {
 		}
 	})
 	b.Forward.ExactNsPerState = round2(exactNs)
-	b.Forward.FastNsPerState = round2(fastNs)
+	b.Forward.BoundedNsPerState = round2(fastNs)
 	b.Forward.Speedup = round2(exactNs / fastNs)
 
 	// Simplify: a fixed evaluation set run to completion, greedy.
@@ -184,7 +184,7 @@ func runBatchSweep(out string, seed int64) error {
 		return err
 	}
 	fmt.Printf("batch sweep written to %s (forward exact %.0f / bounded %.0f ns/state, simplify %.0f ns/point, %.2g fallback share)\n",
-		out, b.Forward.ExactNsPerState, b.Forward.FastNsPerState, b.Simplify.NsPerPoint, b.Simplify.FallbackShare)
+		out, b.Forward.ExactNsPerState, b.Forward.BoundedNsPerState, b.Simplify.NsPerPoint, b.Simplify.FallbackShare)
 	return nil
 }
 

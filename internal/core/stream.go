@@ -275,9 +275,10 @@ func (s *Streamer) Snapshot() []geo.Point {
 }
 
 // FlushMetrics publishes the per-point counters and the policy's
-// fallback count accumulated since the last flush to the obs registry. Snapshot flushes automatically; owners
-// that retire a streamer without a final snapshot (the HTTP session
-// manager's TTL eviction) call it so no points go unaccounted.
+// fallback count accumulated since the last flush to the obs registry.
+// Snapshot flushes automatically; owners that retire a streamer without
+// a final snapshot (the HTTP session manager's TTL eviction) call it so
+// no points go unaccounted.
 func (s *Streamer) FlushMetrics() {
 	if s.unflushedPushed > 0 {
 		s.met.streamPoints.Add(uint64(s.unflushedPushed))

@@ -9,10 +9,10 @@ import (
 
 // DecisionTrace records every policy decision of one greedy simplification
 // run: the state the policy saw, the legal-action mask, the action the
-// argmax chose, and the final kept indices. The FastMath tolerance pillar
-// in internal/check replays the states through exact and fast kernels and
-// compares distributions and argmax decisions on real decision-state
-// inputs rather than synthetic vectors.
+// argmax chose, and the final kept indices. The tolerance pillar in
+// internal/check replays the states through the exact and the fused
+// forward and compares distributions and decisions on real
+// decision-state inputs rather than synthetic vectors.
 type DecisionTrace struct {
 	// States holds len(Actions) row-major state rows of StateSize width.
 	States []float64
