@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // The fused forward behind certified inference (DESIGN.md §13):
 // FastTanh for math.Tanh and the frozen batch-norm affine folded into
@@ -97,14 +100,11 @@ const (
 	actReLU
 )
 
-// fastStage is one step of the fused forward: either a Dense
-// [+ BatchNorm] [+ Tanh/ReLU] run fused into one matmul over folded
-// weights plus an activation pass, or (layer != nil) a layer outside
-// that pattern, which runs its exact Forward and voids the bound. None
-// are produced by NewMLP, but the Layer interface admits them.
+// fastStage is one step of the fused forward: a Dense [+ BatchNorm]
+// [+ Tanh/ReLU] run fused into one matmul over folded weights plus an
+// activation pass. NewMLP, the only constructor of networks, builds
+// every network from such runs.
 type fastStage struct {
-	layer Layer
-
 	in  int
 	w   []float64 // out x in, the batch-norm affine folded in (the live Dense weights when there is none)
 	b   []float64 // out, likewise
@@ -133,9 +133,7 @@ func (n *Network) fastPlan() []fastStage {
 	for i := 0; i < len(n.Layers); {
 		d, ok := n.Layers[i].(*Dense)
 		if !ok {
-			n.fast = append(n.fast, fastStage{layer: n.Layers[i]})
-			i++
-			continue
+			panic(fmt.Sprintf("nn: fused forward: layer %d is a %T, not a Dense", i, n.Layers[i]))
 		}
 		st := fastStage{in: d.In, w: d.W.Val, b: d.B.Val, y: make([]float64, d.Out)}
 		var bn *BatchNorm
@@ -200,7 +198,7 @@ func (st *fastStage) bounds(d *Dense, bn *BatchNorm) {
 // caps the error at 2; ReLU passes it through. Hidden stages carry the
 // maximum over their outputs. The guard keeps every exact-path
 // magnitude below 2^1000 so this rounding model holds; a stage that
-// fails it, a non-finite input or a foreign layer makes every bound +Inf.
+// fails it or a non-finite input makes every bound +Inf.
 func (n *Network) ForwardBounded(x []float64) (logits, bound []float64) {
 	plan := n.fastPlan()
 	n.fastPass = true
@@ -208,7 +206,7 @@ func (n *Network) ForwardBounded(x []float64) (logits, bound []float64) {
 	ok := true
 	for i := range plan {
 		st := &plan[i]
-		ok = ok && st.layer == nil && st.guardC+st.guardL*(mag+err) < 0x1p1000
+		ok = ok && st.guardC+st.guardL*(mag+err) < 0x1p1000
 		a := err*(1+st.kappa) + st.kappa*(mag+err)
 		x = st.forward(x)
 		if i < len(plan)-1 {
@@ -263,9 +261,6 @@ func normInf(v []float64) float64 {
 // kept free of calls so the accumulator and slice headers stay in
 // registers.
 func (st *fastStage) forward(x []float64) []float64 {
-	if st.layer != nil {
-		return st.layer.Forward(x, false)
-	}
 	checkLen("Dense fused input", len(x), st.in)
 	in, w, b, y := st.in, st.w, st.b, st.y
 	if in == 3 {

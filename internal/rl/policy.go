@@ -151,7 +151,8 @@ func (p *Policy) certified(logits, bound []float64, mask []bool, sample bool, u 
 }
 
 // TakeFallbacks returns and resets the count of Act decisions that ran
-// the exact forward; drivers flush it once per run.
+// the exact forward; core.SimplifyCtx and the Streamer flush it once per
+// run or flush.
 func (p *Policy) TakeFallbacks() int {
 	n := p.fallbacks
 	p.fallbacks = 0
