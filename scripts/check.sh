@@ -80,7 +80,7 @@ make check-batch
 # the exact decision on the fuzz seeds, the forced near-tie fallback,
 # Act on a master across a training batch). Same CHECK_SCALE knob
 # deepens the state coverage.
-echo "== fastmath tolerance pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
+echo "== certified-inference pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
 make check-fast
 
 # Durable session store: the spill/rehydrate differential (a streamer
