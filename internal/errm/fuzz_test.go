@@ -33,6 +33,17 @@ func FuzzSegmentError(f *testing.F) {
 	f.Add(pts(0, 0, 3, 1, 1, 2, 2, 2, 1), uint8(0), uint8(2))
 	f.Add(pts(0, 0, 0, math.Inf(1), 1, 1, math.NaN(), 2, 2, 3, 3, 3), uint8(1), uint8(3))
 	f.Add(pts(0, -1, 0, -1, math.Copysign(0, -1), 1, 1, 1, 2), uint8(0), uint8(2))
+	// The SED span kernel's skip rule: exact ties, maxima one ulp apart
+	// first, in the middle and last, and square orders that rounding
+	// inverts against the distances'.
+	up := math.Nextafter(3, 4)
+	f.Add(pts(0, 0, 0, 1, 3, 1, 2, -3, 2, 3, 3, 3, 4, 0, 4), uint8(0), uint8(4))
+	f.Add(pts(0, 0, 0, 1, up, 1, 2, 3, 2, 3, -3, 3, 4, 0, 4), uint8(0), uint8(4))
+	f.Add(pts(0, 0, 0, 1, 3, 1, 2, up, 2, 3, -3, 3, 4, 0, 4), uint8(0), uint8(4))
+	f.Add(pts(0, 0, 0, 1, 3, 1, 2, -3, 2, 3, up, 3, 4, 0, 4), uint8(0), uint8(4))
+	f.Add(pts(0, 0, 0, -1.9596325936460004, -0.7415868652698527, 1, -0.7537513570892358, -1.313860582954566, 2, 4, 0, 4), uint8(0), uint8(3))
+	f.Add(pts(0, 0, 0, -1.589644531046908, -0.737484499169187, 1, 1.5202783162575417, 2.649530013010475, 2, 4, 0, 4), uint8(0), uint8(3))
+	f.Add(pts(0, 0, 0, 8.491961483489413e-161, 8.848493427659956e-161, 1, 1.2184815107229437e-160, 1.3926688691294952e-161, 2, 0, 0, 4), uint8(0), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi uint8) {
 		n := len(data) / 24
 		if n > 16 {

@@ -14,8 +14,11 @@
 // and Anchor.PointError — prepares the anchor segment once per span and
 // then pays only the per-point arithmetic for each covered point, so the
 // n' term of RLTS+'s O((n−W)(n' + log W)) cost has a small constant.
-// PointError and OnlineValue are the same kernels applied to one point,
-// and every route yields the same float64 bits.
+// SegmentError's SED scan is geo.SEDAnchor.MaxDistance, which calls
+// math.Hypot only for the points whose distance could still be the
+// span's largest: on served traffic, once per span instead of once per
+// covered point. PointError and OnlineValue are the same kernels applied
+// to one point, and every route yields the same float64 bits.
 //
 // # Degenerate geometry
 //
@@ -185,18 +188,15 @@ func SegmentError(m Measure, t traj.Trajectory, a, b int) float64 {
 	if b <= a+1 {
 		return 0
 	}
-	// The Eq. 12 hot path: one loop per measure straight over the geo
-	// anchor, without Anchor's per-point dispatch.
+	// The Eq. 12 hot path: SED's span kernel, and one loop per other
+	// measure straight over the geo anchor, without Anchor's per-point
+	// dispatch.
 	anchor := t.Segment(a, b)
 	var worst float64
 	switch m {
 	case SED:
 		an := geo.PrepareSED(anchor)
-		for _, p := range t[a+1 : b] {
-			if d := an.Distance(p); d > worst {
-				worst = d
-			}
-		}
+		return an.MaxDistance(t[a+1 : b])
 	case PED:
 		an := geo.PreparePED(anchor)
 		for _, p := range t[a+1 : b] {

@@ -33,9 +33,15 @@ type SEDAnchor struct {
 	half, flat bool
 }
 
-// PrepareSED prepares s for SEDAnchor.Distance.
-func PrepareSED(s Segment) SEDAnchor {
-	a := SEDAnchor{interp: newInterp(s), t0: s.A.T, dt: s.B.T - s.A.T}
+// PrepareSED prepares s for SEDAnchor.Distance. It sets the fields one by
+// one: a composite literal around newInterp's result made the compiler
+// copy the anchor through memory with wider loads than the stores that
+// built it, and the stalled store forwarding cost more than a short span
+// scan.
+func PrepareSED(s Segment) (a SEDAnchor) {
+	a.ax, a.ay, a.bx, a.by = s.A.X, s.A.Y, s.B.X, s.B.Y
+	a.dx, a.dy = s.B.X-s.A.X, s.B.Y-s.A.Y
+	a.t0, a.dt = s.A.T, s.B.T-s.A.T
 	switch {
 	case a.dt <= 0:
 		a.flat = true
@@ -59,6 +65,109 @@ func (a *SEDAnchor) param(t float64) float64 {
 // Distance returns SynchronizedDistance(s, p) for the prepared anchor s.
 func (a *SEDAnchor) Distance(p Point) float64 {
 	return a.dist(p, a.param(p.T))
+}
+
+// The constants of MaxDistance's skip rule.
+const (
+	// sedTame bounds the anchor coordinates of the fast loop: below it
+	// a + u*d cannot overflow for u in [0, 1], so lerp1's fallback is
+	// unreachable and its first form is the whole arithmetic.
+	sedTame = 0x1p1000
+	// sedMargin is how far, relatively, a residual square must fall below
+	// the largest one so far to be skipped without its math.Hypot.
+	sedMargin = 0x1p-40
+	// sedFloor is the smallest square the rule ranks points by: above it
+	// an underflowed product's absolute rounding is negligible.
+	sedFloor = 0x1p-900
+)
+
+// MaxDistance returns the largest Distance from the prepared anchor to a
+// point of pts, NaN distances ignored, and 0 when there is none: bit for
+// bit what
+//
+//	var worst float64
+//	for _, p := range pts {
+//		if d := a.Distance(p); d > worst {
+//			worst = d
+//		}
+//	}
+//
+// returns. This is the SED span scan of Eq. 12, and it calls math.Hypot
+// only for the points whose distance could still be the largest.
+//
+// When the anchor is tame (a finite positive time span, so neither the
+// flat nor the halved time path applies, and every coordinate below
+// 2^1000 in magnitude, so lerp1's fallback is unreachable), the loop forms
+// each point's residual (ex, ey) with Distance's own operations in
+// Distance's order, and its square s = ex² + ey². Let S be the exact
+// ex² + ey² and ε = 2^-53. A point is skipped when s is below the running
+// maximum square times 1 − 2^-40; the point with the maximum square is
+// the candidate, whose math.Hypot waits until another square beats it
+// (then it is computed only if it lies within the margin of the new one)
+// or the span ends. Every other point, including one whose s is NaN, +Inf
+// or below 2^-900, takes math.Hypot(ex, ey) directly, as Distance does.
+// The result is the largest of the math.Hypot values computed.
+//
+// No skipped point can be the maximum. Each product and the sum round
+// once, and an underflowed product is off by at most 2^-1074 absolutely.
+// Every square a point is compared with is a candidate's, in
+// [2^-900, MaxFloat64], where that is below 2^-170 of it, so a
+// candidate's s is within 3ε of its S relatively, and a skipped point's
+// S is below its s/(1 − ε)² plus a negligible term. math.Hypot(ex, ey) =
+// p·sqrt(1 + (q/p)²) with p ≥ q, five roundings, is within 4ε of √S (a
+// subnormal result adds at most 2^-1074, again negligible). A point
+// skipped against a running maximum, which is at most the final
+// candidate c's square, then has S < S_c·(1 − 2^-40)(1 + 9ε), so its
+// distance is below √S_c·(1 − 2^-41 + 9ε), while c's is at least
+// √S_c·(1 − 4ε): strictly smaller, since 2^-41 is over 300 times 13ε.
+// A displaced candidate outside the margin is such a point too.
+// So the points that got math.Hypot include one with the largest
+// distance; the maximum does not depend on the order it is taken in, so
+// the returned bits are the loop's. Any other anchor runs that loop
+// itself.
+func (a *SEDAnchor) MaxDistance(pts []Point) float64 {
+	var worst float64
+	if a.flat || a.half || !(a.dt <= math.MaxFloat64) ||
+		!(math.Abs(a.ax) < sedTame && math.Abs(a.ay) < sedTame &&
+			math.Abs(a.bx) < sedTame && math.Abs(a.by) < sedTame) {
+		for _, p := range pts {
+			if d := a.Distance(p); d > worst {
+				worst = d
+			}
+		}
+		return worst
+	}
+	// best is the candidate's square (0 before the first), (cx, cy) its
+	// residual and lim the square below which a point is skipped.
+	var best, lim, cx, cy float64
+	for i := range pts {
+		p := &pts[i]
+		u := clamp01((p.T - a.t0) / a.dt)
+		ex := p.X - (a.ax + u*a.dx)
+		ey := p.Y - (a.ay + u*a.dy)
+		s := ex*ex + ey*ey
+		if s < lim {
+			continue
+		}
+		if s > best && s >= sedFloor && s <= math.MaxFloat64 {
+			if best >= s*(1-sedMargin) {
+				if d := math.Hypot(cx, cy); d > worst {
+					worst = d
+				}
+			}
+			best, lim, cx, cy = s, s*(1-sedMargin), ex, ey
+			continue
+		}
+		if d := math.Hypot(ex, ey); d > worst {
+			worst = d
+		}
+	}
+	if best > 0 {
+		if d := math.Hypot(cx, cy); d > worst {
+			worst = d
+		}
+	}
+	return worst
 }
 
 // PEDAnchor is an anchor segment prepared for perpendicular Euclidean

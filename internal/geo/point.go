@@ -19,6 +19,23 @@
 // Segment.ClosestParam are the prepared form applied to one point, so
 // both routes produce the same float64 bits. Anchors are plain values
 // and allocate nothing.
+//
+// # The SED span kernel
+//
+// SEDAnchor.MaxDistance is the SED span scan of Eq. 12: the largest
+// Distance from the anchor to a span's points. It forms each point's
+// residual with Distance's own arithmetic, plus the residual's square, and
+// calls math.Hypot only for points that could still be the maximum: the
+// point with the largest square (once, when the span ends or a larger
+// square displaces it within the margin), any point whose square is within
+// 2^-40 of the largest so far, and any point whose square is NaN, +Inf or
+// below 2^-900. A guard admits only anchors with a finite positive time
+// span and coordinates below 2^1000, so the loop needs none of Distance's
+// fallbacks; any other anchor runs the per-point Distance loop. The
+// method's doc proves that a skipped point's distance is strictly below
+// the maximum, given the rounding of the square and of math.Hypot, so the
+// returned bits are the per-point loop's. math.Hypot stays the one
+// distance primitive: the kernel only decides which points need it.
 package geo
 
 import (
