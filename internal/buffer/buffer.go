@@ -9,6 +9,19 @@
 // and which entry to drop; the buffer provides O(log W) maintenance of
 // the value order, which is what gives every algorithm built on it the
 // O((n-W) log W) complexity the paper reports.
+//
+// # Allocation and entry reuse
+//
+// Entries come from a slab sized by New's capacity hint, so a buffer that
+// stays within its hint allocates no entry after New. An entry that Drop
+// or RemoveTail removes goes to a free list, and the next Append may hand
+// the same *Entry out again for a different point. Until that Append the
+// removed entry keeps its Index, P and Value (not its links), so a caller
+// may read them right after removing it; it must not keep the pointer
+// across an Append, as a map key or otherwise.
+//
+// The heap keeps each slot's value in an array beside its entries, so
+// ordering the heap compares those values and loads no entry.
 package buffer
 
 import "rlts/internal/geo"
@@ -39,7 +52,11 @@ func (e *Entry) Next() *Entry { return e.next }
 type Buffer struct {
 	head, tail *Entry
 	heap       []*Entry
+	vals       []float64 // vals[i] is heap[i]'s value
 	size       int
+
+	slab []Entry // entries not yet handed out by Append
+	free *Entry  // removed entries, linked through next, reused first
 
 	kout      []*Entry // KLowest result scratch, reused across calls
 	kfrontier []int    // KLowest frontier scratch, reused across calls
@@ -47,8 +64,14 @@ type Buffer struct {
 
 // New creates an empty buffer with capacity hint cap (the storage budget
 // W; the buffer does not enforce it — the simplification loop does).
+// The hint sizes the entry slab: a buffer that never holds more entries
+// allocates none after New.
 func New(capHint int) *Buffer {
-	return &Buffer{heap: make([]*Entry, 0, capHint)}
+	return &Buffer{
+		heap: make([]*Entry, 0, capHint),
+		vals: make([]float64, 0, capHint),
+		slab: make([]Entry, capHint),
+	}
 }
 
 // Size returns the number of buffered points.
@@ -65,7 +88,8 @@ func (b *Buffer) Tail() *Entry { return b.tail }
 // without a value (not droppable); once the caller can compute a value for
 // the previous tail, it should call SetValue on it.
 func (b *Buffer) Append(index int, p geo.Point) *Entry {
-	e := &Entry{Index: index, P: p, heapPos: -1}
+	e := b.newEntry()
+	*e = Entry{Index: index, P: p, heapPos: -1}
 	if b.tail == nil {
 		b.head, b.tail = e, e
 	} else {
@@ -77,6 +101,21 @@ func (b *Buffer) Append(index int, p geo.Point) *Entry {
 	return e
 }
 
+// newEntry takes an entry from the free list, else from the slab, which
+// grows by a new block, as large as the buffer, when it runs out.
+func (b *Buffer) newEntry() *Entry {
+	if e := b.free; e != nil {
+		b.free = e.next
+		return e
+	}
+	if len(b.slab) == 0 {
+		b.slab = make([]Entry, max(b.size, 16))
+	}
+	e := &b.slab[0]
+	b.slab = b.slab[1:]
+	return e
+}
+
 // SetValue assigns (or updates) the value of an interior entry and
 // repairs its heap position. It panics on endpoints: they are never
 // droppable.
@@ -84,15 +123,16 @@ func (b *Buffer) SetValue(e *Entry, v float64) {
 	if e.prev == nil || e.next == nil {
 		panic("buffer: SetValue on an endpoint")
 	}
+	e.value = v
 	if e.heapPos < 0 {
-		e.value = v
 		e.heapPos = len(b.heap)
 		b.heap = append(b.heap, e)
+		b.vals = append(b.vals, v)
 		b.siftUp(e.heapPos)
 		return
 	}
-	old := e.value
-	e.value = v
+	old := b.vals[e.heapPos]
+	b.vals[e.heapPos] = v
 	if v < old {
 		b.siftUp(e.heapPos)
 	} else if v > old {
@@ -101,8 +141,9 @@ func (b *Buffer) SetValue(e *Entry, v float64) {
 }
 
 // Drop removes entry e from the buffer and the heap and returns its
-// former neighbours so the caller can repair their values. Dropping an
-// endpoint is a bug and panics.
+// former neighbours so the caller can repair their values. e keeps its
+// fields until the next Append, which may reuse it. Dropping an endpoint
+// is a bug and panics.
 func (b *Buffer) Drop(e *Entry) (prev, next *Entry) {
 	if e.prev == nil || e.next == nil {
 		panic("buffer: Drop on an endpoint")
@@ -113,7 +154,8 @@ func (b *Buffer) Drop(e *Entry) (prev, next *Entry) {
 	}
 	prev.next = next
 	next.prev = prev
-	e.prev, e.next = nil, nil
+	e.prev, e.next = nil, b.free
+	b.free = e
 	b.size--
 	return prev, next
 }
@@ -123,7 +165,8 @@ func (b *Buffer) Drop(e *Entry) (prev, next *Entry) {
 // construction. The former predecessor becomes the tail again; if it
 // carries a (now possibly stale) value it stays in the heap — the
 // simplification loop recomputes it on the next scan before any state is
-// built. Removing the only entry is a bug and panics.
+// built. The removed entry keeps its fields until the next Append, which
+// may reuse it. Removing the only entry is a bug and panics.
 func (b *Buffer) RemoveTail() *Entry {
 	e := b.tail
 	if e == nil || e.prev == nil {
@@ -134,7 +177,8 @@ func (b *Buffer) RemoveTail() *Entry {
 	}
 	b.tail = e.prev
 	b.tail.next = nil
-	e.prev = nil
+	e.prev, e.next = nil, b.free
+	b.free = e
 	b.size--
 	return e
 }
@@ -177,7 +221,7 @@ func (b *Buffer) KLowest(k int) []*Entry {
 		// Extract the frontier element with the smallest value.
 		bi := 0
 		for i := 1; i < len(frontier); i++ {
-			if b.heap[frontier[i]].value < b.heap[frontier[bi]].value {
+			if b.vals[frontier[i]] < b.vals[frontier[bi]] {
 				bi = i
 			}
 		}
@@ -214,56 +258,55 @@ func (b *Buffer) Indices() []int {
 }
 
 func (b *Buffer) siftUp(i int) {
-	e := b.heap[i]
+	e, v := b.heap[i], b.vals[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if b.heap[parent].value <= e.value {
+		if b.vals[parent] <= v {
 			break
 		}
-		b.heap[i] = b.heap[parent]
+		b.heap[i], b.vals[i] = b.heap[parent], b.vals[parent]
 		b.heap[i].heapPos = i
 		i = parent
 	}
-	b.heap[i] = e
+	b.heap[i], b.vals[i] = e, v
 	e.heapPos = i
 }
 
 func (b *Buffer) siftDown(i int) {
-	e := b.heap[i]
+	e, v := b.heap[i], b.vals[i]
 	n := len(b.heap)
 	for {
 		small := i
 		l, r := 2*i+1, 2*i+2
-		sv := e.value
-		if l < n && b.heap[l].value < sv {
-			small, sv = l, b.heap[l].value
+		sv := v
+		if l < n && b.vals[l] < sv {
+			small, sv = l, b.vals[l]
 		}
-		if r < n && b.heap[r].value < sv {
+		if r < n && b.vals[r] < sv {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		b.heap[i] = b.heap[small]
+		b.heap[i], b.vals[i] = b.heap[small], b.vals[small]
 		b.heap[i].heapPos = i
 		i = small
 	}
-	b.heap[i] = e
+	b.heap[i], b.vals[i] = e, v
 	e.heapPos = i
 }
 
 func (b *Buffer) heapRemove(pos int) {
 	last := len(b.heap) - 1
-	removed := b.heap[pos]
-	removed.heapPos = -1
+	b.heap[pos].heapPos = -1
 	if pos == last {
-		b.heap = b.heap[:last]
+		b.heap, b.vals = b.heap[:last], b.vals[:last]
 		return
 	}
 	moved := b.heap[last]
-	b.heap[pos] = moved
+	b.heap[pos], b.vals[pos] = moved, b.vals[last]
 	moved.heapPos = pos
-	b.heap = b.heap[:last]
+	b.heap, b.vals = b.heap[:last], b.vals[:last]
 	// The moved element may violate either direction.
 	b.siftDown(pos)
 	b.siftUp(moved.heapPos)

@@ -2,7 +2,9 @@ package buffer
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -196,15 +198,26 @@ func TestPoints(t *testing.T) {
 	}
 }
 
+// TestRandomOpsProperty runs seeded random Append, Drop, RemoveTail and
+// SetValue steps on a buffer whose slab is smaller than the entries it
+// hands out, so removed entries are recycled and the slab grows. After
+// every step the list and heap invariants hold (every inline heap value
+// equal to its entry's value), no two live entries share an address, a
+// removed entry still reads as it did until the next Append, KLowest
+// agrees with a sort, and Export followed by Restore round-trips exactly.
 func TestRandomOpsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		b := New(32)
+		b := New(8)
 		var live []*Entry
 		next := 0
+		// interior returns a random entry of live that has both neighbours.
+		interior := func() int { return 1 + r.Intn(len(live)-2) }
 		for op := 0; op < 300; op++ {
-			switch {
-			case len(live) < 3 || r.Intn(3) > 0:
+			var removed *Entry
+			var was Entry
+			switch c := r.Intn(8); {
+			case len(live) < 3 || c < 4:
 				e := b.Append(next, geo.Pt(r.Float64(), r.Float64(), float64(next)))
 				next++
 				live = append(live, e)
@@ -215,9 +228,10 @@ func TestRandomOpsProperty(t *testing.T) {
 						b.SetValue(in, r.Float64()*100)
 					}
 				}
-			default:
+			case c < 6:
 				// Drop a random interior entry.
-				i := 1 + r.Intn(len(live)-2)
+				i := interior()
+				removed, was = live[i], *live[i]
 				b.Drop(live[i])
 				live = append(live[:i], live[i+1:]...)
 				// Repair neighbour values as an algorithm would.
@@ -226,16 +240,36 @@ func TestRandomOpsProperty(t *testing.T) {
 						b.SetValue(nb, r.Float64()*100)
 					}
 				}
+			case c < 7:
+				// Un-append the tail, as a skip action does.
+				removed, was = live[len(live)-1], *live[len(live)-1]
+				if b.RemoveTail() != removed {
+					return false
+				}
+				live = live[:len(live)-1]
+			default:
+				// Move a random interior value, up or down the heap.
+				b.SetValue(live[interior()], r.Float64()*100)
+			}
+			if removed != nil && (removed.Index != was.Index || removed.P != was.P || removed.Value() != was.Value()) {
+				return false // a removed entry changed before the next Append
 			}
 			if err := b.checkInvariants(); err != nil {
+				t.Log(err)
 				return false
+			}
+			seen := make(map[*Entry]bool, len(live))
+			i := 0
+			for e := b.Head(); e != nil; e = e.Next() {
+				if seen[e] || i >= len(live) || live[i] != e {
+					return false
+				}
+				seen[e] = true
+				i++
 			}
 			// KLowest(4) must agree with a sort of all droppable values.
 			k := b.KLowest(4)
-			var all []float64
-			for _, e := range b.heap {
-				all = append(all, e.Value())
-			}
+			all := append([]float64(nil), b.vals...)
 			sort.Float64s(all)
 			for i, e := range k {
 				if e.Value() != all[i] {
@@ -245,6 +279,16 @@ func TestRandomOpsProperty(t *testing.T) {
 			// KLowest(1) is the heap root, the entry Min returns.
 			if one := b.KLowest(1); len(b.heap) > 0 && (len(one) != 1 || one[0] != b.Min()) {
 				return false
+			}
+			dump := b.Export()
+			rb, err := Restore(dump, 8)
+			if err != nil || !reflect.DeepEqual(rb.Export(), dump) || len(rb.heap) != len(b.heap) {
+				return false
+			}
+			for i := range b.heap {
+				if rb.vals[i] != b.vals[i] || rb.heap[i].Index != b.heap[i].Index {
+					return false
+				}
 			}
 		}
 		return true
@@ -273,14 +317,20 @@ func (b *Buffer) checkInvariants() error {
 	if n != b.size {
 		return fmt.Errorf("buffer: size %d, list length %d", b.size, n)
 	}
+	if len(b.vals) != len(b.heap) {
+		return fmt.Errorf("buffer: %d heap values for %d heap entries", len(b.vals), len(b.heap))
+	}
 	for i, e := range b.heap {
 		if e.heapPos != i {
 			return fmt.Errorf("buffer: heapPos mismatch at %d", i)
 		}
-		if l := 2*i + 1; l < len(b.heap) && b.heap[l].value < e.value {
+		if math.Float64bits(b.vals[i]) != math.Float64bits(e.value) {
+			return fmt.Errorf("buffer: heap slot %d holds %v, its entry %v", i, b.vals[i], e.value)
+		}
+		if l := 2*i + 1; l < len(b.heap) && b.vals[l] < b.vals[i] {
 			return fmt.Errorf("buffer: heap violated at %d (left)", i)
 		}
-		if r := 2*i + 2; r < len(b.heap) && b.heap[r].value < e.value {
+		if r := 2*i + 2; r < len(b.heap) && b.vals[r] < b.vals[i] {
 			return fmt.Errorf("buffer: heap violated at %d (right)", i)
 		}
 	}

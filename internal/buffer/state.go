@@ -57,9 +57,14 @@ func Restore(entries []EntryState, capHint int) (*Buffer, error) {
 			return nil, fmt.Errorf("buffer: restore: entry %d has heap slot %d (want >= -1)", i, es.HeapPos)
 		}
 	}
-	b := &Buffer{heap: make([]*Entry, heapLen, capHint)}
+	b := &Buffer{
+		heap: make([]*Entry, heapLen, capHint),
+		vals: make([]float64, heapLen, capHint),
+		slab: make([]Entry, capHint),
+	}
 	for i, es := range entries {
-		e := &Entry{Index: es.Index, P: es.P, value: es.Value, heapPos: es.HeapPos}
+		e := b.newEntry()
+		*e = Entry{Index: es.Index, P: es.P, value: es.Value, heapPos: es.HeapPos}
 		if b.tail == nil {
 			b.head, b.tail = e, e
 		} else {
@@ -75,16 +80,16 @@ func Restore(entries []EntryState, capHint int) (*Buffer, error) {
 			if b.heap[es.HeapPos] != nil {
 				return nil, fmt.Errorf("buffer: restore: duplicate heap slot %d", es.HeapPos)
 			}
-			b.heap[es.HeapPos] = e
+			b.heap[es.HeapPos], b.vals[es.HeapPos] = e, es.Value
 		}
 	}
 	// The per-slot occupancy check above plus matching counts make the
 	// slots a permutation; verify the heap ordering invariant on values.
-	for i, e := range b.heap {
-		if l := 2*i + 1; l < heapLen && b.heap[l].value < e.value {
+	for i, v := range b.vals {
+		if l := 2*i + 1; l < heapLen && b.vals[l] < v {
 			return nil, fmt.Errorf("buffer: restore: heap property violated at slot %d (left child)", i)
 		}
-		if r := 2*i + 2; r < heapLen && b.heap[r].value < e.value {
+		if r := 2*i + 2; r < heapLen && b.vals[r] < v {
 			return nil, fmt.Errorf("buffer: restore: heap property violated at slot %d (right child)", i)
 		}
 	}

@@ -56,7 +56,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		}
 		// Heap layout must match slot for slot, not just value order.
 		for i := range b.heap {
-			if b.heap[i].Index != r.heap[i].Index || b.heap[i].value != r.heap[i].value {
+			if b.heap[i].Index != r.heap[i].Index || b.vals[i] != r.vals[i] {
 				t.Fatalf("seed %d: heap slot %d differs", seed, i)
 			}
 		}
