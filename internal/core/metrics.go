@@ -41,8 +41,8 @@ var (
 // coreMetricsFor returns the core metric set registered in reg, building
 // it on first use. Most callers record into obs.Default() via
 // coreMetrics(); the HTTP layer passes its own registry so serving-path
-// series land where GET /metrics scrapes them (see Streamer.UseRegistry
-// and ObserveErrorIn).
+// series land where GET /metrics scrapes them (see Trained.UseRegistry,
+// Streamer.UseRegistry and ObserveErrorIn).
 func coreMetricsFor(reg *obs.Registry) *coreMetricsSet {
 	coreMetricsMu.Lock()
 	defer coreMetricsMu.Unlock()

@@ -31,6 +31,12 @@ func Simplify(p *rl.Policy, t traj.Trajectory, w int, opts Options, sample bool,
 // (wrapped, so errors.Is(err, context.Canceled) and friends work). The
 // HTTP service uses it to make slow simplification requests cancellable.
 func SimplifyCtx(ctx context.Context, p *rl.Policy, t traj.Trajectory, w int, opts Options, sample bool, r *rand.Rand) ([]int, error) {
+	return simplifyInto(ctx, nil, p, t, w, opts, sample, r)
+}
+
+// simplifyInto is SimplifyCtx flushing its counts into met, or into
+// obs.Default() when met is nil.
+func simplifyInto(ctx context.Context, met *coreMetricsSet, p *rl.Policy, t traj.Trajectory, w int, opts Options, sample bool, r *rand.Rand) ([]int, error) {
 	if err := checkRun(opts, p, w, len(t), sample, r); err != nil {
 		return nil, err
 	}
@@ -40,7 +46,9 @@ func SimplifyCtx(ctx context.Context, p *rl.Policy, t traj.Trajectory, w int, op
 	if err != nil {
 		return nil, err
 	}
-	met := coreMetrics()
+	if met == nil {
+		met = coreMetrics()
+	}
 	met.simplifyRuns.Inc()
 	met.simplifySteps.Add(uint64(steps))
 	met.policyFallbacks.Add(uint64(p.TakeFallbacks()))

@@ -10,6 +10,7 @@ import (
 
 	"rlts/internal/errm"
 	"rlts/internal/nn"
+	"rlts/internal/obs"
 	"rlts/internal/rl"
 	"rlts/internal/traj"
 )
@@ -46,7 +47,17 @@ func (t *TrainOptions) fillDefaults() {
 type Trained struct {
 	Opts   Options
 	Policy *rl.Policy
+
+	met *coreMetricsSet // where runs flush their counts; nil for obs.Default()
 }
+
+// UseRegistry makes this Trained's runs (Simplify, SimplifyGreedy and
+// SimplifyGreedyCtx) flush their run, step and policy-fallback counts into
+// reg instead of obs.Default(), still once per run, as
+// Streamer.UseRegistry does for a stream. The HTTP server calls it on the
+// clones its handlers run, so the counts land in the registry its
+// /metrics endpoint serves.
+func (tr *Trained) UseRegistry(reg *obs.Registry) { tr.met = coreMetricsFor(reg) }
 
 // Train learns a policy for the given options over a repository of
 // training trajectories (the paper samples 1,000 trajectories and runs 10
@@ -173,18 +184,18 @@ func (tr *Trained) Simplify(t traj.Trajectory, w int, r *rand.Rand) ([]int, erro
 	if sample && r == nil {
 		r = rand.New(rand.NewSource(0))
 	}
-	return Simplify(tr.Policy, t, w, tr.Opts, sample, r)
+	return simplifyInto(context.Background(), tr.met, tr.Policy, t, w, tr.Opts, sample, r)
 }
 
 // SimplifyGreedy applies the trained policy deterministically (argmax),
 // regardless of variant.
 func (tr *Trained) SimplifyGreedy(t traj.Trajectory, w int) ([]int, error) {
-	return Simplify(tr.Policy, t, w, tr.Opts, false, nil)
+	return simplifyInto(context.Background(), tr.met, tr.Policy, t, w, tr.Opts, false, nil)
 }
 
 // SimplifyGreedyCtx is SimplifyGreedy honoring a context for cancellation.
 func (tr *Trained) SimplifyGreedyCtx(ctx context.Context, t traj.Trajectory, w int) ([]int, error) {
-	return SimplifyCtx(ctx, tr.Policy, t, w, tr.Opts, false, nil)
+	return simplifyInto(ctx, tr.met, tr.Policy, t, w, tr.Opts, false, nil)
 }
 
 // savedTrained is the JSON wire format of a Trained policy.

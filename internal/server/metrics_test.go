@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"rlts"
+	"rlts/internal/core"
 	"rlts/internal/gen"
 	"rlts/internal/obs"
+	"rlts/pretrained"
 )
 
 // TestMetricsScrape is the acceptance check for the scrape endpoint: run
@@ -271,4 +274,48 @@ func TestMetricsBypassesShedding(t *testing.T) {
 		t.Errorf("/metrics shed while saturated: status %d", resp.StatusCode)
 	}
 	_ = ts
+}
+
+// TestSimplifyCountersInServerRegistry: the run, step and fallback counts
+// of the policy runs behind /v1/simplify and /v1/simplify/batch land in
+// the server's own registry, the one its /metrics serves, not in
+// obs.Default(): one run per single request and one per batch item.
+func TestSimplifyCountersInServerRegistry(t *testing.T) {
+	pp, err := pretrained.Load(rlts.SED, rlts.Plus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := NewWith([]*core.Trained{pp.Internal()}, Config{Metrics: obs.NewRegistry()})
+	t.Cleanup(sv.Close)
+	ts := httptest.NewServer(sv.Handler())
+	t.Cleanup(ts.Close)
+
+	g := gen.New(gen.Truck(), 5)
+	one := g.Trajectory(300)
+	resp, raw := post(t, ts.URL+"/v1/simplify",
+		map[string]interface{}{"algorithm": "rlts+", "measure": "SED", "w": 30, "points": points(one)})
+	if resp.StatusCode != 200 {
+		t.Fatalf("simplify: status %d: %s", resp.StatusCode, raw)
+	}
+	items := []map[string]interface{}{{"points": points(g.Trajectory(200))}, {"points": points(g.Trajectory(250))}}
+	resp, raw = post(t, ts.URL+"/v1/simplify/batch",
+		map[string]interface{}{"algorithm": "rlts+", "measure": "SED", "w": 20, "items": items})
+	if resp.StatusCode != 200 {
+		t.Fatalf("batch: status %d: %s", resp.StatusCode, raw)
+	}
+
+	_, body := getRaw(t, ts.URL+"/metrics")
+	samples, err := obs.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("scrape does not parse: %v\n%s", err, body)
+	}
+	if v, ok := obs.Find(samples, "rlts_simplify_runs_total", nil); !ok || v != 3 {
+		t.Errorf("rlts_simplify_runs_total = %g, %v; want 3", v, ok)
+	}
+	if v, ok := obs.Find(samples, "rlts_simplify_steps_total", nil); !ok || v <= 0 {
+		t.Errorf("rlts_simplify_steps_total = %g, %v; want > 0", v, ok)
+	}
+	if _, ok := obs.Find(samples, "rlts_policy_fallbacks_total", nil); !ok {
+		t.Error("no rlts_policy_fallbacks_total series")
+	}
 }

@@ -122,7 +122,7 @@ func NewWith(policies []*core.Trained, cfg Config) *Server {
 	for _, p := range policies {
 		s.policies[policyKey(p.Opts.Name(), p.Opts.Measure)] = p
 	}
-	s.simp = newPolicyPools()
+	s.simp = newPolicyPools(s.cfg.Metrics)
 	s.boundUnmet = s.cfg.Metrics.Counter("rlts_bound_unmet_total",
 		"Error-bounded responses whose oracle-re-scored error exceeded the requested bound")
 	s.repairMet = newRepairMetrics(s.cfg.Metrics)
