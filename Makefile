@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test check check-golden check-diff check-batch check-fast check-stream check-fleet check-bound check-dirty check-reach check-perfbench bench-rollout bench-obs bench-batch bench-fast bench-load
+.PHONY: test check check-golden check-diff check-batch check-fast check-stream check-fleet check-bound check-dirty check-reach check-perfbench bench-rollout bench-obs bench-batch bench-fast bench-load bench-simplify
 
 test:
 	$(GO) test ./...
@@ -129,6 +129,12 @@ bench-batch:
 # vector forward against the exact one.
 bench-fast:
 	$(GO) test ./internal/nn -run '^$$' -bench 'FastTanh|MathTanh|ForwardSingle' -benchmem
+
+# The served simplify in process, shaped like perfbench single_long: the
+# embedded RLTS+/SED policy, greedy, at W = n/10 over 16 seeded Truck
+# trajectories of 5,000-20,000 points, in ns and allocations per point.
+bench-simplify:
+	$(GO) test . -run '^$$' -bench BenchmarkServedRLTSPlus -benchtime 3s
 
 # Sustained-load serving benchmark, 10s; LOAD_DURATION overrides.
 bench-load:

@@ -176,6 +176,11 @@ echo "crash-restart: OK"
 echo "== obs bench smoke (1 iteration each) =="
 go test ./internal/obs -run '^$' -bench . -benchtime 1x
 
+# One iteration of the served-simplify benchmark (make bench-simplify):
+# the embedded RLTS+/SED policy over single_long-shaped Truck inputs.
+echo "== simplify bench smoke (1 iteration) =="
+go test . -run '^$' -bench BenchmarkServedRLTSPlus -benchtime 1x
+
 # Live scrape check: boot the real server, curl /metrics, and make sure
 # the exposition output mentions our metric namespace. Guards the whole
 # wiring chain (registry -> handler -> route), not just the encoder.
