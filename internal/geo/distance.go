@@ -111,9 +111,9 @@ const (
 // No skipped point can be the maximum. Each product and the sum round
 // once, and an underflowed product is off by at most 2^-1074 absolutely.
 // Every square a point is compared with is a candidate's, in
-// [2^-900, MaxFloat64], where that is below 2^-170 of it, so a
-// candidate's s is within 3ε of its S relatively, and a skipped point's
-// S is below its s/(1 − ε)² plus a negligible term. math.Hypot(ex, ey) =
+// [2^-900, MaxFloat64], and 2^-1074 is below 2^-170 of any such square,
+// so a candidate's s is within 3ε of its S relatively, and a skipped
+// point's S is below its s/(1 − ε)² plus a negligible term. math.Hypot(ex, ey) =
 // p·sqrt(1 + (q/p)²) with p ≥ q, five roundings, is within 4ε of √S (a
 // subnormal result adds at most 2^-1074, again negligible). A point
 // skipped against a running maximum, which is at most the final
