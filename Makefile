@@ -26,8 +26,9 @@ check-diff:
 # Simplify's own decision loop, is bitwise identical to per-item Simplify
 # at every batch size and in both inference modes over the adversarial
 # generator set, plus the engine tests in internal/core and the batch
-# route's sharding invariance in internal/server, race-enabled.
-# CHECK_SCALE deepens the differential.
+# route tests in internal/server (a batch of three shards answers each
+# item exactly as /v1/simplify does), race-enabled. CHECK_SCALE deepens
+# the differential.
 check-batch:
 	CHECK_SCALE=$${CHECK_SCALE:-4} $(GO) test -race -count=1 -run 'TestBatchEngineDifferential' ./internal/check
 	$(GO) test -race -count=1 -run 'TestBatchEngine' ./internal/core
@@ -51,12 +52,15 @@ check-fast:
 
 # Durable session-store pillar: the spill/rehydrate bit-identity
 # differential, the state codec totality tests, and the server-level
-# durability suite (restart, quarantine, injected disk failure, Close vs
-# live traffic), race-enabled. CHECK_SCALE deepens the differential.
+# durability suite (restart, quarantine, injected disk failure), plus
+# Close vs live traffic ten times over, since one run catches an
+# interleaving bug only some of the time; race-enabled. CHECK_SCALE
+# deepens the differential.
 check-stream:
 	CHECK_SCALE=$${CHECK_SCALE:-4} $(GO) test -race -count=1 -run 'TestSpillRehydrateDifferential' ./internal/check
 	$(GO) test -race -count=1 -run 'TestStreamer(Resume|State)|TestDecodeStreamerState|TestResumeStreamer|TestExportRestore|TestRestore' ./internal/core ./internal/buffer
-	$(GO) test -race -count=1 -run 'TestStream|TestServerCloseRacesStreamTraffic' ./internal/server
+	$(GO) test -race -count=1 -run 'TestStream' ./internal/server
+	$(GO) test -race -count=10 -run '^TestServerCloseRacesStreamTraffic$$' ./internal/server
 
 # Fleet budget pillar: the allocator differential (exact-sum, per-member
 # floor, determinism under member ordering), the rebalance invariant (a
@@ -120,8 +124,7 @@ bench-obs:
 
 # Regenerate the inference throughput baseline behind batch serving
 # (BENCH_batch.json): exact vs bounded forward, certified Simplify with
-# its fallback share, per-core scaling of sharded Simplify workers and a
-# short sustained-load run.
+# its fallback share and a short sustained-load run.
 bench-batch:
 	sh scripts/bench_batch.sh
 

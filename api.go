@@ -3,8 +3,7 @@ package rlts
 import (
 	"fmt"
 
-	baseBatch "rlts/internal/baseline/batch"
-	baseOnline "rlts/internal/baseline/online"
+	"rlts/internal/baseline"
 	"rlts/internal/core"
 	"rlts/internal/errm"
 	"rlts/internal/geo"
@@ -82,62 +81,37 @@ func (f funcSimplifier) Simplify(t Trajectory, w int) (Trajectory, error) {
 	return t.Pick(kept), nil
 }
 
-// STTrace returns the STTrace online baseline under measure m.
-func STTrace(m Measure) Simplifier {
-	return funcSimplifier{"STTrace", func(t Trajectory, w int) ([]int, error) {
-		return baseOnline.STTrace(t, w, m)
-	}}
+// catalogued adapts the baseline catalogued under name to the
+// Simplifier interface under measure m.
+func catalogued(name string, m Measure) Simplifier {
+	b := baseline.Lookup(name)
+	return funcSimplifier{b.Name, func(t Trajectory, w int) ([]int, error) { return b.Run(t, w, m) }}
 }
+
+// STTrace returns the STTrace online baseline under measure m.
+func STTrace(m Measure) Simplifier { return catalogued("sttrace", m) }
 
 // SQUISH returns the SQUISH online baseline under measure m.
-func SQUISH(m Measure) Simplifier {
-	return funcSimplifier{"SQUISH", func(t Trajectory, w int) ([]int, error) {
-		return baseOnline.SQUISH(t, w, m)
-	}}
-}
+func SQUISH(m Measure) Simplifier { return catalogued("squish", m) }
 
 // SQUISHE returns the SQUISH-E online baseline under measure m.
-func SQUISHE(m Measure) Simplifier {
-	return funcSimplifier{"SQUISH-E", func(t Trajectory, w int) ([]int, error) {
-		return baseOnline.SQUISHE(t, w, m)
-	}}
-}
+func SQUISHE(m Measure) Simplifier { return catalogued("squish-e", m) }
 
 // TopDown returns the budgeted Douglas-Peucker batch baseline.
-func TopDown(m Measure) Simplifier {
-	return funcSimplifier{"Top-Down", func(t Trajectory, w int) ([]int, error) {
-		return baseBatch.TopDown(t, w, m)
-	}}
-}
+func TopDown(m Measure) Simplifier { return catalogued("top-down", m) }
 
 // BottomUp returns the Bottom-Up batch baseline.
-func BottomUp(m Measure) Simplifier {
-	return funcSimplifier{"Bottom-Up", func(t Trajectory, w int) ([]int, error) {
-		return baseBatch.BottomUp(t, w, m)
-	}}
-}
+func BottomUp(m Measure) Simplifier { return catalogued("bottom-up", m) }
 
 // Bellman returns the exact dynamic-programming algorithm. It is cubic:
 // use it only on short trajectories.
-func Bellman(m Measure) Simplifier {
-	return funcSimplifier{"Bellman", func(t Trajectory, w int) ([]int, error) {
-		return baseBatch.Bellman(t, w, m)
-	}}
-}
+func Bellman(m Measure) Simplifier { return catalogued("bellman", m) }
 
 // SpanSearch returns the DAD-specific Span-Search batch baseline.
-func SpanSearch() Simplifier {
-	return funcSimplifier{"Span-Search", func(t Trajectory, w int) ([]int, error) {
-		return baseBatch.SpanSearch(t, w)
-	}}
-}
+func SpanSearch() Simplifier { return catalogued("span-search", DAD) }
 
 // Uniform returns the uniform-sampling sanity baseline.
-func Uniform() Simplifier {
-	return funcSimplifier{"Uniform", func(t Trajectory, w int) ([]int, error) {
-		return baseOnline.Uniform(t, w)
-	}}
-}
+func Uniform() Simplifier { return catalogued("uniform", SED) }
 
 // Error returns eps(simplified) w.r.t. the original trajectory under
 // measure m: the maximum anchor-segment error (the paper's Min-Error

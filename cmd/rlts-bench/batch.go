@@ -4,10 +4,9 @@ package main
 // the exact policy forward against the fused bounded one
 // (nn.Network.ForwardBounded), sequential core.Simplify (the decision
 // loop every route runs, on certified decisions) with the share of
-// decisions that fell back to the exact forward, its per-core scaling
-// when items are sharded over workers as the batch route shards them,
-// and a short sustained-load run, and writes the numbers as the
-// BENCH_batch.json baseline.
+// decisions that fell back to the exact forward, and a short
+// sustained-load run, and writes the numbers as the BENCH_batch.json
+// baseline.
 
 import (
 	"bufio"
@@ -17,33 +16,22 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"rlts/internal/core"
 	"rlts/internal/errm"
 	"rlts/internal/gen"
 	"rlts/internal/rl"
+	"rlts/internal/traj"
 )
-
-// coreScalePoint is one row of the per-core scaling table: procs
-// goroutines each simplifying the item set on its own policy clone,
-// aggregate wall-clock throughput across all of them.
-type coreScalePoint struct {
-	Procs      int     `json:"procs"`
-	NsPerPoint float64 `json:"aggregate_ns_per_point"`
-	Speedup    float64 `json:"speedup_vs_1"`
-	Efficiency float64 `json:"parallel_efficiency"`
-}
 
 type batchBaseline struct {
 	Description string `json:"description"`
 	Machine     struct {
-		CPU            string           `json:"cpu"`
-		NumCPU         int              `json:"num_cpu"`
-		GoMaxProcs     int              `json:"gomaxprocs"`
-		Note           string           `json:"note"`
-		PerCoreScaling []coreScalePoint `json:"per_core_scaling"`
+		CPU        string `json:"cpu"`
+		NumCPU     int    `json:"num_cpu"`
+		GoMaxProcs int    `json:"gomaxprocs"`
+		Note       string `json:"note"`
 	} `json:"machine"`
 	Forward struct {
 		Spec              string  `json:"spec"`
@@ -89,16 +77,16 @@ func runBatchSweep(out string, seed int64) error {
 	var b batchBaseline
 	b.Description = "Baseline for policy inference behind batch serving: the exact vs " +
 		"the fused bounded vector forward, sequential core.Simplify on certified " +
-		"decisions with its exact-fallback share, its per-core scaling over sharded " +
-		"workers, and a short sustained-load run. Regenerate with scripts/bench_batch.sh."
+		"decisions with its exact-fallback share, and a short sustained-load run. " +
+		"Regenerate with scripts/bench_batch.sh."
 	b.Machine.CPU = cpuModel()
 	b.Machine.NumCPU = runtime.NumCPU()
 	b.Machine.GoMaxProcs = runtime.GOMAXPROCS(0)
 	b.Machine.Note = "Forward and simplify rows are single-thread. Batch serving runs " +
 		"each trajectory through the same sequential decision loop as core.Simplify and " +
 		"gets its throughput from sharding items over workers, each on its own policy " +
-		"clone; per_core_scaling measures that. The bounded forward replaces math.Tanh " +
-		"with FastTanh and runs one matmul over weights with the batch-norm affine " +
+		"clone; sustained_load measures that end to end. The bounded forward replaces " +
+		"math.Tanh with FastTanh and runs one matmul over weights with the batch-norm affine " +
 		"folded in once per policy clone, and bounds each logit's distance from the " +
 		"exact one; Act takes its decision when the bounds prove it and re-runs the " +
 		"exact forward otherwise (DESIGN.md §13)."
@@ -133,14 +121,15 @@ func runBatchSweep(out string, seed int64) error {
 	)
 	data := gen.New(gen.Geolife(), seed).Dataset(nTraj, nLen)
 	b.Simplify.Dataset = fmt.Sprintf("geolife %dx%d points, w=0.1, greedy inference", nTraj, nLen)
-	items := make([]core.BatchItem, len(data))
+	type item struct {
+		t traj.Trajectory
+		w int
+	}
+	items := make([]item, len(data))
 	points := 0
 	for i, t := range data {
-		w := len(t) / 10
-		if w < 2 {
-			w = 2
-		}
-		items[i] = core.BatchItem{T: t, W: w}
+		w := max(len(t)/10, 2)
+		items[i] = item{t, w}
 		points += len(t)
 		b.Simplify.Decisions += len(t) - w // RLTS+ decides once per point past the first W
 	}
@@ -149,18 +138,12 @@ func runBatchSweep(out string, seed int64) error {
 	b.Simplify.NsPerPoint = round2(measure(points, func() {
 		runs++
 		for _, it := range items {
-			if _, err := core.Simplify(p, it.T, it.W, opts, false, nil); err != nil {
+			if _, err := core.Simplify(p, it.t, it.w, opts, false, nil); err != nil {
 				panic(err)
 			}
 		}
 	}))
 	b.Simplify.FallbackShare = float64(p.TakeFallbacks()) / float64(runs*b.Simplify.Decisions)
-
-	// Per-core scaling: honest provenance for the multi-core numbers — on
-	// a single-core machine this table has exactly one row and says so.
-	if b.Machine.PerCoreScaling, err = perCoreScaling(p, opts, items, points); err != nil {
-		return err
-	}
 
 	// A short sustained-load run, so the serving numbers live next to the
 	// numbers they are built from. The standalone `rlts-bench -load` runs
@@ -189,9 +172,8 @@ func runBatchSweep(out string, seed int64) error {
 }
 
 // warnSingleProc shouts when the process is pinned to one scheduler
-// thread: every multi-core number the sweep publishes would silently be a
-// single-core number, which is exactly the provenance bug the per-core
-// scaling table exists to prevent.
+// thread: the sustained-load number, which shards items over workers,
+// would silently be a single-core number.
 func warnSingleProc() {
 	if runtime.GOMAXPROCS(0) > 1 {
 		return
@@ -199,76 +181,9 @@ func warnSingleProc() {
 	fmt.Fprintln(os.Stderr, strings.Repeat("#", 72))
 	fmt.Fprintf(os.Stderr, "# WARNING: GOMAXPROCS=1 (num_cpu=%d).\n", runtime.NumCPU())
 	fmt.Fprintln(os.Stderr, "# Every throughput number below is SINGLE-CORE. Do not publish these")
-	fmt.Fprintln(os.Stderr, "# as multi-core results. The machine block records the actual")
-	fmt.Fprintln(os.Stderr, "# per-core scaling table measured under this setting.")
+	fmt.Fprintln(os.Stderr, "# as multi-core results. The machine block records num_cpu and")
+	fmt.Fprintln(os.Stderr, "# gomaxprocs as measured under this setting.")
 	fmt.Fprintln(os.Stderr, strings.Repeat("#", 72))
-}
-
-// coreScaleProcs picks the worker counts of the scaling table: powers of
-// two up to NumCPU, always including 1 and NumCPU.
-func coreScaleProcs() []int {
-	n := runtime.NumCPU()
-	procs := []int{1}
-	for p := 2; p < n; p *= 2 {
-		procs = append(procs, p)
-	}
-	if n > 1 {
-		procs = append(procs, n)
-	}
-	return procs
-}
-
-// perCoreScaling measures aggregate sequential Simplify throughput at
-// growing worker counts, each worker on its own policy clone and walking
-// the whole item set — the batch route's sharding. The table captures
-// memory-bandwidth and scheduler effects, not lock contention.
-func perCoreScaling(p *rl.Policy, opts core.Options, items []core.BatchItem, points int) ([]coreScalePoint, error) {
-	const window = 300 * time.Millisecond
-	var rows []coreScalePoint
-	var base float64
-	for _, procs := range coreScaleProcs() {
-		engines := make([]*core.BatchEngine, procs)
-		for i := range engines {
-			var err error
-			if engines[i], err = core.NewBatchEngine(p.Clone(), opts, false); err != nil {
-				return nil, err
-			}
-		}
-		counts := make([]int64, procs)
-		start := time.Now()
-		deadline := start.Add(window)
-		var wg sync.WaitGroup
-		for w := 0; w < procs; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var n int64
-				for time.Now().Before(deadline) {
-					engines[w].Run(items)
-					n += int64(points)
-				}
-				counts[w] = n
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		var total int64
-		for _, c := range counts {
-			total += c
-		}
-		ns := float64(elapsed.Nanoseconds()) / float64(total)
-		if base == 0 {
-			base = ns
-		}
-		speedup := base / ns
-		rows = append(rows, coreScalePoint{
-			Procs:      procs,
-			NsPerPoint: round2(ns),
-			Speedup:    round2(speedup),
-			Efficiency: round2(speedup / float64(procs)),
-		})
-	}
-	return rows, nil
 }
 
 func round2(v float64) float64 {

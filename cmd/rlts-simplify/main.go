@@ -19,8 +19,7 @@ import (
 	"os"
 	"time"
 
-	baseBatch "rlts/internal/baseline/batch"
-	baseOnline "rlts/internal/baseline/online"
+	"rlts/internal/baseline"
 	"rlts/internal/core"
 	"rlts/internal/errm"
 	"rlts/internal/obs"
@@ -140,30 +139,14 @@ func resolveAlgorithm(policyPath, algo string, m errm.Measure, seed int64) (runF
 		return func(t traj.Trajectory, w int) ([]int, error) {
 			return trained.Simplify(t, w, r)
 		}, trained.Opts.Name(), &pm, nil
-	default:
-		switch algo {
-		case "sttrace":
-			return func(t traj.Trajectory, w int) ([]int, error) { return baseOnline.STTrace(t, w, m) }, "STTrace", nil, nil
-		case "squish":
-			return func(t traj.Trajectory, w int) ([]int, error) { return baseOnline.SQUISH(t, w, m) }, "SQUISH", nil, nil
-		case "squishe", "squish-e":
-			return func(t traj.Trajectory, w int) ([]int, error) { return baseOnline.SQUISHE(t, w, m) }, "SQUISH-E", nil, nil
-		case "topdown", "top-down":
-			return func(t traj.Trajectory, w int) ([]int, error) { return baseBatch.TopDown(t, w, m) }, "Top-Down", nil, nil
-		case "bottomup", "bottom-up":
-			return func(t traj.Trajectory, w int) ([]int, error) { return baseBatch.BottomUp(t, w, m) }, "Bottom-Up", nil, nil
-		case "bellman":
-			return func(t traj.Trajectory, w int) ([]int, error) { return baseBatch.Bellman(t, w, m) }, "Bellman", nil, nil
-		case "spansearch", "span-search":
-			return func(t traj.Trajectory, w int) ([]int, error) { return baseBatch.SpanSearch(t, w) }, "Span-Search", nil, nil
-		case "uniform":
-			return func(t traj.Trajectory, w int) ([]int, error) { return baseOnline.Uniform(t, w) }, "Uniform", nil, nil
-		case "":
-			return nil, "", nil, fmt.Errorf("provide -policy FILE or -algo NAME")
-		default:
-			return nil, "", nil, fmt.Errorf("unknown algorithm %q", algo)
-		}
+	case algo == "":
+		return nil, "", nil, fmt.Errorf("provide -policy FILE or -algo NAME")
 	}
+	b := baseline.Lookup(algo)
+	if b == nil {
+		return nil, "", nil, fmt.Errorf("unknown algorithm %q", algo)
+	}
+	return func(t traj.Trajectory, w int) ([]int, error) { return b.Run(t, w, m) }, b.Name, nil, nil
 }
 
 func fail(err error) {

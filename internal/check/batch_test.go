@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestBatchEngineDifferential(t *testing.T) {
 								items[i].R = rand.New(rand.NewSource(seeds[i]))
 							}
 						}
-						got := eng.Run(items)
+						got := eng.RunCtx(context.Background(), items)
 						for i, res := range got {
 							if res.Err != nil {
 								t.Fatalf("%s %s %s b=%d item %d: %v", g.name, m, v, b, i, res.Err)

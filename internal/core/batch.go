@@ -59,15 +59,11 @@ func NewBatchEngine(p *rl.Policy, opts Options, sample bool) (*BatchEngine, erro
 	return &BatchEngine{p: p, opts: opts, sample: sample}, nil
 }
 
-// Run simplifies every item and returns one result per item, in order.
-func (e *BatchEngine) Run(items []BatchItem) []BatchResult {
-	return e.RunCtx(context.Background(), items)
-}
-
-// RunCtx is Run honoring a context: when ctx is canceled or its deadline
-// passes, the item in flight stops within SimplifyCtx's check cadence
-// and every still-unfinished item's result carries the wrapped
-// ctx.Err() (already-finished items keep their kept indices).
+// RunCtx simplifies every item and returns one result per item, in
+// order. When ctx is canceled or its deadline passes, the item in flight
+// stops within SimplifyCtx's check cadence and every still-unfinished
+// item's result carries the wrapped ctx.Err() (already-finished items
+// keep their kept indices).
 func (e *BatchEngine) RunCtx(ctx context.Context, items []BatchItem) []BatchResult {
 	res := make([]BatchResult, len(items))
 	for i := range items {

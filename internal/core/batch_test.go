@@ -64,7 +64,7 @@ func TestBatchEngineMatchesSequential(t *testing.T) {
 						items[i].R = rand.New(rand.NewSource(int64(9000 + i)))
 					}
 				}
-				got := eng.Run(items)
+				got := eng.RunCtx(context.Background(), items)
 				if len(got) != b {
 					t.Fatalf("%s sample=%v b=%d: %d results", opts.Name(), sample, b, len(got))
 				}
@@ -107,7 +107,7 @@ func TestBatchEnginePerItemErrors(t *testing.T) {
 		{T: good, W: 8}, // sampling without RNG
 		{T: good, W: 8, R: rand.New(rand.NewSource(4))},
 	}
-	res := eng.Run(items)
+	res := eng.RunCtx(context.Background(), items)
 	if res[0].Err != nil || res[4].Err != nil {
 		t.Fatalf("good items failed: %v, %v", res[0].Err, res[4].Err)
 	}

@@ -19,25 +19,24 @@ import (
 type TrainOptions struct {
 	RL rl.TrainConfig
 	// WRatio sets the per-trajectory storage budget used during training:
-	// W = max(MinW, WRatio * len(t)). The paper evaluates at W between
-	// 0.1 and 0.5 of the trajectory length; training at 0.1 generalizes
-	// across that range because the state is W-independent. Default 0.1.
+	// W = max(minTrainW, WRatio * len(t)). The paper evaluates at W
+	// between 0.1 and 0.5 of the trajectory length; training at 0.1
+	// generalizes across that range because the state is W-independent.
+	// Default 0.1.
 	WRatio float64
-	// MinW floors the training budget. Default 4 (so states are non-trivial).
-	MinW int
 }
+
+// minTrainW floors the training budget, so states are non-trivial.
+const minTrainW = 4
 
 // DefaultTrainOptions returns the paper's training setup.
 func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{RL: rl.DefaultTrainConfig(), WRatio: 0.1, MinW: 4}
+	return TrainOptions{RL: rl.DefaultTrainConfig(), WRatio: 0.1}
 }
 
 func (t *TrainOptions) fillDefaults() {
 	if t.WRatio <= 0 || t.WRatio >= 1 {
 		t.WRatio = 0.1
-	}
-	if t.MinW < 2 {
-		t.MinW = 4
 	}
 }
 
@@ -169,11 +168,7 @@ func initSkipBias(p *rl.Policy, opts Options) {
 }
 
 func trainBudget(n int, to TrainOptions) int {
-	w := int(to.WRatio * float64(n))
-	if w < to.MinW {
-		w = to.MinW
-	}
-	return w
+	return max(int(to.WRatio*float64(n)), minTrainW)
 }
 
 // Simplify applies the trained policy to t with budget w in the paper's

@@ -1,42 +1,36 @@
 package eval
 
 import (
-	baseBatch "rlts/internal/baseline/batch"
-	baseOnline "rlts/internal/baseline/online"
+	"rlts/internal/baseline"
 	"rlts/internal/errm"
 	"rlts/internal/traj"
 )
 
+// baselines returns the catalogue's baselines of the given names as
+// Algorithms under measure m.
+func baselines(m errm.Measure, names ...string) []Algorithm {
+	algos := make([]Algorithm, len(names))
+	for i, name := range names {
+		b := baseline.Lookup(name)
+		algos[i] = Algorithm{Name: b.Name, Run: func(t traj.Trajectory, w int) ([]int, error) { return b.Run(t, w, m) }}
+	}
+	return algos
+}
+
 // OnlineBaselines returns the paper's online-mode competitors under
 // measure m.
 func OnlineBaselines(m errm.Measure) []Algorithm {
-	return []Algorithm{
-		{Name: "STTrace", Run: func(t traj.Trajectory, w int) ([]int, error) { return baseOnline.STTrace(t, w, m) }},
-		{Name: "SQUISH", Run: func(t traj.Trajectory, w int) ([]int, error) { return baseOnline.SQUISH(t, w, m) }},
-		{Name: "SQUISH-E", Run: func(t traj.Trajectory, w int) ([]int, error) { return baseOnline.SQUISHE(t, w, m) }},
-	}
+	return baselines(m, "sttrace", "squish", "squish-e")
 }
 
 // BatchBaselines returns the approximate batch-mode competitors under
 // measure m (Span-Search joins only for DAD, as in the paper).
 func BatchBaselines(m errm.Measure) []Algorithm {
-	algos := []Algorithm{
-		{Name: "Top-Down", Run: func(t traj.Trajectory, w int) ([]int, error) { return baseBatch.TopDown(t, w, m) }},
-		{Name: "Bottom-Up", Run: func(t traj.Trajectory, w int) ([]int, error) { return baseBatch.BottomUp(t, w, m) }},
-	}
 	if m == errm.DAD {
-		algos = append(algos, Algorithm{
-			Name: "Span-Search",
-			Run:  func(t traj.Trajectory, w int) ([]int, error) { return baseBatch.SpanSearch(t, w) },
-		})
+		return baselines(m, "top-down", "bottom-up", "span-search")
 	}
-	return algos
+	return baselines(m, "top-down", "bottom-up")
 }
 
 // BellmanAlgorithm returns the exact DP as an Algorithm.
-func BellmanAlgorithm(m errm.Measure) Algorithm {
-	return Algorithm{
-		Name: "Bellman",
-		Run:  func(t traj.Trajectory, w int) ([]int, error) { return baseBatch.Bellman(t, w, m) },
-	}
-}
+func BellmanAlgorithm(m errm.Measure) Algorithm { return baselines(m, "bellman")[0] }

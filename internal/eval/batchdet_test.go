@@ -61,11 +61,11 @@ func TestRLTSConcurrentExtremeCoordsDeterministic(t *testing.T) {
 		extremeTraj(4, 60, -1, -1),
 	}
 	a := RLTSAlgorithmConcurrent(tr, 7)
-	serial, err := RunSet(a, data, 0.2, errm.SED)
+	serial, err := RunSet(a, data, 0.2, errm.SED, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSetParallel(a, data, 0.2, errm.SED, 4)
+	parallel, err := RunSet(a, data, 0.2, errm.SED, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestRunSetRejectsMalformedKept(t *testing.T) {
 		bad := Algorithm{Name: "bad-" + mc.name, Run: func(tr traj.Trajectory, w int) ([]int, error) {
 			return mc.kept(len(tr)), nil
 		}}
-		if _, err := RunSet(bad, data, 0.1, errm.SED); err == nil || !strings.Contains(err.Error(), "errm:") {
-			t.Errorf("RunSet %s: err = %v, want errm validation error", mc.name, err)
+		if _, err := RunSet(bad, data, 0.1, errm.SED, 1); err == nil || !strings.Contains(err.Error(), "errm:") {
+			t.Errorf("RunSet at 1 worker %s: err = %v, want errm validation error", mc.name, err)
 		}
-		if _, err := RunSetParallel(bad, data, 0.1, errm.SED, 2); err == nil || !strings.Contains(err.Error(), "errm:") {
-			t.Errorf("RunSetParallel %s: err = %v, want errm validation error", mc.name, err)
+		if _, err := RunSet(bad, data, 0.1, errm.SED, 2); err == nil || !strings.Contains(err.Error(), "errm:") {
+			t.Errorf("RunSet at 2 workers %s: err = %v, want errm validation error", mc.name, err)
 		}
 	}
 }

@@ -11,7 +11,9 @@ package eval
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"rlts/internal/core"
@@ -202,14 +204,6 @@ type Algorithm struct {
 	Run  func(t traj.Trajectory, w int) ([]int, error)
 }
 
-// runSet evaluates an algorithm over a dataset honouring the context's
-// worker budget; the experiments call this instead of RunSet directly so a
-// single -workers flag steers the whole harness. a.Run must be safe for
-// concurrent use when the budget exceeds one worker (see rlts).
-func (c *Context) runSet(a Algorithm, data []traj.Trajectory, wRatio float64, m errm.Measure) (MeasureResult, error) {
-	return RunSetParallel(a, data, wRatio, m, c.Workers)
-}
-
 // rlts wraps a trained policy as an Algorithm for the harness. It always
 // uses the concurrency-safe wrapper — its sampling RNG derives from each
 // trajectory's identity rather than a shared stream, so the reported
@@ -235,24 +229,75 @@ func (r MeasureResult) PerPoint() time.Duration {
 }
 
 // RunSet evaluates an algorithm over a dataset at budget ratio wRatio and
-// returns the mean error under measure m plus total wall-clock time.
-func RunSet(a Algorithm, data []traj.Trajectory, wRatio float64, m errm.Measure) (MeasureResult, error) {
-	res := MeasureResult{Algorithm: a.Name}
-	for _, t := range data {
-		w := budget(len(t), wRatio)
+// returns the mean error under measure m plus the summed per-trajectory
+// wall-clock time. The trajectories are spread over workers goroutines
+// (0 = GOMAXPROCS); the experiments pass Context.Workers, so one
+// -workers flag steers the whole harness. At one worker RunSet runs on
+// the calling goroutine and stops at the first failure; that is what a
+// closure sharing one policy or one RNG, and a timing loop, need. With
+// more, a.Run must be safe for concurrent use: the baselines are, and a
+// trained policy is through RLTSAlgorithmConcurrent. The result is the
+// same at every worker count.
+func RunSet(a Algorithm, data []traj.Trajectory, wRatio float64, m errm.Measure, workers int) (MeasureResult, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	type cell struct {
+		err      error
+		measured float64
+		dur      time.Duration
+	}
+	cells := make([]cell, len(data))
+	run := func(i int) error {
+		t := data[i]
 		start := time.Now()
-		kept, err := a.Run(t, w)
-		res.Total += time.Since(start)
+		kept, err := a.Run(t, budget(len(t), wRatio))
+		cells[i].dur = time.Since(start)
 		if err == nil {
-			// Same guard as RunSetParallel: refuse malformed index sets
-			// before they skew the mean or panic inside errm.Error.
+			// A malformed index set would silently skew the mean error
+			// (or panic inside errm.Error); surface it as a typed
+			// per-trajectory failure instead.
 			err = errm.CheckKept(t, kept)
 		}
-		if err != nil {
-			return res, fmt.Errorf("eval: %s: %w", a.Name, err)
+		if err == nil {
+			cells[i].measured = errm.Error(m, t, kept)
 		}
-		res.MeanErr += errm.Error(m, t, kept)
-		res.Points += len(t)
+		cells[i].err = err
+		return err
+	}
+	if workers = min(workers, len(data)); workers <= 1 {
+		for i := range data {
+			if run(i) != nil {
+				break
+			}
+		}
+	} else {
+		var wg sync.WaitGroup
+		next := make(chan int)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					run(i)
+				}
+			}()
+		}
+		for i := range data {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
+	}
+
+	res := MeasureResult{Algorithm: a.Name}
+	for i, c := range cells {
+		if c.err != nil {
+			return res, fmt.Errorf("eval: %s: trajectory %d: %w", a.Name, i, c.err)
+		}
+		res.MeanErr += c.measured
+		res.Total += c.dur
+		res.Points += len(data[i])
 	}
 	if len(data) > 0 {
 		res.MeanErr /= float64(len(data))

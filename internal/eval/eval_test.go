@@ -54,7 +54,7 @@ func TestRunSetComputesMeanError(t *testing.T) {
 	c := quickCtx()
 	data := c.EvalData(gen.Geolife(), 4, 100)
 	algos := OnlineBaselines(errm.SED)
-	res, err := RunSet(algos[0], data, 0.2, errm.SED)
+	res, err := RunSet(algos[0], data, 0.2, errm.SED, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

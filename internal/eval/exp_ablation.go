@@ -43,7 +43,7 @@ func ExpInference(c *Context) (*Table, error) {
 			}
 			// Serial RunSet: the closure shares the cached policy (whose
 			// network scratch is not concurrency-safe) and one RNG.
-			res, err := RunSet(a, data, wRatio, m)
+			res, err := RunSet(a, data, wRatio, m, 1)
 			if err != nil {
 				return nil, err
 			}

@@ -69,7 +69,7 @@ func ExpDirty(c *Context) (*Table, error) {
 	for _, a := range algos {
 		row := []string{a.Name}
 		for _, set := range sets {
-			res, err := c.runSet(a, set, 0.1, m)
+			res, err := RunSet(a, set, 0.1, m, c.Workers)
 			if err != nil {
 				return nil, err
 			}

@@ -76,7 +76,7 @@ func ExpBellman(c *Context) (*Table, error) {
 			algos = append(algos, c.rlts(tr))
 		}
 		for _, a := range algos {
-			res, err := c.runSet(a, data, wRatio, m)
+			res, err := RunSet(a, data, wRatio, m, c.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -112,7 +112,7 @@ func Fig3(c *Context) (*Table, error) {
 	}
 	algos = append(algos, BatchBaselines(m)...)
 	for _, a := range algos {
-		res, err := c.runSet(a, data, wRatio, m)
+		res, err := RunSet(a, data, wRatio, m, c.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +157,7 @@ func Fig4(c *Context) (*Table, error) {
 			for _, a := range algos {
 				row := []string{g.mode, m.String(), a.Name}
 				for _, ratio := range ratios {
-					res, err := c.runSet(a, data, ratio, m)
+					res, err := RunSet(a, data, ratio, m, c.Workers)
 					if err != nil {
 						return nil, err
 					}
@@ -190,7 +190,7 @@ func ExpPolicy(c *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	learned, err := c.runSet(c.rlts(tr), data, wRatio, m)
+	learned, err := RunSet(c.rlts(tr), data, wRatio, m, c.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +199,7 @@ func ExpPolicy(c *Context) (*Table, error) {
 	// Uniform-random over the k candidate actions. Serial RunSet: the
 	// algorithm shares one RNG across Run calls.
 	r := rand.New(rand.NewSource(c.Seed + 7))
-	randomRes, err := RunSet(randomPolicyAlgorithm(opts, r), data, wRatio, m)
+	randomRes, err := RunSet(randomPolicyAlgorithm(opts, r), data, wRatio, m, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +215,7 @@ func ExpPolicy(c *Context) (*Table, error) {
 	}}
 	// Serial RunSet: the closure shares one policy (whose network scratch is
 	// not concurrency-safe) and one RNG across Run calls.
-	ur, err := RunSet(ua, data, wRatio, m)
+	ur, err := RunSet(ua, data, wRatio, m, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +226,7 @@ func ExpPolicy(c *Context) (*Table, error) {
 	dm := Algorithm{Name: "drop-min", Run: func(t traj.Trajectory, w int) ([]int, error) {
 		return core.SimplifyFixedAction(t, w, opts, 0)
 	}}
-	dr, err := c.runSet(dm, data, wRatio, m)
+	dr, err := RunSet(dm, data, wRatio, m, c.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +251,7 @@ func ExpK(c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.runSet(c.rlts(tr), data, 0.1, m)
+		res, err := RunSet(c.rlts(tr), data, 0.1, m, c.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +276,7 @@ func ExpJ(c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.runSet(c.rlts(tr), data, 0.1, m)
+		res, err := RunSet(c.rlts(tr), data, 0.1, m, c.Workers)
 		if err != nil {
 			return nil, err
 		}

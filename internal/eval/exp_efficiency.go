@@ -38,7 +38,7 @@ func Fig5(c *Context) (*Table, error) {
 				data := c.EvalData(gen.Truck(), efficiencyCount(c), n)
 				// Timing experiment: run serially so per-trajectory
 				// wall-clock is not inflated by goroutine time-slicing.
-				res, err := RunSet(a, data, c.Scale.EffFixedW, m)
+				res, err := RunSet(a, data, c.Scale.EffFixedW, m, 1)
 				if err != nil {
 					return err
 				}
@@ -89,7 +89,7 @@ func Fig6(c *Context) (*Table, error) {
 			row := []string{mode, a.Name, metric}
 			for _, ratio := range ratios {
 				// Timing experiment: serial for measurement fidelity.
-				res, err := RunSet(a, data, ratio, m)
+				res, err := RunSet(a, data, ratio, m, 1)
 				if err != nil {
 					return err
 				}

@@ -32,7 +32,7 @@ func ExpNoise(c *Context) (*Table, error) {
 		for _, rate := range rates {
 			profile := gen.Geolife().WithOutliers(rate, outlierScale)
 			data := c.EvalData(profile, c.Scale.EvalTrajectories/2+1, c.Scale.EvalLen)
-			res, err := c.runSet(a, data, 0.1, m)
+			res, err := RunSet(a, data, 0.1, m, c.Workers)
 			if err != nil {
 				return nil, err
 			}

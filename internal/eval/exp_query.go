@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 
-	baseOnline "rlts/internal/baseline/online"
 	"rlts/internal/core"
 	"rlts/internal/errm"
 	"rlts/internal/gen"
 	"rlts/internal/geo"
 	"rlts/internal/query"
-	"rlts/internal/traj"
 )
 
 // ExpQuery measures the downstream cost of simplification that motivates
@@ -42,9 +40,7 @@ func ExpQuery(c *Context) (*Table, error) {
 	}
 	algos = append(algos, c.rlts(tr))
 	algos = append(algos, BatchBaselines(m)...)
-	algos = append(algos, Algorithm{Name: "Uniform", Run: func(t traj.Trajectory, w int) ([]int, error) {
-		return baseOnline.Uniform(t, w)
-	}})
+	algos = append(algos, baselines(m, "uniform")...)
 
 	for _, a := range algos {
 		r := rand.New(rand.NewSource(c.Seed + 17))

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"rlts/internal/core"
@@ -15,15 +14,15 @@ func TestRunSetParallelMatchesSerial(t *testing.T) {
 	c := quickCtx()
 	data := c.EvalData(gen.Truck(), 8, 150)
 	a := BatchBaselines(errm.SED)[1] // Bottom-Up: deterministic
-	serial, err := RunSet(a, data, 0.15, errm.SED)
+	serial, err := RunSet(a, data, 0.15, errm.SED, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSetParallel(a, data, 0.15, errm.SED, 4)
+	parallel, err := RunSet(a, data, 0.15, errm.SED, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(serial.MeanErr-parallel.MeanErr) > 1e-12 {
+	if serial.MeanErr != parallel.MeanErr {
 		t.Errorf("mean error differs: serial %v, parallel %v", serial.MeanErr, parallel.MeanErr)
 	}
 	if serial.Points != parallel.Points {
@@ -39,11 +38,11 @@ func TestRunSetParallelRLTSDeterministic(t *testing.T) {
 	}
 	data := c.EvalData(gen.Geolife(), 8, 120)
 	a := RLTSAlgorithmConcurrent(tr, 5)
-	r1, err := RunSetParallel(a, data, 0.1, errm.SED, 4)
+	r1, err := RunSet(a, data, 0.1, errm.SED, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunSetParallel(a, data, 0.1, errm.SED, 2)
+	r2, err := RunSet(a, data, 0.1, errm.SED, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,9 @@ func TestRunSetParallelPropagatesErrors(t *testing.T) {
 	bad := Algorithm{Name: "bad", Run: func(t traj.Trajectory, w int) ([]int, error) {
 		return nil, errors.New("boom")
 	}}
-	if _, err := RunSetParallel(bad, data, 0.1, errm.SED, 4); err == nil {
-		t.Error("error not propagated")
+	for _, workers := range []int{1, 4} {
+		if _, err := RunSet(bad, data, 0.1, errm.SED, workers); err == nil {
+			t.Errorf("error not propagated at %d workers", workers)
+		}
 	}
 }

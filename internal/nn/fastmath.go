@@ -91,25 +91,16 @@ func FastTanh(x float64) float64 {
 	return v[0]
 }
 
-// fusedAct names the activation folded into a fused Dense kernel.
-type fusedAct int
-
-const (
-	actNone fusedAct = iota
-	actTanh
-	actReLU
-)
-
 // fastStage is one step of the fused forward: a Dense [+ BatchNorm]
-// [+ Tanh/ReLU] run fused into one matmul over folded weights plus an
+// [+ Tanh] run fused into one matmul over folded weights plus an
 // activation pass. NewMLP, the only constructor of networks, builds
 // every network from such runs.
 type fastStage struct {
-	in  int
-	w   []float64 // out x in, the batch-norm affine folded in (the live Dense weights when there is none)
-	b   []float64 // out, likewise
-	act fusedAct
-	y   []float64 // output scratch
+	in   int
+	w    []float64 // out x in, the batch-norm affine folded in (the live Dense weights when there is none)
+	b    []float64 // out, likewise
+	tanh bool      // a Tanh follows the Dense [+ BatchNorm]: every stage but the last
+	y    []float64 // output scratch
 
 	// Certificate constants (see ForwardBounded), per output and their
 	// maxima: the folded row L1 norm and kappa*(|s|(|b|+|mean|)+|beta|);
@@ -146,14 +137,12 @@ func (n *Network) fastPlan() []fastStage {
 			}
 		}
 		if j < len(n.Layers) {
-			switch n.Layers[j].(type) {
-			case *Tanh:
-				st.act = actTanh
-				j++
-			case *ReLU:
-				st.act = actReLU
-				j++
+			// A hidden stage: ForwardBounded's certificate takes its
+			// output to be a tanh's.
+			if _, st.tanh = n.Layers[j].(*Tanh); !st.tanh {
+				panic(fmt.Sprintf("nn: fused forward: layer %d is a %T, not a Tanh", j, n.Layers[j]))
 			}
+			j++
 		}
 		st.bounds(d, bn)
 		n.fast = append(n.fast, st)
@@ -194,8 +183,9 @@ func (st *fastStage) bounds(d *Dense, bn *BatchNorm) {
 // With u = 2^-53 and kappa = (2·in+16)·u, a stage's pre-activation o in
 // folded order is within kappa·(|s|(|b|+|mean|+‖W_o‖₁‖x‖∞)+|beta|) of
 // the exact order's (s = gamma/sqrt(Var+Eps)), and an input off by e
-// per element adds ‖W'_o‖₁·e(1+kappa). A tanh adds fastTanhBound and
-// caps the error at 2; ReLU passes it through. Hidden stages carry the
+// per element adds ‖W'_o‖₁·e(1+kappa). Every hidden stage ends in a
+// tanh (NewMLP builds no other), which adds fastTanhBound, caps the
+// error at 2 and the output magnitude at 1; hidden stages carry the
 // maximum over their outputs. The guard keeps every exact-path
 // magnitude below 2^1000 so this rounding model holds; a stage that
 // fails it or a non-finite input makes every bound +Inf.
@@ -210,10 +200,7 @@ func (n *Network) ForwardBounded(x []float64) (logits, bound []float64) {
 		a := err*(1+st.kappa) + st.kappa*(mag+err)
 		x = st.forward(x)
 		if i < len(plan)-1 {
-			err, mag = st.act.widen(st.l1Max*a+st.rcMax), 1
-			if st.act != actTanh {
-				mag = normInf(x)
-			}
+			err, mag = min(st.l1Max*a+st.rcMax+fastTanhBound, 2), 1
 			continue
 		}
 		if len(n.bound) != len(x) {
@@ -222,19 +209,11 @@ func (n *Network) ForwardBounded(x []float64) (logits, bound []float64) {
 		for o := range n.bound {
 			n.bound[o] = math.Inf(1)
 			if ok {
-				n.bound[o] = st.act.widen(st.l1[o]*a + st.rc[o])
+				n.bound[o] = st.l1[o]*a + st.rc[o]
 			}
 		}
 	}
 	return x, n.bound
-}
-
-// widen carries a pre-activation error bound through the activation.
-func (a fusedAct) widen(d float64) float64 {
-	if a == actTanh {
-		return min(d+fastTanhBound, 2)
-	}
-	return d
 }
 
 // normInf returns max |v|, or +Inf when v holds a NaN or an infinity.
@@ -282,15 +261,8 @@ func (st *fastStage) forward(x []float64) []float64 {
 			y[o] = s
 		}
 	}
-	switch st.act {
-	case actTanh:
+	if st.tanh {
 		fastTanhVec(y)
-	case actReLU:
-		for o, v := range y {
-			if !(v > 0) { // mirrors the exact kernel: -0 and NaN map to 0
-				y[o] = 0
-			}
-		}
 	}
 	return y
 }

@@ -15,7 +15,7 @@ type MLPSpec struct {
 	Hidden     []int  `json:"hidden"`
 	Out        int    `json:"out"`
 	BatchNorm  bool   `json:"batch_norm"`
-	Activation string `json:"activation"` // "tanh" or "relu"
+	Activation string `json:"activation"` // "tanh" (or "", read as tanh)
 }
 
 // Validate checks the spec for obvious mistakes.
@@ -28,9 +28,7 @@ func (s MLPSpec) Validate() error {
 			return fmt.Errorf("nn: MLPSpec hidden size %d invalid", h)
 		}
 	}
-	switch s.Activation {
-	case "", "tanh", "relu":
-	default:
+	if s.Activation != "" && s.Activation != "tanh" {
 		return fmt.Errorf("nn: MLPSpec activation %q unknown", s.Activation)
 	}
 	return nil
@@ -38,29 +36,28 @@ func (s MLPSpec) Validate() error {
 
 // NewMLP constructs the network described by spec, with weights drawn
 // from r. The output layer produces raw logits; apply SoftmaxInto (or
-// MaskedSoftmaxInto) outside.
+// MaskedSoftmaxInto) outside. The parameter view is built here, so
+// reading a network (Params, CloneMLP on a shared source) never writes
+// it.
 func NewMLP(spec MLPSpec, r *rand.Rand) (*Network, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	act := func(size int) Layer {
-		if spec.Activation == "relu" {
-			return NewReLU(size)
-		}
-		return NewTanh(size)
-	}
-	var layers []Layer
+	net := &Network{}
 	in := spec.In
 	for _, h := range spec.Hidden {
-		layers = append(layers, NewDense(in, h, r))
+		net.Layers = append(net.Layers, NewDense(in, h, r))
 		if spec.BatchNorm {
-			layers = append(layers, NewBatchNorm(h))
+			net.Layers = append(net.Layers, NewBatchNorm(h))
 		}
-		layers = append(layers, act(h))
+		net.Layers = append(net.Layers, NewTanh(h))
 		in = h
 	}
-	layers = append(layers, NewDense(in, spec.Out, r))
-	return &Network{Layers: layers}, nil
+	net.Layers = append(net.Layers, NewDense(in, spec.Out, r))
+	for _, l := range net.Layers {
+		net.params = append(net.params, l.Params()...)
+	}
+	return net, nil
 }
 
 // savedNet is the JSON wire format for a network: its spec plus the flat

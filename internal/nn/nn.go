@@ -1,5 +1,5 @@
 // Package nn is a small, dependency-free neural network substrate: dense
-// layers, tanh/relu activations, batch normalization, softmax, Xavier
+// layers, the tanh activation, batch normalization, softmax, Xavier
 // initialization, the Adam optimizer and JSON serialization.
 //
 // It replaces the TensorFlow 1.8 stack used by the paper. The policy
@@ -42,7 +42,7 @@ type Layer interface {
 type Network struct {
 	Layers []Layer
 
-	params    []*Param    // lazily built flat view of all layer parameters
+	params    []*Param    // flat view of all layer parameters, built by NewMLP
 	normDepth int         // 1 + index of last BatchNorm layer; 0 = unknown, -1 = none
 	fast      []fastStage // fused plan with the folded weights; nil until built or after a drop
 	bound     []float64   // ForwardBounded's bound scratch
@@ -99,16 +99,9 @@ func (n *Network) UpdateStats(x []float64) {
 	}
 }
 
-// Params returns all trainable parameters of the network. The slice is
-// built once and cached; layers must not be added after the first call.
-func (n *Network) Params() []*Param {
-	if n.params == nil {
-		for _, l := range n.Layers {
-			n.params = append(n.params, l.Params()...)
-		}
-	}
-	return n.params
-}
+// Params returns all trainable parameters of the network in layer
+// order. NewMLP builds the slice with the network, so Params only reads.
+func (n *Network) Params() []*Param { return n.params }
 
 // ZeroGrad clears all accumulated gradients.
 func (n *Network) ZeroGrad() {

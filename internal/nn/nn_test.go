@@ -326,15 +326,3 @@ func TestNumParams(t *testing.T) {
 		t.Errorf("Params hold %d scalars, want %d", got, want)
 	}
 }
-
-func TestReLU(t *testing.T) {
-	a := NewReLU(3)
-	y := a.Forward([]float64{-1, 0, 2}, false)
-	if y[0] != 0 || y[1] != 0 || y[2] != 2 {
-		t.Errorf("ReLU forward = %v", y)
-	}
-	g := a.Backward([]float64{5, 5, 5})
-	if g[0] != 0 || g[1] != 0 || g[2] != 5 {
-		t.Errorf("ReLU backward = %v", g)
-	}
-}

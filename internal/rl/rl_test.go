@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -375,6 +377,47 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatalf("probs differ after round trip: %v vs %v", p1, p2)
+		}
+	}
+}
+
+// TestConcurrentCloneOfFreshPolicy: cloning a policy nothing has read
+// yet, from several goroutines at once, gives every clone its source's
+// weights. Each round compares against a twin built from the same seed,
+// never against the source itself: reading the source first would build
+// its parameter view and hide a clone that writes it.
+func TestConcurrentCloneOfFreshPolicy(t *testing.T) {
+	const rounds, cloners = 300, 4
+	for round := 0; round < rounds; round++ {
+		seed := int64(round)
+		src, err := NewPolicy(3, 3, 20, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewPolicy(3, 3, 20, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := twin.Net.FlattenParams(nil)
+		clones := make([]*Policy, cloners)
+		panics := make([]any, cloners)
+		var wg sync.WaitGroup
+		for i := range clones {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { panics[i] = recover() }()
+				clones[i] = src.Clone()
+			}()
+		}
+		wg.Wait()
+		for i, c := range clones {
+			if panics[i] != nil {
+				t.Fatalf("round %d: clone %d panicked: %v", round, i, panics[i])
+			}
+			if got := c.Net.FlattenParams(nil); !slices.Equal(got, want) {
+				t.Fatalf("round %d: clone %d's weights differ from its source's", round, i)
+			}
 		}
 	}
 }

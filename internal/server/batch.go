@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"runtime"
 	"sync"
 
 	"rlts/internal/core"
@@ -11,11 +12,11 @@ import (
 )
 
 // POST /v1/simplify/batch — bulk simplification. One request carries many
-// trajectories; the server splits them into shards of BatchWidth items
-// and runs up to BatchWorkers shards at once. Each shard checks a policy
-// clone out of the same pools the single route uses and runs its items
-// one after another through SimplifyGreedyCtx, exactly as POST
-// /v1/simplify runs one. Items fail independently: a malformed
+// trajectories, at most maxBatchItems; the server splits them into shards
+// of DefaultBatchWidth items and runs up to GOMAXPROCS shards at once.
+// Each shard checks a policy clone out of the same pools the single route
+// uses and runs its items one after another through SimplifyGreedyCtx,
+// exactly as POST /v1/simplify runs one. Items fail independently: a malformed
 // trajectory yields an inline per-item error, with the code and message
 // /v1/simplify would answer it with, while its neighbours still
 // simplify. Policies run greedy (argmax) inference, so results are
@@ -33,9 +34,12 @@ import (
 //	 "items": [{"kept": 30, "of": 500, "error": 3.2, "points": [...]},
 //	           {"failure": {"error": "...", "code": "invalid_points"}}]}
 
-// codeTooManyItems is returned (413) when a batch exceeds
-// Config.MaxBatchItems.
+// codeTooManyItems is returned (413) when a batch exceeds maxBatchItems.
 const codeTooManyItems = "too_many_items"
+
+// maxBatchItems caps the trajectories one batch request may carry;
+// clients split larger batches, the same contract as Config.MaxPoints.
+const maxBatchItems = 256
 
 // batchItemRequest is one trajectory of a batch request. W and Ratio,
 // when set, override the request-level budget for this item.
@@ -126,9 +130,9 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, codeBadRequest, "batch request needs at least one item")
 		return
 	}
-	if s.cfg.MaxBatchItems > 0 && len(req.Items) > s.cfg.MaxBatchItems {
+	if len(req.Items) > maxBatchItems {
 		httpError(w, http.StatusRequestEntityTooLarge, codeTooManyItems,
-			"batch has %d items, limit is %d (split the request)", len(req.Items), s.cfg.MaxBatchItems)
+			"batch has %d items, limit is %d (split the request)", len(req.Items), maxBatchItems)
 		return
 	}
 	m, aerr := parseMeasure(req.Measure)
@@ -181,14 +185,10 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Shard the jobs over workers, each on its own policy clone. Each
 	// shard writes a disjoint range of jobs, so no locking is needed.
-	width := s.cfg.BatchWidth
-	if width <= 0 || width > len(jobs) {
-		width = len(jobs)
-	}
 	ctx := r.Context()
-	sem := make(chan struct{}, s.cfg.BatchWorkers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for lo := 0; lo < len(jobs); lo += width {
+	for lo := 0; lo < len(jobs); lo += DefaultBatchWidth {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(shard []job) {
@@ -200,7 +200,7 @@ func (s *Server) handleSimplifyBatch(w http.ResponseWriter, r *http.Request) {
 			for i := range shard {
 				shard[i].kept, shard[i].err = c.SimplifyGreedyCtx(ctx, shard[i].t, shard[i].w)
 			}
-		}(jobs[lo:min(lo+width, len(jobs))])
+		}(jobs[lo:min(lo+DefaultBatchWidth, len(jobs))])
 	}
 	wg.Wait()
 	// A request-level deadline or disconnect outranks per-item reporting:

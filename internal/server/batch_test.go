@@ -53,7 +53,7 @@ func batchTrajs(n int) []traj.Trajectory {
 // the same trajectory, while the malformed item fails inline.
 func TestSimplifyBatchMatchesSingle(t *testing.T) {
 	trained := trainSmall(t)
-	srv := batchServer(t, trained, Config{BatchWidth: 3})
+	srv := batchServer(t, trained, Config{})
 	trajs := batchTrajs(7)
 	items := make([]map[string]interface{}, 0, len(trajs)+1)
 	for _, tr := range trajs {
@@ -62,16 +62,9 @@ func TestSimplifyBatchMatchesSingle(t *testing.T) {
 	// Item with a single point: invalid, must fail alone.
 	items = append(items, map[string]interface{}{"points": [][3]float64{{1, 2, 3}}})
 
-	resp, body := post(t, srv.URL+"/v1/simplify/batch", map[string]interface{}{
+	out := postBatch(t, srv.URL, map[string]interface{}{
 		"algorithm": "rlts+", "measure": "SED", "w": 10, "items": items,
 	})
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var out batchResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
 	if out.Algorithm != "RLTS+" || len(out.Items) != len(items) || out.Failed != 1 {
 		t.Fatalf("batch response header wrong: algorithm=%q items=%d failed=%d",
 			out.Algorithm, len(out.Items), out.Failed)
@@ -80,14 +73,68 @@ func TestSimplifyBatchMatchesSingle(t *testing.T) {
 	if last.Failure == nil || last.Failure.Code != codePointsTooShort {
 		t.Fatalf("invalid item did not fail inline: %+v", last)
 	}
+	checkMatchesSingle(t, srv.URL, map[string]interface{}{"algorithm": "rlts+", "measure": "SED", "w": 10},
+		trajs, out.Items)
+}
+
+// TestSimplifyBatchShardingInvariance sends a batch that splits into
+// three shards and checks each item is exactly what POST /v1/simplify
+// answers for its trajectory: the greedy engine's determinism surfaced
+// at the API level, whichever shard and worker ran the item.
+func TestSimplifyBatchShardingInvariance(t *testing.T) {
+	trained := trainSmall(t)
+	reg := obs.NewRegistry()
+	srv := batchServer(t, trained, Config{Metrics: reg})
+	trajs := make([]traj.Trajectory, 2*DefaultBatchWidth+3)
+	items := make([]map[string]interface{}, len(trajs))
+	for i := range trajs {
+		trajs[i] = gen.New(gen.Truck(), int64(40+i)).Trajectory(30 + i%23)
+		items[i] = map[string]interface{}{"points": points(trajs[i])}
+	}
+	params := map[string]interface{}{"algorithm": "rlts+", "measure": "SED", "ratio": 0.2}
+	req := map[string]interface{}{"items": items}
+	for k, v := range params {
+		req[k] = v
+	}
+	out := postBatch(t, srv.URL, req)
+	if out.Failed != 0 || len(out.Items) != len(trajs) {
+		t.Fatalf("batch: %d items, %d failed; want %d, 0", len(out.Items), out.Failed, len(trajs))
+	}
+	if got := reg.Counter("rlts_batch_shards_total", "").Value(); got != 3 {
+		t.Fatalf("batch of %d items ran %d shards, want 3", len(trajs), got)
+	}
+	checkMatchesSingle(t, srv.URL, params, trajs, out.Items)
+}
+
+// postBatch posts a batch request and decodes its 200 answer.
+func postBatch(t *testing.T, url string, req map[string]interface{}) batchResponse {
+	t.Helper()
+	resp, body := post(t, url+"/v1/simplify/batch", req)
+	if resp.StatusCode != 200 {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	var out batchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkMatchesSingle checks that item i of a batch answer equals what
+// POST /v1/simplify answers for trajs[i] under the same request params
+// (algorithm, measure, budget).
+func checkMatchesSingle(t *testing.T, url string, params map[string]interface{}, trajs []traj.Trajectory, items []batchItemResult) {
+	t.Helper()
 	for i, tr := range trajs {
-		it := out.Items[i]
+		it := items[i]
 		if it.Failure != nil {
 			t.Fatalf("item %d failed: %+v", i, it.Failure)
 		}
-		resp, sbody := post(t, srv.URL+"/v1/simplify", map[string]interface{}{
-			"algorithm": "rlts+", "measure": "SED", "w": 10, "points": points(tr),
-		})
+		req := map[string]interface{}{"points": points(tr)}
+		for k, v := range params {
+			req[k] = v
+		}
+		resp, sbody := post(t, url+"/v1/simplify", req)
 		if resp.StatusCode != 200 {
 			t.Fatalf("single status %d: %s", resp.StatusCode, sbody)
 		}
@@ -105,43 +152,17 @@ func TestSimplifyBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestSimplifyBatchShardingInvariance checks the response is identical
-// whatever the shard width and worker count — the greedy engine's
-// determinism surfaced at the API level.
-func TestSimplifyBatchShardingInvariance(t *testing.T) {
-	trained := trainSmall(t)
-	req := map[string]interface{}{"algorithm": "rlts+", "measure": "SED", "ratio": 0.2}
-	items := make([]map[string]interface{}, 0, 9)
-	for _, tr := range batchTrajs(9) {
-		items = append(items, map[string]interface{}{"points": points(tr)})
-	}
-	req["items"] = items
-	var ref []byte
-	for i, cfg := range []Config{
-		{BatchWidth: -1, BatchWorkers: -1}, // one unbounded shard, serial
-		{BatchWidth: 2, BatchWorkers: 4},
-		{BatchWidth: 4, BatchWorkers: 2},
-	} {
-		srv := batchServer(t, trained, cfg)
-		resp, body := post(t, srv.URL+"/v1/simplify/batch", req)
-		if resp.StatusCode != 200 {
-			t.Fatalf("cfg %d: status %d: %s", i, resp.StatusCode, body)
-		}
-		if i == 0 {
-			ref = body
-		} else if string(body) != string(ref) {
-			t.Fatalf("cfg %d: response differs from single-shard reference:\n%s\nvs\n%s", i, body, ref)
-		}
-	}
-}
-
 // TestSimplifyBatchRequestErrors covers the request-level rejections:
 // wrong method, empty batch, oversized batch (413), unknown algorithm
 // and non-policy algorithms.
 func TestSimplifyBatchRequestErrors(t *testing.T) {
 	trained := trainSmall(t)
-	srv := batchServer(t, trained, Config{MaxBatchItems: 3})
+	srv := batchServer(t, trained, Config{})
 	tr := batchTrajs(1)[0]
+	tooMany := make([]interface{}, maxBatchItems+1)
+	for i := range tooMany {
+		tooMany[i] = map[string]interface{}{"points": points(tr)}
+	}
 
 	resp, err := http.Get(srv.URL + "/v1/simplify/batch")
 	if err != nil {
@@ -161,10 +182,8 @@ func TestSimplifyBatchRequestErrors(t *testing.T) {
 	}{
 		{"empty", map[string]interface{}{"algorithm": "rlts+", "items": []interface{}{}},
 			http.StatusBadRequest, codeBadRequest},
-		{"too many", map[string]interface{}{"algorithm": "rlts+", "items": []interface{}{
-			map[string]interface{}{"points": points(tr)}, map[string]interface{}{"points": points(tr)},
-			map[string]interface{}{"points": points(tr)}, map[string]interface{}{"points": points(tr)},
-		}}, http.StatusRequestEntityTooLarge, codeTooManyItems},
+		{"too many", map[string]interface{}{"algorithm": "rlts+", "items": tooMany},
+			http.StatusRequestEntityTooLarge, codeTooManyItems},
 		{"unknown algorithm", map[string]interface{}{"algorithm": "nope", "items": []interface{}{
 			map[string]interface{}{"points": points(tr)},
 		}}, http.StatusBadRequest, codeUnknownAlgorithm},
@@ -233,7 +252,7 @@ func TestSimplifyBatchPerItemBudgets(t *testing.T) {
 func TestSimplifyBatchConcurrentWithMetrics(t *testing.T) {
 	trained := trainSmall(t)
 	reg := obs.NewRegistry()
-	srv := batchServer(t, trained, Config{Metrics: reg, BatchWidth: 2, BatchWorkers: 2})
+	srv := batchServer(t, trained, Config{Metrics: reg})
 	trajs := batchTrajs(4)
 	items := make([]map[string]interface{}, 0, len(trajs))
 	for _, tr := range trajs {

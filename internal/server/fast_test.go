@@ -45,7 +45,7 @@ func TestSimplifyFastMode(t *testing.T) {
 // same way — the body is byte-identical to the plain batch's.
 func TestSimplifyBatchFastMode(t *testing.T) {
 	trained := trainSmall(t)
-	srv := batchServer(t, trained, Config{Metrics: obs.NewRegistry(), BatchWidth: 3})
+	srv := batchServer(t, trained, Config{Metrics: obs.NewRegistry()})
 	items := make([]map[string]interface{}, 0, 6)
 	for _, tr := range batchTrajs(6) {
 		items = append(items, map[string]interface{}{"points": points(tr)})

@@ -319,3 +319,38 @@ func TestSimplifyCountersInServerRegistry(t *testing.T) {
 		t.Error("no rlts_policy_fallbacks_total series")
 	}
 }
+
+// TestRouteLabel: every path NewWith registers labels as its own
+// pattern, and any other path labels into the fixed set of patterns plus
+// "/debug/pprof" and "other", which keeps rlts_http_requests_total
+// bounded whatever clients send.
+func TestRouteLabel(t *testing.T) {
+	s := NewWith(nil, Config{Metrics: obs.NewRegistry()})
+	t.Cleanup(s.Close)
+	labels := map[string]bool{"/debug/pprof": true, "other": true}
+	patterns := []string{"/healthz", "/metrics"}
+	for p := range s.routes() {
+		patterns = append(patterns, p)
+	}
+	for _, p := range patterns {
+		labels[p] = true
+		path := strings.ReplaceAll(p, "{id}", "abc")
+		if got := routeLabel(path); got != p {
+			t.Errorf("routeLabel(%q) = %q, want %q", path, got, p)
+		}
+	}
+	for _, tc := range []struct{ path, want string }{
+		{"/v1/stream/a/b/c", "/v1/stream/{id}"},
+		{"/v1/fleet/x/y", "/v1/fleet/{id}"},
+		{"/debug/pprof/heap", "/debug/pprof"},
+		{"/v1/nope", "other"},
+		{"/v1/stream/" + strings.Repeat("a", 10<<10), "/v1/stream/{id}"},
+		{"/" + strings.Repeat("x", 10<<10), "other"},
+		{"", "other"},
+	} {
+		got := routeLabel(tc.path)
+		if got != tc.want || !labels[got] {
+			t.Errorf("routeLabel(%.40q) = %q, want %q from the fixed set", tc.path, got, tc.want)
+		}
+	}
+}

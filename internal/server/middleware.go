@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"time"
 
 	"rlts/internal/obs"
@@ -25,8 +24,10 @@ const (
 	DefaultMaxStreams     = 1024
 	DefaultStreamShards   = 8
 	DefaultMaxHotSessions = 4096
-	DefaultMaxBatchItems  = 256
-	DefaultBatchWidth     = 64
+	// DefaultBatchWidth is how many trajectories one shard of a POST
+	// /v1/simplify/batch request simplifies, one after another on one
+	// policy clone; see batch.go.
+	DefaultBatchWidth = 64
 )
 
 // Config tunes the service's protective middleware. The zero value means
@@ -55,11 +56,13 @@ type Config struct {
 	// Metrics is the registry GET /metrics serves. Everything the serving
 	// path records lands here: the middleware's request/shed/panic/deadline
 	// series, the streaming session manager's lifecycle series, per-session
-	// streamer point counters, and the rlts_simplify_error distributions.
-	// Process-wide library metrics (rlts_simplify_runs/steps and the
-	// rlts_train_* family) always register in obs.Default(), which is also
-	// the default here when nil — so with a nil Metrics one scrape sees
-	// everything.
+	// streamer point counters, the rlts_simplify_error distributions, and
+	// the simplify run, step and policy-fallback counters of the policy
+	// clones the handlers run (core.Trained.UseRegistry). Library use
+	// outside the server (the rlts_train_* family, simplify runs of
+	// Trained values no server owns) registers in obs.Default(), which is
+	// also the default here when nil — so with a nil Metrics one scrape
+	// sees everything.
 	Metrics *obs.Registry
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (bypassing
 	// shedding and deadlines, like /healthz). Off by default: profiling
@@ -75,9 +78,9 @@ type Config struct {
 	MaxStreams int
 	// StreamShards is the number of lock domains the streaming session
 	// store is split across: session ids hash onto shards, each with its
-	// own mutex, TTL janitor and LRU accounting, so concurrent session
-	// traffic (and a disk write during a spill) contends on 1/N of the
-	// keyspace. 0 means DefaultStreamShards, negative means 1.
+	// own mutex and LRU accounting, so concurrent session traffic (and a
+	// disk write during a spill) contends on 1/N of the keyspace. 0 means
+	// DefaultStreamShards, negative means 1.
 	StreamShards int
 	// SpillDir enables session durability: cold sessions are serialized
 	// to this directory (one CRC-sealed file per session, written
@@ -95,20 +98,6 @@ type Config struct {
 	// tests — a failing SpillWrite must leave sessions live in memory —
 	// and for embedders with their own durable medium.
 	SpillWrite func(path string, data []byte) error
-	// MaxBatchItems caps the trajectories one POST /v1/simplify/batch
-	// request may carry; larger batches are refused with 413 (clients
-	// split them, the same contract as MaxPoints). 0 means
-	// DefaultMaxBatchItems, negative disables the cap.
-	MaxBatchItems int
-	// BatchWidth caps how many trajectories one shard of a batch request
-	// simplifies, one after another on one policy clone; a batch request
-	// is split into ceil(items/BatchWidth) shards. 0 means
-	// DefaultBatchWidth, negative means one unbounded shard per request.
-	BatchWidth int
-	// BatchWorkers caps how many shards of one batch request simplify
-	// concurrently (each worker owns a policy clone, so results are
-	// identical regardless). 0 means GOMAXPROCS, negative means 1.
-	BatchWorkers int
 	// FleetRebalanceEvery, when positive, rebalances every fleet's
 	// allocation on this cadence (see fleet.go) so member budgets track
 	// the streams as they grow. Zero or negative disables the janitor;
@@ -148,18 +137,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxHotSessions == 0 {
 		c.MaxHotSessions = DefaultMaxHotSessions
-	}
-	if c.MaxBatchItems == 0 {
-		c.MaxBatchItems = DefaultMaxBatchItems
-	}
-	if c.BatchWidth == 0 {
-		c.BatchWidth = DefaultBatchWidth
-	}
-	switch {
-	case c.BatchWorkers == 0:
-		c.BatchWorkers = runtime.GOMAXPROCS(0)
-	case c.BatchWorkers < 0:
-		c.BatchWorkers = 1
 	}
 	return c
 }

@@ -62,8 +62,7 @@ import (
 	"sort"
 	"strings"
 
-	baseBatch "rlts/internal/baseline/batch"
-	baseOnline "rlts/internal/baseline/online"
+	"rlts/internal/baseline"
 	"rlts/internal/core"
 	"rlts/internal/errm"
 	"rlts/internal/obs"
@@ -132,7 +131,22 @@ func NewWith(policies []*core.Trained, cfg Config) *Server {
 	s.startFleetJanitor()
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.Handle("/metrics", s.cfg.Metrics.Handler())
-	for path, ms := range map[string]methods{
+	for path, ms := range s.routes() {
+		s.mux.Handle(path, ms)
+	}
+	if s.cfg.EnablePprof {
+		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
+		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	return s
+}
+
+// routes maps each API path pattern to the handlers of its methods.
+func (s *Server) routes() map[string]methods {
+	return map[string]methods{
 		"/v1/algorithms":           {http.MethodGet: s.handleAlgorithms},
 		"/v1/simplify":             {http.MethodPost: s.handleSimplify},
 		"/v1/simplify/batch":       {http.MethodPost: s.handleSimplifyBatch},
@@ -145,17 +159,7 @@ func NewWith(policies []*core.Trained, cfg Config) *Server {
 		"/v1/fleet/{id}/attach":    {http.MethodPost: s.handleFleetAttach},
 		"/v1/fleet/{id}/detach":    {http.MethodPost: s.handleFleetDetach},
 		"/v1/fleet/{id}/rebalance": {http.MethodPost: s.handleFleetRebalance},
-	} {
-		s.mux.Handle(path, ms)
 	}
-	if s.cfg.EnablePprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	return s
 }
 
 // Handler returns the http.Handler for the service, wrapped in the
@@ -197,8 +201,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	names := []string{
-		"sttrace", "squish", "squish-e", "top-down", "bottom-up", "bellman", "span-search", "uniform",
+	var names []string
+	for _, b := range baseline.All {
+		names = append(names, b.Names[0])
 	}
 	for k := range s.policies {
 		names = append(names, k)
@@ -412,12 +417,12 @@ func writeRunError(w http.ResponseWriter, err error) {
 	}
 }
 
-// run dispatches to a policy or a baseline. Policies execute on an
-// exclusive pooled clone (the registered instance's forward scratch is
-// not concurrent-safe under MaxConcurrent-way parallelism). The context
-// cancels the policy scan mid-trajectory; the heuristic baselines run to
-// completion (they are bounded by MaxPoints, and bellman additionally by
-// its own size cap).
+// run dispatches to a policy or a baseline; an empty name means
+// Bottom-Up. Policies execute on an exclusive pooled clone (the
+// registered instance's forward scratch is not concurrent-safe under
+// MaxConcurrent-way parallelism). The context cancels the policy scan
+// mid-trajectory; the heuristic baselines run to completion (they are
+// bounded by MaxPoints, and bellman additionally by its own size cap).
 func (s *Server) run(ctx context.Context, algo string, t traj.Trajectory, w int, m errm.Measure) (string, []int, error) {
 	if p := s.policy(algo, m); p != nil {
 		c := s.simp.get(p)
@@ -425,36 +430,18 @@ func (s *Server) run(ctx context.Context, algo string, t traj.Trajectory, w int,
 		s.simp.put(p, c)
 		return p.Opts.Name(), kept, err
 	}
-	switch algo {
-	case "sttrace":
-		kept, err := baseOnline.STTrace(t, w, m)
-		return "STTrace", kept, err
-	case "squish":
-		kept, err := baseOnline.SQUISH(t, w, m)
-		return "SQUISH", kept, err
-	case "squish-e", "squishe":
-		kept, err := baseOnline.SQUISHE(t, w, m)
-		return "SQUISH-E", kept, err
-	case "top-down", "topdown":
-		kept, err := baseBatch.TopDown(t, w, m)
-		return "Top-Down", kept, err
-	case "bottom-up", "bottomup", "":
-		kept, err := baseBatch.BottomUp(t, w, m)
-		return "Bottom-Up", kept, err
-	case "bellman":
-		if len(t) > 2000 {
-			return "", nil, fmt.Errorf("server: bellman is cubic; refusing %d points (max 2000)", len(t))
-		}
-		kept, err := baseBatch.Bellman(t, w, m)
-		return "Bellman", kept, err
-	case "span-search", "spansearch":
-		kept, err := baseBatch.SpanSearch(t, w)
-		return "Span-Search", kept, err
-	case "uniform":
-		kept, err := baseOnline.Uniform(t, w)
-		return "Uniform", kept, err
+	if algo == "" {
+		algo = "bottom-up"
 	}
-	return "", nil, fmt.Errorf("server: unknown algorithm %q (policies need a matching measure)", algo)
+	b := baseline.Lookup(algo)
+	if b == nil {
+		return "", nil, fmt.Errorf("server: unknown algorithm %q (policies need a matching measure)", algo)
+	}
+	if b.Name == "Bellman" && len(t) > 2000 {
+		return "", nil, fmt.Errorf("server: bellman is cubic; refusing %d points (max 2000)", len(t))
+	}
+	kept, err := b.Run(t, w, m)
+	return b.Name, kept, err
 }
 
 type statsResponse struct {

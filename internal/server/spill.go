@@ -68,7 +68,7 @@ const (
 	spillMinVersion = 1
 	spillExt        = ".sess"
 	// corruptExt is appended to a quarantined spill file's name (after
-	// spillExt, so the recovery scan and the reaper skip it).
+	// spillExt, so the recovery scan and the janitor skip it).
 	corruptExt = ".corrupt"
 
 	maxSpillID  = 64
@@ -299,15 +299,37 @@ func (m *streamManager) enforceBudgetLocked(sh *streamShard, keep *streamSession
 // removal) and settles the accounting: the session it held is gone.
 // Called under the shard lock.
 func (m *streamManager) quarantineLocked(path string) {
-	m.corrupt.Inc()
-	removed := os.Rename(path, path+corruptExt) == nil
-	if !removed {
-		removed = os.Remove(path) == nil
+	if os.Rename(path, path+corruptExt) != nil && os.Remove(path) != nil {
+		m.corrupt.Inc() // the file stays, and so does the session it counts
+		return
 	}
-	if removed {
-		m.active.Dec()
-		m.total.Add(-1)
+	m.retire(m.corrupt, false)
+}
+
+// readSpillLocked reads and verifies id's spill file. It returns
+// (nil, nil) when there is none, and quarantines a file that cannot be
+// read, fails to decode or names another session, returning why. Called
+// under the shard lock.
+func (m *streamManager) readSpillLocked(id string) (*sessionRecord, error) {
+	if !validSpillID(id) {
+		return nil, nil
 	}
+	path := m.spillPath(id)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	var rec *sessionRecord
+	if err == nil {
+		if rec, err = decodeSession(data); err == nil && rec.ID != id {
+			err = fmt.Errorf("server: spill file for %q carries session id %q", id, rec.ID)
+		}
+	}
+	if err != nil {
+		m.quarantineLocked(path)
+		return nil, err
+	}
+	return rec, nil
 }
 
 // rehydrateLocked restores a spilled session into the shard map. Called
@@ -318,32 +340,15 @@ func (m *streamManager) quarantineLocked(path string) {
 // it has already been quarantined.
 func (s *Server) rehydrateLocked(sh *streamShard, id string) (*streamSession, error) {
 	sm := s.streams
-	if !validSpillID(id) {
-		return nil, nil
+	rec, err := sm.readSpillLocked(id)
+	if rec == nil {
+		return nil, err
 	}
 	path := sm.spillPath(id)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		sm.quarantineLocked(path)
-		return nil, err
-	}
-	rec, err := decodeSession(data)
-	if err != nil || rec.ID != id {
-		if err == nil {
-			err = fmt.Errorf("server: spill file for %q carries session id %q", id, rec.ID)
-		}
-		sm.quarantineLocked(path)
-		return nil, err
-	}
 	if sm.ttl > 0 && time.Now().UnixNano()-rec.LastActive > int64(sm.ttl) {
 		// Expired while cold: the disk-tier equivalent of the janitor.
 		if os.Remove(path) == nil {
-			sm.evicted.Inc()
-			sm.active.Dec()
-			sm.total.Add(-1)
+			sm.retire(sm.evicted, false)
 		}
 		return nil, nil
 	}
@@ -383,7 +388,7 @@ func (s *Server) rehydrateLocked(sh *streamShard, id string) (*streamSession, er
 	}
 	sess.touch()
 	// Ownership moves back to memory: from here the file is stale, and
-	// keeping it would let the reaper double-account the session.
+	// keeping it would let the janitor double-account the session.
 	os.Remove(path)
 	sh.sessions[id] = sess
 	sm.hot.Inc()
@@ -398,29 +403,19 @@ func (s *Server) rehydrateLocked(sh *streamShard, id string) (*streamSession, er
 // answered (closed, or corrupt-and-quarantined).
 func (s *Server) closeSpilledLocked(w http.ResponseWriter, sh *streamShard, id string) bool {
 	sm := s.streams
-	if !validSpillID(id) {
-		return false
-	}
-	path := sm.spillPath(id)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return false
-	}
+	rec, err := sm.readSpillLocked(id)
 	if err != nil {
-		sm.quarantineLocked(path)
-	} else if rec, derr := decodeSession(data); derr != nil || rec.ID != id {
-		sm.quarantineLocked(path)
-	} else {
-		if os.Remove(path) == nil {
-			sm.closed.Inc()
-			sm.active.Dec()
-			sm.total.Add(-1)
-		}
-		writeJSON(w, map[string]interface{}{"closed": true, "seen": rec.State.Seen, "kept": coldKept(rec.State)})
+		httpError(w, http.StatusNotFound, codeStreamCorrupt,
+			"streaming session %q had a corrupt spill file; it was quarantined", id)
 		return true
 	}
-	httpError(w, http.StatusNotFound, codeStreamCorrupt,
-		"streaming session %q had a corrupt spill file; it was quarantined", id)
+	if rec == nil {
+		return false
+	}
+	if os.Remove(sm.spillPath(id)) == nil {
+		sm.retire(sm.closed, false)
+	}
+	writeJSON(w, map[string]interface{}{"closed": true, "seen": rec.State.Seen, "kept": coldKept(rec.State)})
 	return true
 }
 
@@ -469,23 +464,9 @@ func (m *streamManager) recoveryScan() {
 	}
 }
 
-// spillReaper is the disk tier's janitor: spill files idle past the TTL
-// (by mtime — a spill is written when the session was last worth keeping
-// hot, so mtime ≥ last activity) are removed. It shares the in-memory
-// janitor's cadence.
-func (m *streamManager) spillReaper() {
-	t := time.NewTicker(m.janitorTick())
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopJanitor:
-			return
-		case now := <-t.C:
-			m.reapSpilled(now)
-		}
-	}
-}
-
+// reapSpilled is the disk tier's half of the janitor's sweep: spill
+// files idle past the TTL (by mtime — a spill is written when the session
+// was last worth keeping hot, so mtime ≥ last activity) are removed.
 func (m *streamManager) reapSpilled(now time.Time) {
 	eachSpillFile(m.spillDir, spillExt, func(id string, e fs.DirEntry) {
 		info, err := e.Info()
@@ -501,9 +482,7 @@ func (m *streamManager) reapSpilled(now time.Time) {
 		if _, hot := sh.sessions[id]; !hot {
 			if cur, err := os.Stat(path); err == nil && now.Sub(cur.ModTime()) > m.ttl {
 				if os.Remove(path) == nil {
-					m.evicted.Inc()
-					m.active.Dec()
-					m.total.Add(-1)
+					m.retire(m.evicted, false)
 				}
 			}
 		}

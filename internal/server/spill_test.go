@@ -358,7 +358,7 @@ func TestStreamTraversalIDsNeverTouchDisk(t *testing.T) {
 // TestServerCloseRacesStreamTraffic (run under -race): Server.Close and
 // DrainStreams concurrent with in-flight creates, pushes, snapshots,
 // deletes and janitor ticks must be free of data races and panics. The
-// aggressive TTL keeps the janitors and the spill reaper busy throughout.
+// aggressive TTL keeps the janitor sweeping memory and disk throughout.
 func TestServerCloseRacesStreamTraffic(t *testing.T) {
 	ts, sv, _ := spillServer(t, t.TempDir(), Config{
 		StreamTTL:      20 * time.Millisecond,
@@ -397,7 +397,7 @@ func TestServerCloseRacesStreamTraffic(t *testing.T) {
 	}
 	time.Sleep(60 * time.Millisecond)
 	sv.DrainStreams() // may race new creates; error is acceptable
-	sv.Close()        // janitors stop while traffic continues
+	sv.Close()        // the janitor stops while traffic continues
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()

@@ -19,10 +19,11 @@ package server
 // a single push.
 //
 // Sessions live in a sharded store: session ids hash across
-// Config.StreamShards shards, each with its own lock and TTL janitor, so
-// a million sessions never serialize on one mutex and a disk write
-// stalls only 1/N of the keyspace. With Config.SpillDir set the store is
-// durable and memory-bounded: when a shard holds more than its share of
+// Config.StreamShards shards, each with its own lock, so a million
+// sessions never serialize on one mutex and a disk write stalls only 1/N
+// of the keyspace; one TTL janitor sweeps every shard, then the spill
+// directory. With Config.SpillDir set the store is durable and
+// memory-bounded: when a shard holds more than its share of
 // Config.MaxHotSessions, the coldest sessions are serialized (versioned
 // binary codec, CRC-sealed, written via storage.WriteAtomic) and
 // rehydrated on their next push or snapshot, bit-identical to a session
@@ -183,15 +184,8 @@ func newStreamManager(cfg Config) *streamManager {
 		m.recoveryScan()
 	}
 	if m.ttl > 0 {
-		for _, sh := range m.shards {
-			sh := sh
-			m.wg.Add(1)
-			go func() { defer m.wg.Done(); m.janitor(sh) }()
-		}
-		if m.spillDir != "" {
-			m.wg.Add(1)
-			go func() { defer m.wg.Done(); m.spillReaper() }()
-		}
+		m.wg.Add(1)
+		go func() { defer m.wg.Done(); m.janitor() }()
 	}
 	return m
 }
@@ -203,57 +197,63 @@ func (m *streamManager) shardFor(id string) *streamShard {
 	return m.shards[h.Sum32()%uint32(len(m.shards))]
 }
 
-// janitorTick bounds over-retention at 1.25×TTL while letting tests with
-// millisecond TTLs converge quickly.
-func (m *streamManager) janitorTick() time.Duration {
-	tick := m.ttl / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	return tick
-}
-
-// janitor periodically sweeps one shard's idle sessions.
-func (m *streamManager) janitor(sh *streamShard) {
-	t := time.NewTicker(m.janitorTick())
+// janitor sweeps the store every quarter TTL (at least every 10 ms, so
+// tests with millisecond TTLs converge quickly), which bounds
+// over-retention at 1.25×TTL.
+func (m *streamManager) janitor() {
+	t := time.NewTicker(max(m.ttl/4, 10*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
 		case <-m.stopJanitor:
 			return
 		case now := <-t.C:
-			m.evictIdleShard(sh, now)
+			m.sweep(now)
 		}
 	}
 }
 
-func (m *streamManager) evictIdleShard(sh *streamShard, now time.Time) {
-	sh.mu.Lock()
-	var idle []*streamSession
-	for id, s := range sh.sessions {
-		s.mu.Lock()
-		if now.UnixNano()-s.lastActive.Load() > int64(m.ttl) {
-			// Marking closed under both locks means no handler can slip a
-			// push in between the map removal and the final flush.
-			s.closed = true
-			delete(sh.sessions, id)
-			idle = append(idle, s)
+// sweep evicts every session idle past the TTL at now: the hot ones
+// shard by shard, then the spilled ones (reapSpilled).
+func (m *streamManager) sweep(now time.Time) {
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		var idle []*streamSession
+		for id, s := range sh.sessions {
+			s.mu.Lock()
+			if now.UnixNano()-s.lastActive.Load() > int64(m.ttl) {
+				// Marking closed under both locks means no handler can slip
+				// a push in between the map removal and the final flush.
+				s.closed = true
+				delete(sh.sessions, id)
+				idle = append(idle, s)
+			}
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
+		sh.mu.Unlock()
+		for _, s := range idle {
+			m.retire(m.evicted, true)
+			s.mu.Lock()
+			s.str.FlushMetrics()
+			s.mu.Unlock()
+		}
 	}
-	sh.mu.Unlock()
-	for _, s := range idle {
-		m.evicted.Inc()
-		m.active.Dec()
+	m.reapSpilled(now)
+}
+
+// retire settles the books of one session leaving the store: reason
+// counts why (closed, evicted or corrupt), and hot says whether it left
+// from memory rather than from disk.
+func (m *streamManager) retire(reason *obs.Counter, hot bool) {
+	reason.Inc()
+	m.active.Dec()
+	m.total.Add(-1)
+	if hot {
 		m.hot.Dec()
-		m.total.Add(-1)
-		s.mu.Lock()
-		s.str.FlushMetrics()
-		s.mu.Unlock()
 	}
 }
 
-// stop terminates the janitor goroutines (Server.Close).
+// stop terminates the janitor goroutine (Server.Close).
 func (m *streamManager) stop() {
 	m.stopOnce.Do(func() { close(m.stopJanitor) })
 	m.wg.Wait()
@@ -623,10 +623,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 	}
 	delete(sh.sessions, id)
 	sh.mu.Unlock()
-	sm.closed.Inc()
-	sm.active.Dec()
-	sm.hot.Dec()
-	sm.total.Add(-1)
+	sm.retire(sm.closed, true)
 	sess.mu.Lock()
 	sess.closed = true
 	snap := sess.str.Snapshot() // flushes metrics

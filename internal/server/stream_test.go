@@ -361,7 +361,7 @@ func getRaw(t *testing.T, url string) (*http.Response, []byte) {
 // the closed flag, set under the session mutex during eviction, rejects
 // it with 404.
 func TestStreamPushToEvictedSession(t *testing.T) {
-	// Negative TTL disables the janitor goroutine; evictIdle is driven by
+	// Negative TTL disables the janitor goroutine; its sweep is driven by
 	// hand and treats every session as expired.
 	ts, sv, reg := streamServer(t, Config{StreamTTL: -1})
 	id := createStream(t, ts.URL, map[string]interface{}{"w": 5})
@@ -374,7 +374,7 @@ func TestStreamPushToEvictedSession(t *testing.T) {
 	if sess == nil {
 		t.Fatal("session not in the manager map")
 	}
-	sm.evictIdle(time.Now())
+	sm.sweep(time.Now())
 	sess.mu.Lock()
 	closed := sess.closed
 	sess.mu.Unlock()
@@ -419,12 +419,5 @@ func TestStreamMetricsInServerRegistry(t *testing.T) {
 	}
 	if got := reg.Counter("rlts_stream_points_total", "").Value(); got != uint64(len(pts)) {
 		t.Errorf("rlts_stream_points_total in server registry = %d, want %d", got, len(pts))
-	}
-}
-
-// evictIdle sweeps every shard, as the janitor does shard by shard.
-func (m *streamManager) evictIdle(now time.Time) {
-	for _, sh := range m.shards {
-		m.evictIdleShard(sh, now)
 	}
 }

@@ -64,8 +64,9 @@ make check-diff
 # Simplify's own decision loop, must be bitwise identical to per-item
 # Simplify at every batch size, both inference modes, over the
 # adversarial generator set — plus the engine tests in internal/core and
-# the batch route's sharding invariance in internal/server. Scaled by
-# the same CHECK_SCALE knob.
+# the batch route tests in internal/server, where a batch of three shards
+# must answer each item exactly as /v1/simplify does. Scaled by the same
+# CHECK_SCALE knob.
 echo "== batch-engine differential (CHECK_SCALE=${CHECK_SCALE:-4}) =="
 make check-batch
 
@@ -87,7 +88,7 @@ make check-fast
 # serialized through the binary codec at adversarial cut points must
 # continue bit-identically) plus the server-level durability tests —
 # restart bit-identity, corrupt-file quarantine, injected disk failure,
-# Close racing live traffic — all under the race detector.
+# Close racing live traffic (ten runs) — all under the race detector.
 echo "== stream spill/rehydrate pillar (CHECK_SCALE=${CHECK_SCALE:-4}) =="
 make check-stream
 
