@@ -135,9 +135,15 @@ bench-fast:
 
 # The served simplify in process, shaped like perfbench single_long: the
 # embedded RLTS+/SED policy, greedy, at W = n/10 over 16 seeded Truck
-# trajectories of 5,000-20,000 points, in ns and allocations per point.
+# trajectories of 5,000-20,000 points, in ns and allocations per point
+# and fallbacks per decision. Then the layers a single_long request pays
+# outside the policy forward: the SED span scan by span length, KLowest
+# and the buffer's drop/insert cycle by W, and the body scanner.
 bench-simplify:
 	$(GO) test . -run '^$$' -bench BenchmarkServedRLTSPlus -benchtime 3s
+	$(GO) test ./internal/errm -run '^$$' -bench 'BenchmarkSegmentError/SED'
+	$(GO) test ./internal/buffer -run '^$$' -bench 'BenchmarkKLowest|BenchmarkDropInsertCycle'
+	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkDecodeBody/.*/scanner'
 
 # Sustained-load serving benchmark, 10s; LOAD_DURATION overrides.
 bench-load:

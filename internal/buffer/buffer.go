@@ -193,29 +193,58 @@ func (b *Buffer) Min() *Entry {
 }
 
 // KLowest returns the k droppable entries with the lowest values in
-// ascending order (fewer if the heap is smaller). The cost is
-// O(k log W) using a bounded frontier walk over the heap array, leaving
-// the heap untouched.
+// ascending order (fewer if the heap is smaller), leaving the heap
+// untouched. Equal values come in the order of a frontier walk over the
+// heap array that takes a later frontier slot only on a strictly smaller
+// value: the root, then its lower child (the left one on a tie), then the
+// lowest of the root's other child and the second's left and right
+// children, compared in that order. For k <= 3 that is a closed form of
+// at most three comparisons; a larger k walks the frontier, which costs
+// O(k²) and does not depend on the heap's size.
 //
 // The returned slice is backed by a buffer-owned scratch array: it is only
 // valid until the next KLowest call on this buffer. Every caller in this
 // repository consumes it (builds a state vector or picks an entry) before
 // calling again; copy it if you need to hold on to it.
 func (b *Buffer) KLowest(k int) []*Entry {
-	if k > len(b.heap) {
-		k = len(b.heap)
+	n := len(b.heap)
+	if k > n {
+		k = n
 	}
-	if k == 0 {
+	switch {
+	case k == 0:
 		return nil
+	case k > 3:
+		return b.walk(k)
 	}
+	out := append(b.kout[:0], b.heap[0])
+	if k > 1 {
+		second, other := 1, 2
+		if n > 2 && b.vals[2] < b.vals[1] {
+			second, other = 2, 1
+		}
+		out = append(out, b.heap[second])
+		if k > 2 {
+			third := other
+			if l := 2*second + 1; l < n && b.vals[l] < b.vals[third] {
+				third = l
+			}
+			if r := 2*second + 2; r < n && b.vals[r] < b.vals[third] {
+				third = r
+			}
+			out = append(out, b.heap[third])
+		}
+	}
+	b.kout = out
+	return out
+}
+
+// walk is KLowest's frontier walk for 1 <= k <= len(b.heap): the heap
+// positions whose parents have been taken, scanned for the lowest value
+// with the earliest slot winning a tie. The heap property keeps the next
+// lowest on the frontier.
+func (b *Buffer) walk(k int) []*Entry {
 	out := b.kout[:0]
-	if k == 1 {
-		// The root is the minimum: no frontier to walk.
-		b.kout = append(out, b.heap[0])
-		return b.kout
-	}
-	// Frontier of heap positions ordered by value; the heap property
-	// guarantees the next smallest is always on the frontier.
 	frontier := append(b.kfrontier[:0], 0)
 	for len(out) < k {
 		// Extract the frontier element with the smallest value.
@@ -257,42 +286,47 @@ func (b *Buffer) Indices() []int {
 	return out
 }
 
+// siftUp and siftDown move the entry at heap slot i to its place. They
+// work on local copies of the slice headers: read through b, each store
+// to an entry's heapPos would make the compiler load them again.
 func (b *Buffer) siftUp(i int) {
-	e, v := b.heap[i], b.vals[i]
+	heap, vals := b.heap, b.vals
+	e, v := heap[i], vals[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if b.vals[parent] <= v {
+		if vals[parent] <= v {
 			break
 		}
-		b.heap[i], b.vals[i] = b.heap[parent], b.vals[parent]
-		b.heap[i].heapPos = i
+		heap[i], vals[i] = heap[parent], vals[parent]
+		heap[i].heapPos = i
 		i = parent
 	}
-	b.heap[i], b.vals[i] = e, v
+	heap[i], vals[i] = e, v
 	e.heapPos = i
 }
 
 func (b *Buffer) siftDown(i int) {
-	e, v := b.heap[i], b.vals[i]
-	n := len(b.heap)
+	heap, vals := b.heap, b.vals
+	e, v := heap[i], vals[i]
+	n := len(heap)
 	for {
 		small := i
 		l, r := 2*i+1, 2*i+2
 		sv := v
-		if l < n && b.vals[l] < sv {
-			small, sv = l, b.vals[l]
+		if l < n && vals[l] < sv {
+			small, sv = l, vals[l]
 		}
-		if r < n && b.vals[r] < sv {
+		if r < n && vals[r] < sv {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		b.heap[i], b.vals[i] = b.heap[small], b.vals[small]
-		b.heap[i].heapPos = i
+		heap[i], vals[i] = heap[small], vals[small]
+		heap[i].heapPos = i
 		i = small
 	}
-	b.heap[i], b.vals[i] = e, v
+	heap[i], vals[i] = e, v
 	e.heapPos = i
 }
 
@@ -307,7 +341,11 @@ func (b *Buffer) heapRemove(pos int) {
 	b.heap[pos], b.vals[pos] = moved, b.vals[last]
 	moved.heapPos = pos
 	b.heap, b.vals = b.heap[:last], b.vals[:last]
-	// The moved element may violate either direction.
+	// The moved element may violate either direction. If siftDown moved
+	// it, its new parent is a former child with a strictly smaller value,
+	// so only an entry siftDown left in place can need siftUp.
 	b.siftDown(pos)
-	b.siftUp(moved.heapPos)
+	if moved.heapPos == pos {
+		b.siftUp(pos)
+	}
 }

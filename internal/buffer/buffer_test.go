@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -198,16 +199,74 @@ func TestPoints(t *testing.T) {
 	}
 }
 
+// TestKLowestMatchesWalk holds KLowest's closed form for k <= 3 to the
+// frontier walk on every heap of 1 to 7 slots over the values {0, 0.5,
+// 1}, so that children are missing and ties fall in every position:
+// all-equal heaps, runs of zeros, and ties between the root's children
+// and the second lowest's children. Both must return the same entries in
+// the same order, for k = 1 to 4.
+func TestKLowestMatchesWalk(t *testing.T) {
+	levels := []float64{0, 0.5, 1}
+	for n := 1; n <= 7; n++ {
+		b := New(n + 2)
+		es := fill(b, n+2)
+		vals := make([]float64, n)
+		for code := 0; code < int(math.Pow(3, float64(n))); code++ {
+			c := code
+			heap := true
+			for i := range vals {
+				vals[i] = levels[c%3]
+				c /= 3
+				heap = heap && (i == 0 || vals[(i-1)/2] <= vals[i])
+			}
+			if !heap {
+				continue
+			}
+			// Lay the values out in heap order directly, so every heap
+			// shape is reached, not only those some insertion order builds.
+			b.heap, b.vals = b.heap[:0], b.vals[:0]
+			for i, v := range vals {
+				e := es[i+1]
+				e.value, e.heapPos = v, i
+				b.heap, b.vals = append(b.heap, e), append(b.vals, v)
+			}
+			for k := 1; k <= 4; k++ {
+				got := append([]*Entry(nil), b.KLowest(k)...)
+				want := b.walk(min(k, n))
+				if !slices.Equal(got, want) {
+					t.Fatalf("heap %v: KLowest(%d) = %v, walk %v", vals, k, indices(got), indices(want))
+				}
+			}
+		}
+	}
+}
+
+func indices(es []*Entry) []int {
+	out := make([]int, len(es))
+	for i, e := range es {
+		out[i] = e.Index
+	}
+	return out
+}
+
 // TestRandomOpsProperty runs seeded random Append, Drop, RemoveTail and
 // SetValue steps on a buffer whose slab is smaller than the entries it
-// hands out, so removed entries are recycled and the slab grows. After
-// every step the list and heap invariants hold (every inline heap value
-// equal to its entry's value), no two live entries share an address, a
-// removed entry still reads as it did until the next Append, KLowest
-// agrees with a sort, and Export followed by Restore round-trips exactly.
+// hands out, so removed entries are recycled and the slab grows. Half the
+// values are drawn from {0, 0.5, 1}, so ties are common. After every step
+// the list and heap invariants hold (every inline heap value equal to its
+// entry's value), no two live entries share an address, a removed entry
+// still reads as it did until the next Append, KLowest agrees with a
+// sort and returns the frontier walk's entries in the walk's order for
+// k = 1 to 4, and Export followed by Restore round-trips exactly.
 func TestRandomOpsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
+		value := func() float64 {
+			if r.Intn(2) == 0 {
+				return float64(r.Intn(3)) / 2
+			}
+			return r.Float64() * 100
+		}
 		b := New(8)
 		var live []*Entry
 		next := 0
@@ -225,7 +284,7 @@ func TestRandomOpsProperty(t *testing.T) {
 				if len(live) >= 2 {
 					in := live[len(live)-2]
 					if in.Prev() != nil && in.Next() != nil {
-						b.SetValue(in, r.Float64()*100)
+						b.SetValue(in, value())
 					}
 				}
 			case c < 6:
@@ -237,7 +296,7 @@ func TestRandomOpsProperty(t *testing.T) {
 				// Repair neighbour values as an algorithm would.
 				for _, nb := range []*Entry{live[i-1], live[i]} {
 					if nb.Prev() != nil && nb.Next() != nil {
-						b.SetValue(nb, r.Float64()*100)
+						b.SetValue(nb, value())
 					}
 				}
 			case c < 7:
@@ -249,7 +308,7 @@ func TestRandomOpsProperty(t *testing.T) {
 				live = live[:len(live)-1]
 			default:
 				// Move a random interior value, up or down the heap.
-				b.SetValue(live[interior()], r.Float64()*100)
+				b.SetValue(live[interior()], value())
 			}
 			if removed != nil && (removed.Index != was.Index || removed.P != was.P || removed.Value() != was.Value()) {
 				return false // a removed entry changed before the next Append
@@ -279,6 +338,12 @@ func TestRandomOpsProperty(t *testing.T) {
 			// KLowest(1) is the heap root, the entry Min returns.
 			if one := b.KLowest(1); len(b.heap) > 0 && (len(one) != 1 || one[0] != b.Min()) {
 				return false
+			}
+			for k := 1; k <= 4 && k <= len(b.heap); k++ {
+				got := append([]*Entry(nil), b.KLowest(k)...)
+				if !slices.Equal(got, b.walk(k)) {
+					return false
+				}
 			}
 			dump := b.Export()
 			rb, err := Restore(dump, 8)

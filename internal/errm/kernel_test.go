@@ -10,7 +10,7 @@ import (
 )
 
 // sedLoop is SED SegmentError as a plain per-point Distance loop, the
-// form geo.SEDAnchor.MaxDistance must reproduce bit for bit.
+// form geo.MaxSED must reproduce bit for bit.
 func sedLoop(t traj.Trajectory, a, b int) float64 {
 	if b <= a+1 {
 		return 0

@@ -14,10 +14,10 @@
 // and Anchor.PointError — prepares the anchor segment once per span and
 // then pays only the per-point arithmetic for each covered point, so the
 // n' term of RLTS+'s O((n−W)(n' + log W)) cost has a small constant.
-// SegmentError's SED scan is geo.SEDAnchor.MaxDistance, which calls
-// math.Hypot only for the points whose distance could still be the
-// span's largest: on served traffic, once per span instead of once per
-// covered point. PointError and OnlineValue are the same kernels applied
+// SegmentError's SED scan is geo.MaxSED, which reads the anchor's two
+// endpoints by index into local variables and calls math.Hypot only for
+// the points whose distance could still be the span's largest: on served
+// traffic, once per span instead of once per covered point. PointError and OnlineValue are the same kernels applied
 // to one point, and every route yields the same float64 bits.
 //
 // # Degenerate geometry
@@ -191,28 +191,26 @@ func SegmentError(m Measure, t traj.Trajectory, a, b int) float64 {
 	// The Eq. 12 hot path: SED's span kernel, and one loop per other
 	// measure straight over the geo anchor, without Anchor's per-point
 	// dispatch.
-	anchor := t.Segment(a, b)
 	var worst float64
 	switch m {
 	case SED:
-		an := geo.PrepareSED(anchor)
-		return an.MaxDistance(t[a+1 : b])
+		return geo.MaxSED(t, a, b)
 	case PED:
-		an := geo.PreparePED(anchor)
+		an := geo.PreparePED(t.Segment(a, b))
 		for _, p := range t[a+1 : b] {
 			if d := an.Distance(p); d > worst {
 				worst = d
 			}
 		}
 	case DAD:
-		an := geo.PrepareDAD(anchor)
+		an := geo.PrepareDAD(t.Segment(a, b))
 		for i := a; i < b; i++ {
 			if d := an.Distance(t.Segment(i, i+1)); d > worst {
 				worst = d
 			}
 		}
 	case SAD:
-		an := geo.PrepareSAD(anchor)
+		an := geo.PrepareSAD(t.Segment(a, b))
 		for i := a; i < b; i++ {
 			if d := an.Distance(t.Segment(i, i+1)); d > worst {
 				worst = d

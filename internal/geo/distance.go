@@ -67,7 +67,7 @@ func (a *SEDAnchor) Distance(p Point) float64 {
 	return a.dist(p, a.param(p.T))
 }
 
-// The constants of MaxDistance's skip rule.
+// The constants of MaxSED's skip rule.
 const (
 	// sedTame bounds the anchor coordinates of the fast loop: below it
 	// a + u*d cannot overflow for u in [0, 1], so lerp1's fallback is
@@ -81,19 +81,22 @@ const (
 	sedFloor = 0x1p-900
 )
 
-// MaxDistance returns the largest Distance from the prepared anchor to a
-// point of pts, NaN distances ignored, and 0 when there is none: bit for
-// bit what
+// MaxSED returns the largest SynchronizedDistance from the anchor segment
+// pts[a]pts[b], a < b, to the points strictly between its endpoints, NaN
+// distances ignored, and 0 when there is none: bit for bit what
 //
+//	an := PrepareSED(Seg(pts[a], pts[b]))
 //	var worst float64
-//	for _, p := range pts {
-//		if d := a.Distance(p); d > worst {
+//	for _, p := range pts[a+1 : b] {
+//		if d := an.Distance(p); d > worst {
 //			worst = d
 //		}
 //	}
 //
 // returns. This is the SED span scan of Eq. 12, and it calls math.Hypot
-// only for the points whose distance could still be the largest.
+// only for the points whose distance could still be the largest. It reads
+// the anchor into local variables, so no prepared anchor or segment is
+// built in memory.
 //
 // When the anchor is tame (a finite positive time span, so neither the
 // flat nor the halved time path applies, and every coordinate below
@@ -125,26 +128,32 @@ const (
 // distance; the maximum does not depend on the order it is taken in, so
 // the returned bits are the loop's. Any other anchor runs that loop
 // itself.
-func (a *SEDAnchor) MaxDistance(pts []Point) float64 {
+func MaxSED(pts []Point, a, b int) float64 {
+	span := pts[a+1 : b]
+	ax, ay, t0 := pts[a].X, pts[a].Y, pts[a].T
+	bx, by := pts[b].X, pts[b].Y
+	dt := pts[b].T - t0
 	var worst float64
-	if a.flat || a.half || !(a.dt <= math.MaxFloat64) ||
-		!(math.Abs(a.ax) < sedTame && math.Abs(a.ay) < sedTame &&
-			math.Abs(a.bx) < sedTame && math.Abs(a.by) < sedTame) {
-		for _, p := range pts {
-			if d := a.Distance(p); d > worst {
+	if !(dt > 0 && dt <= math.MaxFloat64) ||
+		!(math.Abs(ax) < sedTame && math.Abs(ay) < sedTame &&
+			math.Abs(bx) < sedTame && math.Abs(by) < sedTame) {
+		an := PrepareSED(Seg(pts[a], pts[b]))
+		for _, p := range span {
+			if d := an.Distance(p); d > worst {
 				worst = d
 			}
 		}
 		return worst
 	}
+	dx, dy := bx-ax, by-ay
 	// best is the candidate's square (0 before the first), (cx, cy) its
 	// residual and lim the square below which a point is skipped.
 	var best, lim, cx, cy float64
-	for i := range pts {
-		p := &pts[i]
-		u := clamp01((p.T - a.t0) / a.dt)
-		ex := p.X - (a.ax + u*a.dx)
-		ey := p.Y - (a.ay + u*a.dy)
+	for i := range span {
+		p := &span[i]
+		u := clamp01((p.T - t0) / dt)
+		ex := p.X - (ax + u*dx)
+		ey := p.Y - (ay + u*dy)
 		s := ex*ex + ey*ey
 		if s < lim {
 			continue

@@ -357,9 +357,68 @@ var numberRows = []string{
 	"0." + strings.Repeat("0", 9999) + "1e100000", "0." + strings.Repeat("0", 10005) + "1e9999",
 }
 
-// TestDecodeNumbers holds every numberRows coordinate to the float64
-// bits strconv.ParseFloat gives it, and 1e400 to its out-of-range error.
+// digitRunRows are numbers whose integer or fraction digit run has every
+// length from 1 to 20, so that the runs end at every offset of the
+// scanner's eight- and four-digit steps. Inside the number a run ends at
+// '.', 'e' or 'E'. TestDecodeNumbers and FuzzDecodeNumber's seeds end
+// each row at the bytes that can follow a number (numberEnds) and at the
+// bytes just outside '0'-'9' that pass one half of the scanner's digit
+// test (notDigits).
+var digitRunRows = func() []string {
+	const run = "98765432109876543210"
+	var rows []string
+	for n := 1; n <= len(run); n++ {
+		r := run[:n]
+		rows = append(rows, r, "-"+r, r+".5", r+"e1", r+"E-2", "0."+r, "-1."+r, "0."+r+"e3", "1."+r+"E+1")
+	}
+	return rows
+}()
+
+// numberEnds are the bytes a digit run can end at outside its number:
+// each, after a number, ends it; "" is the end of the body.
+var numberEnds = []string{",", "]", " ", "\t", "\n", "\r", ""}
+
+// notDigits are the bytes just outside '0'-'9' that either half of the
+// scanner's eight-digit test alone would take for digits.
+const notDigits = "/:;<=>?"
+
+// TestDecodeNumbers holds every numberRows and digitRunRows coordinate to
+// the float64 bits strconv.ParseFloat gives it, and 1e400 to its
+// out-of-range error. A digit run row decodes so wherever the number
+// ends, and a byte of notDigits after it is a syntax error at that byte.
 func TestDecodeNumbers(t *testing.T) {
+	for _, num := range digitRunRows {
+		want, err := strconv.ParseFloat(num, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", num, err)
+		}
+		for _, end := range numberEnds {
+			// The number runs to the end of the buffer, or stops at end.
+			d := bodyDecoder{buf: []byte(num + end)}
+			var got float64
+			if d.float(&got); d.err != nil || d.typeErr != nil || d.pos != len(num) ||
+				math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%q: decodes to %v (%#x) ending at %d, errors %v, %v; want %v (%#x) ending at %d",
+					num+end, got, math.Float64bits(got), d.pos, d.err, d.typeErr, want, math.Float64bits(want), len(num))
+			}
+		}
+		body := `{"points":[[` + num + `,` + num + "\n,\t" + num + ` ]]}`
+		var req pointsRequest
+		if err := readJSON(strings.NewReader(body), int64(len(body)), &req); err != nil {
+			t.Errorf("%s: %v", body, err)
+		} else if got := req.Points[0]; math.Float64bits(got[0]) != math.Float64bits(want) ||
+			math.Float64bits(got[1]) != math.Float64bits(want) || math.Float64bits(got[2]) != math.Float64bits(want) {
+			t.Errorf("%s decodes to %v, want %v (%#x)", body, got, want, math.Float64bits(want))
+		}
+		for _, c := range notDigits {
+			body := `{"points":[[` + num + string(c) + `0,0,0]]}`
+			msg := fmt.Sprintf("invalid character %q at byte %d", c, len(`{"points":[[`)+len(num))
+			if err := readJSON(strings.NewReader(body), int64(len(body)), &pointsRequest{}); err == nil || err.Error() != msg {
+				t.Errorf("%s: got %v, want %q", body, err, msg)
+			}
+		}
+	}
+
 	for _, num := range numberRows {
 		want, err := strconv.ParseFloat(num, 64)
 		if err != nil {

@@ -168,6 +168,14 @@ func FuzzDecodeNumber(f *testing.F) {
 	for _, s := range []string{"1e400", "-1e400", "01", "-", "1.", "1e+", "1.5e3x", " 2.5 "} {
 		f.Add(s)
 	}
+	for _, s := range digitRunRows {
+		for _, end := range numberEnds {
+			f.Add(s + end)
+		}
+		for _, c := range notDigits {
+			f.Add(s + string(c) + "0")
+		}
+	}
 	const unset = 0x7ff8_dead_beef_0001 // a NaN no number decodes to
 	f.Fuzz(func(t *testing.T, s string) {
 		d := bodyDecoder{buf: []byte(s)}

@@ -177,10 +177,15 @@ echo "crash-restart: OK"
 echo "== obs bench smoke (1 iteration each) =="
 go test ./internal/obs -run '^$' -bench . -benchtime 1x
 
-# One iteration of the served-simplify benchmark (make bench-simplify):
-# the embedded RLTS+/SED policy over single_long-shaped Truck inputs.
-echo "== simplify bench smoke (1 iteration) =="
+# One iteration of each benchmark make bench-simplify runs: the served
+# simplify (the embedded RLTS+/SED policy over single_long-shaped Truck
+# inputs) and its layers, the SED span scan, KLowest, the buffer's
+# drop/insert cycle and the body scanner.
+echo "== simplify bench smoke (1 iteration each) =="
 go test . -run '^$' -bench BenchmarkServedRLTSPlus -benchtime 1x
+go test ./internal/errm -run '^$' -bench 'BenchmarkSegmentError/SED' -benchtime 1x
+go test ./internal/buffer -run '^$' -bench 'BenchmarkKLowest|BenchmarkDropInsertCycle' -benchtime 1x
+go test ./internal/server -run '^$' -bench 'BenchmarkDecodeBody/.*/scanner' -benchtime 1x
 
 # Live scrape check: boot the real server, curl /metrics, and make sure
 # the exposition output mentions our metric namespace. Guards the whole

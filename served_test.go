@@ -8,6 +8,7 @@ import (
 	"rlts"
 	"rlts/internal/core"
 	"rlts/internal/gen"
+	"rlts/internal/obs"
 	"rlts/internal/traj"
 	"rlts/pretrained"
 )
@@ -37,11 +38,15 @@ func servedTrajectories() []traj.Trajectory {
 // BenchmarkServedRLTSPlus runs the served simplify of a single_long
 // request in process: the embedded RLTS+/SED policy, greedy, at
 // W = n/10, over servedTrajectories. It reports ns and heap allocations
-// per input point. BenchmarkRLTSPlusBatch runs an untrained network
-// instead, whose decisions and Eq. 12 span lengths are not the served
-// ones.
+// per input point, and the share of decisions the certified forward left
+// to the exact one (rlts_policy_fallbacks_total over
+// rlts_simplify_steps_total, counted in a registry of its own).
+// BenchmarkRLTSPlusBatch runs an untrained network instead, whose
+// decisions and Eq. 12 span lengths are not the served ones.
 func BenchmarkServedRLTSPlus(b *testing.B) {
 	tr := servedPolicy(b)
+	reg := obs.NewRegistry()
+	tr.UseRegistry(reg)
 	ts := servedTrajectories()
 	pts := 0
 	for _, t := range ts {
@@ -62,6 +67,8 @@ func BenchmarkServedRLTSPlus(b *testing.B) {
 	n := float64(b.N) * float64(pts)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/pt")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/pt")
+	b.ReportMetric(float64(reg.Counter("rlts_policy_fallbacks_total", "").Value())/
+		float64(reg.Counter("rlts_simplify_steps_total", "").Value()), "fallbacks/decision")
 }
 
 // TestServedSimplifyAllocs holds the served simplify to a fixed number of
